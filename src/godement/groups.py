@@ -34,7 +34,9 @@ class GroupTable:
     Elements are the dense indices 0..order-1; ``labels`` are display
     metadata only.  Instances are immutable and safe to share across
     threads.  Summation against the table realizes integration with
-    counting measure (every element has mass 1).
+    counting measure (every element has mass 1).  Each instance keeps a
+    private cache of the convolution gather index per matrix dimension
+    (see matfun), which lives and dies with the table.
     """
 
     order: int
@@ -52,6 +54,7 @@ class GroupTable:
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
+        object.__setattr__(self, "_conv_index_cache", {})
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])

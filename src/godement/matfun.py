@@ -97,22 +97,53 @@ def _check_compatible(a: MatFun | VecFun, b: MatFun | VecFun) -> None:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
+def _conv_index(group: GroupTable, n: int) -> np.ndarray:
+    """Flat gather index of the convolution matrix of an n x n function on group.
+
+    values.reshape(-1)[index] is the (|G| n, |G| n) matrix whose block
+    (x, y) is values[x y^-1], i.e. index[x n + i, y n + k] =
+    idx[x, y] n^2 + i n + k with idx = mult[:, inv].  Built once per
+    (table, n) and cached on the table instance; threads that race on a
+    first build compute equal arrays and setdefault keeps one of them.
+    """
+    cache = group._conv_index_cache
+    index = cache.get(n)
+    if index is None:
+        order = group.order
+        blocks = group.mult[:, group.inv] * (n * n)
+        within = np.arange(n)[:, None] * n + np.arange(n)[None, :]
+        index = (blocks[:, None, :, None] + within[None, :, None, :]).reshape(order * n, order * n)
+        index.flags.writeable = False
+        index = cache.setdefault(n, index)
+    return index
+
+
+def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
+    """Convolution matrix of raw values a (|G|, n, n): one gather, no arithmetic."""
+    return a.reshape(-1)[_conv_index(group, a.shape[1])]
+
+
+def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a*b)(x) = sum_g a(g) b(g^-1 x) on raw arrays, as one gemm.
+
+    a is (|G|, n, n) and b is (|G|, n, ...); the columns of b, flattened
+    with index g*n + component, are multiplied by the convolution matrix
+    of a, since sum_y a(x y^-1) b(y) is the same sum.
+    """
+    order, n = a.shape[0], a.shape[1]
+    return (_conv_operator(group, a) @ b.reshape(order * n, -1)).reshape(b.shape)
+
+
 def convolve(a: MatFun, b: MatFun) -> MatFun:
-    """(a*b)(x) = sum_g a(g) b(g^-1 x), direct double summation."""
+    """(a*b)(x) = sum_g a(g) b(g^-1 x): the convolution matrix of a times b's columns."""
     _check_compatible(a, b)
-    g = a.group
-    shifted = b.values[g.mult[g.inv]]  # shifted[g, x] = b(g^-1 x)
-    out = np.einsum("gik,gxkj->xij", a.values, shifted, optimize=True)
-    return MatFun(g, a.n, out)
+    return MatFun(a.group, a.n, _conv_kernel(a.group, a.values, b.values))
 
 
 def convolve_vec(a: MatFun, u: VecFun) -> VecFun:
     """Left convolution action on vector functions: sum_g a(g) u(g^-1 x)."""
     _check_compatible(a, u)
-    g = a.group
-    shifted = u.values[g.mult[g.inv]]  # shifted[g, x] = u(g^-1 x)
-    out = np.einsum("gik,gxk->xi", a.values, shifted, optimize=True)
-    return VecFun(g, a.n, out)
+    return VecFun(a.group, a.n, _conv_kernel(a.group, a.values, u.values))
 
 
 def star(a: MatFun) -> MatFun:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupTable
-from .matfun import MatFun
+from .matfun import MatFun, _conv_operator
 
 __all__ = [
     "ConvMatrix",
@@ -84,11 +84,14 @@ class SpectralDecomposition:
         at rounding level; a threshold landing inside such a cluster
         would select a basis-dependent half of the eigenspace.  The cut
         therefore absorbs any whole cluster it touches: only the
-        projector onto full clusters is a well-defined object.
+        projector onto full clusters is a well-defined object.  For the
+        same reason an eigenvalue within that rounding above t counts as
+        equal to t, so a cut at a computed eigenvalue keeps it whichever
+        solver computed t.
         """
         ev = self.eigenvalues
-        count = int(np.searchsorted(ev, t, side="right"))
         gap = cluster_rel * max(abs(ev[0]), abs(ev[-1]), 1e-300)
+        count = int(np.searchsorted(ev, t + gap, side="right"))
         while 0 < count < ev.size and ev[count] - ev[count - 1] <= gap:
             count += 1
         cols = self.eigenvectors[:, :count]
@@ -129,9 +132,7 @@ def _blocks_to_matrix(values: np.ndarray, idx: np.ndarray, order: int, n: int) -
 
 def conv_matrix(a: MatFun) -> ConvMatrix:
     """Matrix of left convolution by a: block(x, y) = a(x y^-1)."""
-    g = a.group
-    idx = g.mult[:, g.inv]  # idx[x, y] = x * y^-1
-    return ConvMatrix(g, a.n, _blocks_to_matrix(a.values, idx, g.order, a.n))
+    return ConvMatrix(a.group, a.n, _conv_operator(a.group, a.values))
 
 
 def operator_norm(a: MatFun) -> float:

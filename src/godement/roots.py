@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import MatFun, convolve, l2_norm, matfun_to_json, scale, subtract, zero_matfun
+from .matfun import MatFun, _conv_kernel, convolve, l2_norm, matfun_to_json, subtract, zero_matfun
 from .operators import (
     ConvMatrix,
     DEFAULT_PD_TOL,
@@ -90,13 +90,15 @@ def _certify_pd(phi: MatFun, tol: float):
 def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL) -> SqrtResult:
     """Square root by spectral calculus on the convolution operator.
 
-    Eigenvalues within -pd_tol * ||op|| of zero are clamped to zero
-    before taking the scalar square root; anything more negative is a
-    hard error (the input was not positive definite).
+    Eigenvalues at or below pd_tol * ||op||, the resolution of the PD
+    certificate, are set to zero before taking the scalar square root:
+    below it an eigenvalue is rounding noise, and the square root would
+    amplify it to sqrt(noise) and break right-translation equivariance
+    of the root.  An input the certificate rejects is a hard error.
     """
     cert = _certify_pd(phi, pd_tol)
     sd = decompose(conv_matrix(phi))
-    eigenvalues = np.where(sd.eigenvalues < 0.0, 0.0, sd.eigenvalues)
+    eigenvalues = np.where(sd.eigenvalues <= pd_tol * cert.operator_norm, 0.0, sd.eigenvalues)
     root = (sd.eigenvectors * np.sqrt(eigenvalues)) @ sd.eigenvectors.conj().T
     psi = extract_kernel(ConvMatrix(phi.group, phi.n, root))
     denom = l2_norm(phi)
@@ -136,27 +138,32 @@ def sqrt_iterative(
             iterates=() if record_iterates else None,
         )
     sqrt_s = float(np.sqrt(s))
-    normalized = scale(1.0 / s, phi)
-    denom = l2_norm(normalized)
-    x = zero_matfun(phi.group, phi.n)
+    group, n = phi.group, phi.n
+    # the loop runs on raw (|G|, n, n) arrays; a MatFun is built only for
+    # what is returned, so the finiteness check is explicit here
+    target = (1.0 / s) * phi.values
+    denom = float(np.linalg.norm(target))
+    x = np.zeros_like(target)
     trace: list[float] = []
     iterates: list[MatFun] = []
     for k in range(1, max_iter + 1):
-        square = convolve(x, x)
-        residual = l2_norm(subtract(square, normalized)) / denom
+        gap = target - _conv_kernel(group, x, x)
+        residual = float(np.linalg.norm(gap)) / denom
+        if not np.isfinite(residual):
+            raise ConvergenceError(f"non-finite residual at step {k}")
         if residual <= tol:
             return SqrtResult(
-                psi=scale(sqrt_s, x),
+                psi=MatFun(group, n, sqrt_s * x),
                 method="iterative",
                 residual=residual,
                 iterations=k - 1,
                 monotone_trace=tuple(trace),
                 iterates=tuple(iterates) if record_iterates else None,
             )
-        x = MatFun(phi.group, phi.n, x.values + 0.5 * (normalized.values - square.values))
-        trace.append(sqrt_s * l2_norm(x))
+        x = x + 0.5 * gap
+        trace.append(sqrt_s * float(np.linalg.norm(x)))
         if record_iterates:
-            iterates.append(scale(sqrt_s, x))
+            iterates.append(MatFun(group, n, sqrt_s * x))
     raise ConvergenceError(f"no convergence to {tol:.1e} within {max_iter} iterations")
 
 

@@ -141,8 +141,8 @@ def check_theorem_a(
     }
     trace = iterative.monotone_trace or ()
     trace_bound = float(np.trace(phi.values[group.identity]).real) + 1e-8
-    dips = [trace[i + 1] - trace[i] for i in range(len(trace) - 1)]
-    monotone_ok = all(d >= -1e-12 * max(trace) for d in dips) if trace else True
+    dip_floor = -1e-12 * max(trace, default=0.0)
+    monotone_ok = all(trace[i + 1] - trace[i] >= dip_floor for i in range(len(trace) - 1))
     bound_ok = all(v * v <= trace_bound for v in trace)
     residuals["trace_monotone"] = 0.0 if monotone_ok else np.inf
     residuals["trace_bound"] = 0.0 if bound_ok else np.inf

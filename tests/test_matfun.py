@@ -1,12 +1,16 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from godement import (
+    GroupTable,
     MatFun,
     VecFun,
     add,
+    build_symmetric,
     conv_matrix,
     convolve,
     convolve_vec,
@@ -18,13 +22,16 @@ from godement import (
     make_pd,
     matfun_from_json,
     matfun_to_json,
+    parse_group_spec,
     random_matfun,
     random_vecfun,
     scale,
     star,
     subtract,
+    validate_group,
     zero_matfun,
 )
+from godement.matfun import _conv_index
 from conftest import phi_21, random_pd
 
 REL = 1e-10
@@ -73,6 +80,98 @@ class TestConvolve:
             for g in d3.elements():
                 acc += a.values[g] @ b.values[d3.mul(d3.invert(g), x)]
             assert np.allclose(out.values[x], acc, atol=1e-12)
+
+
+# one spec per family and product shape, orders 1..24
+STANDARD_SPECS = ("trivial", "z2", "z6", "z24", "klein", "d3", "d4", "d12", "q8",
+                  "s3", "s4", "z2xz3", "z3xq8", "z2xd6")
+
+
+def naive_convolve(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_g a(g) b(g^-1 x) as a double loop; b is (|G|, n, n) or (|G|, n)."""
+    out = np.zeros_like(b)
+    for x in group.elements():
+        for g in group.elements():
+            out[x] += a[g] @ b[group.mul(group.invert(g), x)]
+    return out
+
+
+def relabeled_s3() -> GroupTable:
+    """S3 with its elements shuffled, so the identity is not index 0."""
+    s3 = build_symmetric(3)
+    perm = np.array([4, 2, 5, 0, 3, 1])  # new index of old element i
+    old = np.argsort(perm)  # old element at new index j
+    mult = perm[s3.mult[old][:, old]]
+    table = GroupTable(order=6, mult=mult, inv=perm[s3.inv[old]],
+                       identity=int(perm[s3.identity]), labels=tuple("abcdef"))
+    assert validate_group(table).ok and table.identity != 0
+    return table
+
+
+class TestKernel:
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom",))
+    def test_matches_double_loop(self, spec):
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
+        assert grp.order <= 24
+        for n in (1, 2, 3):
+            a = random_matfun(grp, n, seed=31)
+            b = random_matfun(grp, n, seed=32)
+            u = random_vecfun(grp, n, seed=33)
+            expected = naive_convolve(grp, a.values, b.values)
+            got = convolve(a, b).values
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+            expected_vec = naive_convolve(grp, a.values, u.values)
+            got_vec = convolve_vec(a, u).values
+            assert np.linalg.norm(got_vec - expected_vec) <= 1e-13 * np.linalg.norm(expected_vec)
+
+    def test_index_cached_per_table_not_per_order(self):
+        tables = [parse_group_spec(spec) for spec in ("z8", "d4", "q8")]
+        pairs = [(random_matfun(t, 2, seed=41), random_matfun(t, 2, seed=42)) for t in tables]
+        outs = [convolve(a, b).values for a, b in pairs]
+        indices = [_conv_index(t, 2) for t in tables]
+        for t, index in zip(tables, indices):
+            assert _conv_index(t, 2) is index
+        for i in range(3):
+            for j in range(i):
+                assert not np.array_equal(indices[i], indices[j])
+        # interleaved use leaves every table with its own product
+        for t, (a, b), out in zip(tables, pairs, outs):
+            assert np.array_equal(convolve(a, b).values, out)
+            expected = naive_convolve(t, a.values, b.values)
+            assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_index_first_build_race(self):
+        # more threads than cores race on the first build of a fresh table's index
+        def race(grp: GroupTable) -> list[np.ndarray]:
+            barrier = threading.Barrier(8)
+            got = []
+
+            def worker():
+                barrier.wait(timeout=10)
+                got.append(_conv_index(grp, 3))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            return got
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                grp = parse_group_spec("s4")
+                got = race(grp)
+                assert len(got) == 8
+                assert all(index is got[0] for index in got)
+                assert _conv_index(grp, 3) is got[0]
+        finally:
+            sys.setswitchinterval(old_interval)
+        a, b = random_matfun(grp, 3, seed=43), random_matfun(grp, 3, seed=44)
+        expected = naive_convolve(grp, a.values, b.values)
+        assert np.linalg.norm(convolve(a, b).values - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 class TestStar:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import godement.roots
 from godement import (
     ConvergenceError,
     MatFun,
     NotPositiveDefiniteError,
     PolySpec,
+    build_orthogonal_pd_pair,
     conv_matrix,
     convolve,
     delta_identity,
@@ -13,6 +15,7 @@ from godement import (
     is_positive_definite,
     l2_norm,
     operator_norm,
+    parse_group_spec,
     pd_order_leq,
     poly_apply,
     scale,
@@ -71,6 +74,21 @@ class TestSqrtSpectral:
     def test_zero_function(self, z2):
         result = sqrt_spectral(zero_matfun(z2, 2))
         assert l2_norm(result.psi) == 0.0
+
+
+    def test_rank_deficient_orthogonal_pieces(self):
+        # each piece of an orthogonal pair has a kernel of rounding-level
+        # eigenvalues; their square roots would break equivariance
+        for spec in ("d3", "q8", "s3", "s4"):
+            grp = parse_group_spec(spec)
+            for n in (1, 2, 3):
+                for seed in range(10):
+                    theta = random_pd(grp, n, seed=seed)
+                    ev = np.linalg.eigvalsh(conv_matrix(theta).data)
+                    for piece in build_orthogonal_pd_pair(theta, float((ev[0] + ev[-1]) / 2)):
+                        result = sqrt_spectral(piece)
+                        assert result.residual <= 1e-8
+                        assert is_positive_definite(result.psi).ok
 
 
 class TestSqrtIterative:
@@ -135,6 +153,18 @@ class TestSqrtIterative:
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
         with pytest.raises(NotPositiveDefiniteError):
             sqrt_iterative(phi)
+
+    def test_nonfinite_step_raises_at_once(self, d4, monkeypatch):
+        calls = []
+
+        def nan_kernel(group, a, b):
+            calls.append(1)
+            return np.full(b.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(godement.roots, "_conv_kernel", nan_kernel)
+        with pytest.raises(ConvergenceError, match="non-finite residual at step 1"):
+            sqrt_iterative(random_pd(d4, 2, seed=12), max_iter=1000)
+        assert len(calls) == 1
 
     def test_zero_function(self, z2):
         result = sqrt_iterative(zero_matfun(z2, 2))
