@@ -14,7 +14,7 @@ import sys
 from datetime import datetime, timezone
 
 from .groups import canonical_spec, group_to_json, parse_group_spec
-from .matfun import make_pd, matfun_from_json, matfun_to_json, random_matfun
+from .matfun import _complex_normal, _generator, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from .operators import NotPositiveDefiniteError, is_positive_definite, spectral_truncate
 from .reps import check_tensor_nonneg, regular_rep, tensor_product
 from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
@@ -153,13 +153,9 @@ def _cmd_rep_demo(args) -> int:
     group = parse_group_spec(args.group)
     reg = regular_rep(group)
     rep = tensor_product(reg, reg) if args.tensor else reg
-    rng_dim = rep.dim
-    import numpy as np
-
-    rg = np.random.Generator(np.random.Philox(key=np.uint64(derive_seed(args.seed, "rep-demo"))))
-    shape = (args.n, rng_dim)
-    u1 = (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2)
-    u2 = (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2)
+    rg = _generator(derive_seed(args.seed, "rep-demo"))
+    u1 = _complex_normal(rg, (args.n, rep.dim))
+    u2 = _complex_normal(rg, (args.n, rep.dim))
     report = check_tensor_nonneg(rep, u1, rep, u2, tol=args.tol)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE

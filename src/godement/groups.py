@@ -34,9 +34,10 @@ class GroupTable:
     Elements are the dense indices 0..order-1; ``labels`` are display
     metadata only.  Instances are immutable and safe to share across
     threads.  Summation against the table realizes integration with
-    counting measure (every element has mass 1).  Each instance keeps a
-    private cache of the convolution gather index per matrix dimension
-    (see matfun), which lives and dies with the table.
+    counting measure (every element has mass 1).  Each instance keeps
+    private caches of the convolution gather index per matrix dimension
+    (see matfun) and of its generating set (see _generating_set), which
+    live and die with the table.
     """
 
     order: int
@@ -55,6 +56,7 @@ class GroupTable:
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "_conv_index_cache", {})
+        object.__setattr__(self, "_generators_cache", {})
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
@@ -74,6 +76,49 @@ class GroupTable:
             and self.identity == other.identity
             and np.array_equal(self.mult, other.mult)
         )
+
+
+def _closure(t: GroupTable, letters: np.ndarray) -> tuple[np.ndarray, int]:
+    """Breadth-first search from the identity, multiplying by letters on the
+    right: membership mask of the subgroup they generate and the largest
+    distance reached."""
+    seen = np.zeros(t.order, dtype=bool)
+    seen[t.identity] = True
+    frontier = np.array([t.identity], dtype=np.intp)
+    depth = 0
+    while True:
+        reached = np.unique(t.mult[np.ix_(frontier, letters)])
+        reached = reached[~seen[reached]]
+        if reached.size == 0:
+            return seen, depth
+        seen[reached] = True
+        frontier = reached
+        depth += 1
+
+
+def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
+    """A generating set of t and the diameter of its Cayley graph, cached on t.
+
+    Greedy: elements are scanned in index order and each one outside the
+    subgroup generated so far is kept, so every kept generator at least
+    doubles that subgroup (Lagrange) and there are at most log2 |G| of
+    them.  The diameter is the largest number of generators and inverses
+    of generators whose product is needed to write an element.
+    """
+    cache = t._generators_cache
+    found = cache.get("generators")
+    if found is None:
+        gens: list[int] = []
+        seen, diameter = np.arange(t.order) == t.identity, 0
+        for x in range(t.order):
+            if not seen[x]:
+                gens.append(x)
+                letters = np.array(gens, dtype=np.intp)
+                seen, diameter = _closure(t, np.concatenate([letters, t.inv[letters]]))
+        generators = np.array(gens, dtype=np.intp)
+        generators.flags.writeable = False
+        found = cache.setdefault("generators", (generators, diameter))
+    return found
 
 
 @dataclass(frozen=True)
@@ -176,20 +221,22 @@ def build_quaternion() -> GroupTable:
 def build_symmetric(m: int) -> GroupTable:
     """Symmetric group S_m on all m! permutations in lexicographic order.
 
-    Composition convention: (sigma * tau)(i) = sigma(tau(i)).  Desk scale
-    only; m is capped at 5.
+    Composition convention: (sigma * tau)(i) = sigma(tau(i)).  Each
+    permutation is encoded as its base-m number, most significant digit
+    first, so lexicographic order is ascending code order and a composed
+    permutation is found by binary search.  Desk scale only; m is capped
+    at 5.
     """
     if not 1 <= m <= 5:
         raise ValueError(f"symmetric group parameter must be in 1..5, got {m}")
-    perms = list(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
-    order = len(perms)
-    mult = np.empty((order, order), dtype=np.intp)
-    for a, sigma in enumerate(perms):
-        for b, tau in enumerate(perms):
-            mult[a, b] = index[tuple(sigma[tau[i]] for i in range(m))]
-    inv = _inverses_from_mult(mult, index[tuple(range(m))])
-    labels = tuple("".join(str(x) for x in p) for p in perms)
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    order = perms.shape[0]
+    weights = m ** np.arange(m - 1, -1, -1, dtype=np.intp)
+    codes = perms @ weights  # ascending
+    composed = np.take_along_axis(perms[:, None, :], perms[None, :, :], axis=2)  # [a, b, i] = a(b(i))
+    mult = np.searchsorted(codes, composed @ weights)
+    inv = np.searchsorted(codes, np.argsort(perms, axis=1) @ weights)
+    labels = tuple("".join(str(x) for x in p) for p in perms.tolist())
     return GroupTable(order=order, mult=mult, inv=inv, identity=0, labels=labels, name=f"symmetric:{m}")
 
 

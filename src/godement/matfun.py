@@ -201,19 +201,18 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
 
 
+def _complex_normal(rg: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard complex Gaussian entries: real then imaginary parts drawn from rg."""
+    return (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def random_matfun(group: GroupTable, n: int, seed: int) -> MatFun:
     """Independent standard complex Gaussian entries, deterministic per seed."""
-    rg = _generator(seed)
-    shape = (group.order, n, n)
-    vals = (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2.0)
-    return MatFun(group, n, vals)
+    return MatFun(group, n, _complex_normal(_generator(seed), (group.order, n, n)))
 
 
 def random_vecfun(group: GroupTable, n: int, seed: int) -> VecFun:
-    rg = _generator(seed)
-    shape = (group.order, n)
-    vals = (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2.0)
-    return VecFun(group, n, vals)
+    return VecFun(group, n, _complex_normal(_generator(seed), (group.order, n)))
 
 
 def make_pd(f: MatFun) -> MatFun:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, _generating_set
 from .matfun import MatFun, _conv_operator
 
 __all__ = [
@@ -71,11 +71,29 @@ class ConvMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian operator: ascending eigenvalues, unitary columns."""
+    """Eigensystem of the Hermitian part H of an operator C: ascending
+    eigenvalues, unitary columns, and the two numbers a PD verdict needs.
+
+    hermitian_gap is ||C - C^H||_F and operator_norm is ||H||_2 =
+    max(|lambda_0|, |lambda_max|), so certificate() decides positive
+    definiteness from the same eigensolve.
+    """
 
     eigenvalues: np.ndarray  # ascending real
     eigenvectors: np.ndarray  # columns are eigenvectors
-    residual: float  # Frobenius reconstruction error
+    hermitian: np.ndarray  # H, the matrix decomposed
+    hermitian_gap: float
+    operator_norm: float
+
+    @property
+    def residual(self) -> float:
+        """Frobenius reconstruction error ||V diag(lambda) V^H - H||_F."""
+        recon = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
+        return float(np.linalg.norm(recon - self.hermitian))
+
+    def certificate(self, tol: float = DEFAULT_PD_TOL) -> "PDCertificate":
+        """The PD verdict of C at tol, as is_positive_definite gives it."""
+        return _certificate(self.eigenvalues, self.hermitian_gap, tol)
 
     def projector_leq(self, t: float, cluster_rel: float = 1e-10) -> np.ndarray:
         """Orthogonal projector onto eigenvectors with eigenvalue <= t.
@@ -102,8 +120,10 @@ class SpectralDecomposition:
 class PDCertificate:
     """Verdict plus the numbers it was decided on.
 
-    operator_norm doubles as the boundedness constant of the convolution
-    action (finite here, so every function is moderated).
+    hermitian_residual is ||C - C^H||_F of the convolution matrix C and
+    operator_norm is ||H||_2 of its Hermitian part H, which for a
+    Hermitian C is the boundedness constant of the convolution action
+    (finite here, so every function is moderated).
     """
 
     verdict: str  # "positive_definite" | "not_positive_definite" | "not_hermitian"
@@ -140,59 +160,89 @@ def operator_norm(a: MatFun) -> float:
     return float(np.linalg.norm(conv_matrix(a).data, 2))
 
 
+def _hermitian_split(data: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Hermitian part H of data and ||data - data^H||_F, both divided by unit.
+
+    unit is the power of two that brings the largest entry of data into
+    [1, 2): dividing by it is exact, and the squares the Frobenius norm
+    sums can neither overflow nor underflow.
+    """
+    peak = float(np.max(np.abs(data), initial=0.0))
+    unit = float(np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)) if 0.0 < peak < np.inf else 1.0
+    scaled = data / unit
+    adjoint = scaled.conj().T
+    return (scaled + adjoint) / 2.0, float(np.linalg.norm(scaled - adjoint)), unit
+
+
+def _verdict(min_eig: float, gap: float, scale: float, tol: float) -> str:
+    """The one PD verdict: Hermitian within tol * scale, and no eigenvalue
+    below -tol * scale.  Written so that a NaN anywhere never passes."""
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    if not gap <= tol * scale:
+        return "not_hermitian"
+    if min_eig >= -tol * scale:
+        return "positive_definite"
+    return "not_positive_definite"
+
+
+def _certificate(eigenvalues: np.ndarray, gap: float, tol: float) -> PDCertificate:
+    min_eig = float(eigenvalues[0])
+    norm = max(abs(min_eig), abs(float(eigenvalues[-1])))
+    return PDCertificate(_verdict(min_eig, gap, norm, tol), min_eig, gap, norm)
+
+
 def decompose(op: ConvMatrix, hermitian_tol: float = 1e-8) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian ConvMatrix (ascending eigenvalues)."""
-    data = op.data
-    scale = float(np.linalg.norm(data, 2))
-    gap = float(np.linalg.norm(data - data.conj().T, 2))
-    if gap > hermitian_tol * max(scale, 1.0):
-        raise ValueError(f"matrix is not Hermitian: residual {gap:.3e} at norm {scale:.3e}")
-    herm = (data + data.conj().T) / 2.0
+    """Eigendecomposition of the Hermitian part of op (ascending eigenvalues).
+
+    The one eigensolve of a spectral call: the result also carries the
+    Hermitian gap and ||H||_2, from which certificate() gives the PD
+    verdict.  Raises ValueError when the gap exceeds
+    hermitian_tol * max(||H||_2, 1).
+    """
+    herm, gap, unit = _hermitian_split(op.data)
     eigenvalues, eigenvectors = np.linalg.eigh(herm)
-    recon = (eigenvectors * eigenvalues) @ eigenvectors.conj().T
-    residual = float(np.linalg.norm(recon - herm))
-    return SpectralDecomposition(eigenvalues, eigenvectors, residual)
+    eigenvalues = eigenvalues * unit
+    gap *= unit
+    norm = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
+    if not gap <= hermitian_tol * max(norm, 1.0):
+        raise ValueError(f"matrix is not Hermitian: residual {gap:.3e} at norm {norm:.3e}")
+    return SpectralDecomposition(eigenvalues, eigenvectors, herm * unit, gap, norm)
+
+
+def _certified_decomposition(a: MatFun, tol: float) -> SpectralDecomposition:
+    """decompose(conv_matrix(a)), whose eigenvalues also certify a: raises
+    NotPositiveDefiniteError unless a is positive definite at tol."""
+    # the certificate, relative at tol, is what judges Hermitian symmetry here
+    sd = decompose(conv_matrix(a), hermitian_tol=np.inf)
+    verdict = sd.certificate(tol).verdict
+    if verdict != "positive_definite":
+        raise NotPositiveDefiniteError(f"input is not positive definite: {verdict}")
+    return sd
 
 
 def is_positive_definite(a: MatFun, tol: float = DEFAULT_PD_TOL) -> PDCertificate:
-    """Certify positivity of the convolution operator of a.
+    """Certify positivity of the convolution operator C of a.
 
-    Verdict is positive_definite iff the operator is Hermitian within
-    tol * operator_norm and its minimum eigenvalue is >= -tol * operator_norm.
-    The floor is relative, so the verdict is scale invariant.
+    Verdict is positive_definite iff ||C - C^H||_F <= tol * ||H||_2, with
+    H the Hermitian part of C, and the minimum eigenvalue of H is
+    >= -tol * ||H||_2.  Both are relative, so the verdict is scale
+    invariant; one eigvalsh gives the minimum eigenvalue and ||H||_2.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    data = conv_matrix(a).data
-    norm = float(np.linalg.norm(data, 2))
-    gap = float(np.linalg.norm(data - data.conj().T, 2))
-    min_eig = float(np.linalg.eigvalsh((data + data.conj().T) / 2.0)[0])
-    if gap > tol * norm:
-        verdict = "not_hermitian"
-    elif min_eig >= -tol * norm:
-        verdict = "positive_definite"
-    else:
-        verdict = "not_positive_definite"
-    return PDCertificate(verdict, min_eig, gap, norm)
+    herm, gap, unit = _hermitian_split(conv_matrix(a).data)
+    return _certificate(np.linalg.eigvalsh(herm) * unit, gap * unit, tol)
 
 
 def gram_pd_check(a: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
     """Pointwise Gram test: the block matrix M(i, j) = a(i^-1 j) must be PSD.
 
     Independent of conv_matrix; the two certifications must agree on
-    every input at the same tolerance.
+    every input at the same tolerance, and share the verdict routine.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     g = a.group
     idx = g.mult[g.inv]  # idx[i, j] = i^-1 * j
-    m = _blocks_to_matrix(a.values, idx, g.order, a.n)
-    norm = float(np.linalg.norm(m, 2))
-    gap = float(np.linalg.norm(m - m.conj().T, 2))
-    if gap > tol * norm:
-        return False
-    min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    return min_eig >= -tol * norm
+    herm, gap, _ = _hermitian_split(_blocks_to_matrix(a.values, idx, g.order, a.n))
+    return _certificate(np.linalg.eigvalsh(herm), gap, tol).ok
 
 
 def hermitian_symmetry_residual(a: MatFun) -> float:
@@ -227,24 +277,32 @@ def translation_equivariance_residual(a: MatFun, x: int) -> float:
 
 
 def translation_commutant_residual(op: ConvMatrix) -> float:
-    """Worst-case ||R(x) T R(x)^-1 - T||_F over all group elements x."""
-    worst = 0.0
-    for x in range(op.group.order):
-        worst = max(worst, float(np.linalg.norm(_translated(op.data, op.group, op.n, x) - op.data)))
-    return worst
+    """Upper bound on max_x ||R(x) T R(x)^-1 - T||_F over all group elements x.
+
+    R is a unitary homomorphism, so along a word x = s_1 ... s_k in
+    generators and their inverses the residual is subadditive, and
+    R(s)^-1 has the residual of R(s).  Hence the worst residual over a
+    generating set times the diameter of its Cayley graph bounds the
+    residual of every element, and is zero iff T commutes with all R(x).
+    """
+    group, n = op.group, op.n
+    gens, diameter = _generating_set(group)
+    residuals = [np.linalg.norm(_translated(op.data, group, n, int(x)) - op.data) for x in gens]
+    return diameter * float(np.max(residuals, initial=0.0))
 
 
 def extract_kernel(op: ConvMatrix, equivariance_tol: float = 1e-8) -> MatFun:
     """Recover the matrix function whose convolution matrix is op.
 
-    Requires op to commute with every right translation (checked); then
-    column j of the kernel at x is op applied to the delta at the
-    identity tensored with basis vector j, which is just the block
-    column of op at the identity element.
+    Requires op to commute with every right translation (checked on a
+    generating set, see translation_commutant_residual); then column j
+    of the kernel at x is op applied to the delta at the identity
+    tensored with basis vector j, which is just the block column of op
+    at the identity element.
     """
     worst = translation_commutant_residual(op)
     scale = max(float(np.linalg.norm(op.data)), 1.0)
-    if worst > equivariance_tol * scale:
+    if not worst <= equivariance_tol * scale:
         raise EquivarianceError(
             f"matrix does not commute with right translations: residual {worst:.3e}"
         )
@@ -268,27 +326,18 @@ def spectral_truncate(a: MatFun, t: float, tol: float = DEFAULT_PD_TOL) -> MatFu
     definite, its convolution matrix equals P_t times that of a, and
     a_t grows with t in the positive definite ordering.
     """
-    cert = is_positive_definite(a, tol)
-    if not cert.ok:
-        raise NotPositiveDefiniteError(f"input is not positive definite: {cert.verdict}")
-    sd = decompose(conv_matrix(a))
-    return _project_columns(a, sd.projector_leq(t))
+    return _project_columns(a, _certified_decomposition(a, tol).projector_leq(t))
 
 
 def pd_order_leq(a: MatFun, b: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
     """True iff b - a is positive definite (the PD cone ordering).
 
-    The eigenvalue floor is taken relative to the larger operand, not to
-    the difference itself: when a and b agree to rounding, the
-    difference is pure noise and must still count as comparable.
+    The reference size of the verdict is the larger operand's operator
+    norm as is_positive_definite measures it, not that of the difference
+    itself: when a and b agree to rounding, the difference is pure noise
+    and must still count as comparable.
     """
-    la = conv_matrix(a).data
-    lb = conv_matrix(b).data
-    scale = max(float(np.linalg.norm(la, 2)), float(np.linalg.norm(lb, 2)))
-    if scale == 0.0:
-        return True
-    diff = lb - la
-    if float(np.linalg.norm(diff - diff.conj().T, 2)) > tol * scale:
-        return False
-    min_eig = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0])
-    return min_eig >= -tol * scale
+    scale = max(is_positive_definite(a, tol).operator_norm, is_positive_definite(b, tol).operator_norm)
+    herm, gap, unit = _hermitian_split(conv_matrix(b).data - conv_matrix(a).data)
+    min_eig = float(np.linalg.eigvalsh(herm)[0]) * unit
+    return _verdict(min_eig, gap * unit, scale, tol) == "positive_definite"

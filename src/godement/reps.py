@@ -124,7 +124,10 @@ def check_tensor_nonneg(
     ways: directly, and as the inner product of the two matrix
     coefficient functions (with the second conjugated entrywise), which
     reduces the claim to the nonnegative-pairing theorem.  Both routes
-    must agree and be nonnegative.
+    must agree and be nonnegative.  The direct route never forms the
+    Kronecker product: u is the row-major flattening of the d1 x d2
+    matrix U = sum_i u1_i u2_i^T, and (A x B) u flattens A U B^T, so the
+    sum is vdot(U, sum_g A_g U B_g^T).
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
@@ -133,11 +136,8 @@ def check_tensor_nonneg(
     if a1.shape[0] != a2.shape[0]:
         raise ValueError(f"vector tuple counts differ: {a1.shape[0]} vs {a2.shape[0]}")
 
-    big = tensor_product(p1, p2)
-    u = np.zeros(big.dim, dtype=np.complex128)
-    for v1, v2 in zip(a1, a2):
-        u += np.kron(v1, v2)
-    direct = complex(np.einsum("i,gij,j->", np.conj(u), big.matrices, u, optimize=True))
+    u = a1.T @ a2
+    direct = complex(np.vdot(u, np.sum(p1.matrices @ u @ p2.matrices.transpose(0, 2, 1), axis=0)))
 
     phi1 = matrix_coeff_fun(p1, a1)
     phi2 = matrix_coeff_fun(p2, a2)

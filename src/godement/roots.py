@@ -18,8 +18,7 @@ from .operators import (
     ConvMatrix,
     DEFAULT_PD_TOL,
     NotPositiveDefiniteError,
-    conv_matrix,
-    decompose,
+    _certified_decomposition,
     extract_kernel,
     is_positive_definite,
 )
@@ -80,13 +79,6 @@ class PolySpec:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def _certify_pd(phi: MatFun, tol: float):
-    cert = is_positive_definite(phi, tol)
-    if not cert.ok:
-        raise NotPositiveDefiniteError(f"input is not positive definite: {cert.verdict}")
-    return cert
-
-
 def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL) -> SqrtResult:
     """Square root by spectral calculus on the convolution operator.
 
@@ -94,16 +86,17 @@ def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL
     certificate, are set to zero before taking the scalar square root:
     below it an eigenvalue is rounding noise, and the square root would
     amplify it to sqrt(noise) and break right-translation equivariance
-    of the root.  An input the certificate rejects is a hard error.
+    of the root.  An input the certificate rejects is a hard error; the
+    certificate and the root come from one eigendecomposition.  A
+    residual that is not finite fails.
     """
-    cert = _certify_pd(phi, pd_tol)
-    sd = decompose(conv_matrix(phi))
-    eigenvalues = np.where(sd.eigenvalues <= pd_tol * cert.operator_norm, 0.0, sd.eigenvalues)
+    sd = _certified_decomposition(phi, pd_tol)
+    eigenvalues = np.where(sd.eigenvalues <= pd_tol * sd.operator_norm, 0.0, sd.eigenvalues)
     root = (sd.eigenvectors * np.sqrt(eigenvalues)) @ sd.eigenvectors.conj().T
     psi = extract_kernel(ConvMatrix(phi.group, phi.n, root))
     denom = l2_norm(phi)
     residual = l2_norm(subtract(convolve(psi, psi), phi)) / denom if denom > 0 else 0.0
-    if residual > tol:
+    if not residual <= tol:
         raise ConvergenceError(f"spectral square root residual {residual:.3e} exceeds {tol:.3e}")
     return SqrtResult(psi=psi, method="spectral", residual=residual)
 
@@ -126,7 +119,9 @@ def sqrt_iterative(
     and their squares stay dominated by phi~.  Convergence slows near
     spectral values close to zero, hence the generous default cap.
     """
-    cert = _certify_pd(phi, pd_tol)
+    cert = is_positive_definite(phi, pd_tol)
+    if not cert.ok:
+        raise NotPositiveDefiniteError(f"input is not positive definite: {cert.verdict}")
     s = cert.operator_norm
     if s == 0.0:
         return SqrtResult(
@@ -170,14 +165,13 @@ def sqrt_iterative(
 def truncation_sequence(phi: MatFun, thresholds: list[float], pd_tol: float = DEFAULT_PD_TOL) -> list[MatFun]:
     """Spectral cuts of phi at an ascending list of thresholds.
 
-    All cuts share one eigendecomposition, so their convolution
+    All cuts share one eigendecomposition, which also certifies phi, so their convolution
     operators commute exactly and the sequence increases toward phi in
     the PD ordering as the thresholds pass the top eigenvalue.
     """
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be ascending")
-    _certify_pd(phi, pd_tol)
-    sd = decompose(conv_matrix(phi))
+    sd = _certified_decomposition(phi, pd_tol)
     cols = phi.values.reshape(phi.group.order * phi.n, phi.n)
     out = []
     for t in thresholds:

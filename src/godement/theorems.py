@@ -89,7 +89,9 @@ class TheoremReport:
 
 def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict | None) -> None:
     target.trials += trial.trials
-    target.worst_residual = max(target.worst_residual, trial.worst_residual)
+    # max() would drop a NaN: it compares false against everything
+    if np.isnan(trial.worst_residual) or trial.worst_residual > target.worst_residual:
+        target.worst_residual = trial.worst_residual
     for key, value in trial.details.items():
         if isinstance(value, (int, float)) and key.startswith("indeterminate"):
             target.details[key] = target.details.get(key, 0) + value
@@ -147,7 +149,7 @@ def check_theorem_a(
     residuals["trace_monotone"] = 0.0 if monotone_ok else np.inf
     residuals["trace_bound"] = 0.0 if bound_ok else np.inf
 
-    worst_key = max(residuals, key=lambda k: residuals[k])
+    worst_key = max(residuals, key=lambda k: (np.isnan(residuals[k]), residuals[k]))
     report.worst_residual = float(residuals[worst_key])
     report.details = {
         "spectral_residual": spectral.residual,
@@ -155,7 +157,7 @@ def check_theorem_a(
         "iterations": iterative.iterations,
         "agreement": l2_norm(subtract(spectral.psi, iterative.psi)),
     }
-    if report.worst_residual > 1.0:
+    if not report.worst_residual <= 1.0:
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
         report.details["failure"] = worst_key

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from godement import (
     parse_group_spec,
     validate_group,
 )
+from godement.groups import _generating_set
 
 
 def element_order(t: GroupTable, a: int) -> int:
@@ -147,6 +149,58 @@ class TestSymmetric:
 
     def test_s5_is_buildable(self):
         assert build_symmetric(5).order == 120
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_matches_itertools_reference(self, m):
+        # the table as a plain double loop over lexicographic permutations
+        perms = list(itertools.permutations(range(m)))
+        index = {p: i for i, p in enumerate(perms)}
+        mult = [[index[tuple(s[t[i]] for i in range(m))] for t in perms] for s in perms]
+        inv = [index[tuple(s.index(i) for i in range(m))] for s in perms]
+        table = build_symmetric(m)
+        assert table.mult.tolist() == mult
+        assert table.inv.tolist() == inv
+        assert table.identity == index[tuple(range(m))]
+        assert table.labels == tuple("".join(str(x) for x in p) for p in perms)
+
+
+def subgroup(t: GroupTable, gens) -> set[int]:
+    """Closure of gens under the group law, by brute force."""
+    members = {t.identity}
+    while True:
+        grown = members | {t.mul(a, g) for a in members for g in gens}
+        if grown == members:
+            return members
+        members = grown
+
+
+def word_lengths(t: GroupTable, letters) -> dict[int, int]:
+    """Shortest length of a word in letters, multiplied on the right, per element."""
+    dist, frontier = {t.identity: 0}, [t.identity]
+    while frontier:
+        frontier = [t.mul(a, s) for a in frontier for s in letters]
+        frontier = [x for x in dict.fromkeys(frontier) if x not in dist]
+        depth = max(dist.values()) + 1
+        dist.update((x, depth) for x in frontier)
+    return dist
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("spec", ["trivial", "z2", "z6", "z24", "d4", "q8", "s3", "s4", "s5", "z2xd6"])
+    def test_generates_and_each_generator_doubles(self, spec):
+        t = parse_group_spec(spec)
+        gens, diameter = _generating_set(t)
+        sizes = [len(subgroup(t, gens[:k])) for k in range(len(gens) + 1)]
+        assert sizes[-1] == t.order
+        assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
+        letters = [int(g) for g in gens] + [t.invert(int(g)) for g in gens]
+        assert diameter == max(word_lengths(t, letters).values())
+
+    def test_cached_per_table(self):
+        t = build_symmetric(4)
+        assert _generating_set(t) is _generating_set(t)
+        assert _generating_set(build_symmetric(4)) is not _generating_set(t)
+        assert np.array_equal(_generating_set(build_symmetric(4))[0], _generating_set(t)[0])
 
 
 class TestQuaternion:

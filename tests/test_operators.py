@@ -1,6 +1,10 @@
+import types
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import godement.operators
 from godement import (
     ConvMatrix,
     EquivarianceError,
@@ -18,17 +22,21 @@ from godement import (
     is_positive_definite,
     l2_norm,
     operator_norm,
+    parse_group_spec,
     pd_order_leq,
     random_matfun,
     random_vecfun,
     right_translation_matrix,
     scale,
     spectral_truncate,
+    sqrt_spectral,
     star,
     subtract,
     translation_commutant_residual,
     translation_equivariance_residual,
+    truncation_sequence,
 )
+from godement.groups import _closure, _generating_set
 from conftest import phi_21, random_pd
 
 
@@ -329,3 +337,146 @@ class TestOperatorNorm:
             for j in range(2):
                 entry = MatFun(d3, 1, phi.values[:, i:i + 1, j:j + 1])
                 assert np.isfinite(operator_norm(entry))
+
+
+def old_verdict(data: np.ndarray, tol: float = 1e-9) -> str:
+    """The certificate as two SVD 2-norms and eigvalsh computed it."""
+    norm = np.linalg.norm(data, 2)
+    gap = np.linalg.norm(data - data.conj().T, 2)
+    if gap > tol * norm:
+        return "not_hermitian"
+    min_eig = np.linalg.eigvalsh((data + data.conj().T) / 2.0)[0]
+    return "positive_definite" if min_eig >= -tol * norm else "not_positive_definite"
+
+
+def verdict_inputs(groups):
+    """PD, Hermitian indefinite and non-Hermitian functions on each group."""
+    for grp in groups:
+        for n in (1, 2):
+            for seed in range(3):
+                a = random_matfun(grp, n, seed=100 + seed)
+                yield random_pd(grp, n, seed=200 + seed)
+                yield add(a, star(a))
+                yield a
+
+
+class TestSinglePass:
+    class CountingLinalg:
+        """np.linalg with a call count per function; a 2-norm counts as an svd."""
+
+        def __init__(self):
+            self.calls = Counter()
+
+        def __getattr__(self, name):
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, **kwargs):
+                order = kwargs.get("ord", args[1] if len(args) > 1 else None)
+                self.calls["svd" if name == "norm" and order in (2, -2, "nuc") else name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        linalg = self.CountingLinalg()
+        proxy = types.SimpleNamespace(**{k: getattr(np, k) for k in dir(np) if not k.startswith("__")})
+        proxy.linalg = linalg
+        monkeypatch.setattr(godement.operators, "np", proxy)
+        return linalg.calls
+
+    def test_sqrt_spectral_one_eigh(self, calls, s3):
+        sqrt_spectral(random_pd(s3, 2, seed=30))
+        assert calls["eigh"] == 1
+        assert calls["eigvalsh"] == 0 and calls["svd"] == 0
+
+    def test_truncations_one_eigh(self, calls, d4):
+        phi = random_pd(d4, 2, seed=31)
+        spectral_truncate(phi, 1.0)
+        truncation_sequence(phi, [0.5, 1.0, 2.0])
+        assert calls["eigh"] == 2
+        assert calls["eigvalsh"] == 0 and calls["svd"] == 0
+
+    def test_certificate_one_eigvalsh(self, calls, q8):
+        assert is_positive_definite(random_pd(q8, 2, seed=32)).ok
+        assert calls["eigvalsh"] == 1
+        assert calls["eigh"] == 0 and calls["svd"] == 0
+
+    def test_gram_and_order_use_no_svd(self, calls, z6):
+        phi = random_pd(z6, 2, seed=33)
+        assert gram_pd_check(phi)
+        assert pd_order_leq(scale(0.5, phi), phi)
+        assert calls["svd"] == 0
+
+
+class TestVerdict:
+    def test_matches_svd_formula(self, sample_groups):
+        seen = Counter()
+        for phi in verdict_inputs(sample_groups):
+            verdict = is_positive_definite(phi).verdict
+            assert verdict == old_verdict(conv_matrix(phi).data)
+            assert gram_pd_check(phi) == (verdict == "positive_definite")
+            seen[verdict] += 1
+        assert set(seen) == {"positive_definite", "not_positive_definite", "not_hermitian"}
+
+    def test_decomposition_certificate_is_the_certificate(self, sample_groups):
+        for phi in verdict_inputs(sample_groups):
+            cert = is_positive_definite(phi)
+            from_sd = decompose(conv_matrix(phi), hermitian_tol=np.inf).certificate()
+            assert from_sd.verdict == cert.verdict
+            assert from_sd.operator_norm == pytest.approx(cert.operator_norm, rel=1e-12)
+            assert from_sd.hermitian_residual == cert.hermitian_residual
+
+    def test_hermitian_gap_is_frobenius(self, z2):
+        vals = np.zeros((2, 2, 2), dtype=complex)
+        vals[0] = np.array([[1.0, 1.0], [0.0, 1.0]])
+        data = conv_matrix(MatFun(z2, 2, vals)).data
+        gap = is_positive_definite(MatFun(z2, 2, vals)).hermitian_residual
+        assert gap == pytest.approx(np.linalg.norm(data - data.conj().T))
+        assert gap >= np.linalg.norm(data - data.conj().T, 2)
+
+    def test_scale_invariant(self, sample_groups):
+        for phi in verdict_inputs(sample_groups[::2]):
+            verdict = is_positive_definite(phi).verdict
+            for c in (1e-150, 1e-100, 1.0, 1e100, 1e200):
+                assert is_positive_definite(scale(c, phi)).verdict == verdict, c
+
+
+def brute_commutant_residual(op: ConvMatrix) -> float:
+    """max over every x of ||R(x) T R(x)^H - T||_F with explicit permutation matrices."""
+    worst = 0.0
+    for x in op.group.elements():
+        r = right_translation_matrix(op.group, op.n, x).data
+        worst = max(worst, float(np.linalg.norm(r @ op.data @ r.conj().T - op.data)))
+    return worst
+
+
+class TestCommutantOnGenerators:
+    SPECS = ["z6", "d4", "q8", "s3", "s4", "z2xd6", "z24"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_bound_dominates_all_elements(self, spec):
+        grp = parse_group_spec(spec)
+        rg = np.random.default_rng(34)
+        size = grp.order * 2
+        for data in (rg.standard_normal((size, size)) + 1j * rg.standard_normal((size, size)),
+                     conv_matrix(random_matfun(grp, 2, seed=35)).data + 1e-6 * rg.standard_normal((size, size))):
+            op = ConvMatrix(grp, 2, data)
+            assert brute_commutant_residual(op) <= translation_commutant_residual(op) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("spec", ["d4", "q8", "s3", "s4", "z2xd6"])
+    def test_average_over_all_but_last_generator_rejected(self, spec):
+        grp = parse_group_spec(spec)
+        gens, _ = _generating_set(grp)
+        members, _ = _closure(grp, np.concatenate([gens[:-1], grp.inv[gens[:-1]]]))
+        rg = np.random.default_rng(36)
+        size = grp.order
+        data = rg.standard_normal((size, size)) + 1j * rg.standard_normal((size, size))
+        translates = [right_translation_matrix(grp, 1, int(h)).data for h in np.flatnonzero(members)]
+        averaged = sum(r @ data @ r.conj().T for r in translates) / len(translates)
+        # commutes with every generator but the last, so only the last one catches it
+        for x in gens[:-1]:
+            r = right_translation_matrix(grp, 1, int(x)).data
+            assert np.linalg.norm(r @ averaged @ r.conj().T - averaged) <= 1e-12 * np.linalg.norm(averaged)
+        with pytest.raises(EquivarianceError):
+            extract_kernel(ConvMatrix(grp, 1, averaged))

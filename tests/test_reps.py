@@ -14,6 +14,7 @@ from godement import (
     is_positive_definite,
     l2_norm,
     matrix_coeff_fun,
+    parse_group_spec,
     regular_rep,
     rep_to_json,
     subtract,
@@ -161,3 +162,19 @@ class TestJson:
         assert set(obj) == {"group_id", "dim", "matrices"}
         assert obj["dim"] == 2
         assert obj["matrices"][1][0][1] == [1.0, 0.0]
+
+
+class TestDirectSumWithoutKronecker:
+    @pytest.mark.parametrize("spec", ["s3", "d4"])
+    def test_matches_materialized_tensor_product(self, spec):
+        grp = parse_group_spec(spec)
+        reg = regular_rep(grp)
+        rep = tensor_product(reg, reg)
+        for p1, p2, seed in ((reg, reg, 10), (rep, reg, 11), (reg, trivial_rep(grp), 12)):
+            u1s = random_vectors(2, p1.dim, seed)
+            u2s = random_vectors(2, p2.dim, seed + 100)
+            big = tensor_product(p1, p2)
+            u = sum(np.kron(v1, v2) for v1, v2 in zip(u1s, u2s))
+            expected = complex(np.einsum("i,gij,j->", np.conj(u), big.matrices, u))
+            got = complex(*check_tensor_nonneg(p1, u1s, p2, u2s).details["direct_sum"])
+            assert abs(got - expected) <= 1e-12 * abs(expected)

@@ -76,6 +76,13 @@ class TestSqrtSpectral:
         assert l2_norm(result.psi) == 0.0
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_residual_fails(self, s3):
+        # at 1e200 the residual's norms overflow to inf / inf = NaN, which must not pass
+        phi = scale(1e200, random_pd(s3, 2, seed=3))
+        with pytest.raises(ConvergenceError, match="nan"):
+            sqrt_spectral(phi)
+
     def test_rank_deficient_orthogonal_pieces(self):
         # each piece of an orthogonal pair has a kernel of rounding-level
         # eigenvalues; their square roots would break equivariance

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import godement.theorems
+
 from godement import (
     MatFun,
     SpectrumSplitError,
     SuiteConfig,
+    TheoremReport,
     add,
     build_orthogonal_pd_pair,
     check_inner_trace,
@@ -25,7 +28,7 @@ from godement import (
     sqrt_spectral,
     subtract,
 )
-from godement.theorems import classify_magnitude
+from godement.theorems import _merge, classify_magnitude
 from conftest import phi_21, random_pd
 
 
@@ -45,6 +48,22 @@ class TestTheoremA:
         for seed in range(5):
             report = check_theorem_a(random_pd(d4, 2, seed=seed))
             assert report.passed, report.details
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_residual_fails_with_reason(self, s3):
+        phi = scale(1e200, random_pd(s3, 2, seed=3))
+        report = check_theorem_a(phi)
+        assert not report.passed
+        assert "residual nan" in report.details["failure"]
+        assert report.counterexample is not None
+
+    def test_nan_check_fails_and_is_the_worst(self, d4, monkeypatch):
+        # a NaN in any check, not only the first, is the worst and fails the trial
+        monkeypatch.setattr(godement.theorems, "hermitian_symmetry_residual", lambda psi: float("nan"))
+        report = check_theorem_a(random_pd(d4, 2, seed=0))
+        assert not report.passed
+        assert report.details["failure"] == "star_gap"
+        assert np.isnan(report.worst_residual)
 
     def test_non_pd_input_fails_with_counterexample(self, z2):
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
@@ -228,6 +247,13 @@ class TestRunSuite:
         monkeypatch.setenv("GODEMENT_SUITE_THREADS", "3")
         threaded = json.dumps(run_suite(config), sort_keys=True)
         assert sequential == threaded
+
+    def test_merge_keeps_nan(self):
+        aggregate = TheoremReport("A", 0, "cyclic:2", 1, 0.0, True)
+        for worst in (0.5, float("nan"), 0.25):
+            _merge(aggregate, TheoremReport("A", 1, "cyclic:2", 1, worst, True), None)
+        assert np.isnan(aggregate.worst_residual)
+        assert aggregate.trials == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
