@@ -1,8 +1,10 @@
 """Matrix-valued positive definite functions on finite groups.
 
 Convolution *-algebra, positive definiteness certification, spectral
-and iterative convolution square roots, and executable theorem suites,
-all at desk scale (group order <= 24, matrix dimension <= 3).
+and iterative convolution square roots, and executable theorem suites.
+Spectral work is done block by block in a Fourier basis of the group
+(see fourier), which keeps groups of a few hundred elements, such as S5
+and its products, at millisecond cost for small matrix dimension.
 """
 
 from .groups import (

@@ -30,7 +30,7 @@ class InputError(Exception):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -36,8 +36,8 @@ class GroupTable:
     threads.  Summation against the table realizes integration with
     counting measure (every element has mass 1).  Each instance keeps
     private caches of the convolution gather index per matrix dimension
-    (see matfun) and of its generating set (see _generating_set), which
-    live and die with the table.
+    (see matfun), of its generating set (see _generating_set) and of its
+    Fourier basis (see fourier), which live and die with the table.
     """
 
     order: int
@@ -57,6 +57,7 @@ class GroupTable:
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "_conv_index_cache", {})
         object.__setattr__(self, "_generators_cache", {})
+        object.__setattr__(self, "_fourier_cache", {})
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
@@ -87,8 +88,10 @@ def _closure(t: GroupTable, letters: np.ndarray) -> tuple[np.ndarray, int]:
     frontier = np.array([t.identity], dtype=np.intp)
     depth = 0
     while True:
-        reached = np.unique(t.mult[np.ix_(frontier, letters)])
-        reached = reached[~seen[reached]]
+        # a mask, not np.unique, which would import numpy.ma on first use
+        hit = np.zeros(t.order, dtype=bool)
+        hit[t.mult[np.ix_(frontier, letters)]] = True
+        reached = np.flatnonzero(hit & ~seen)
         if reached.size == 0:
             return seen, depth
         seen[reached] = True

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, parse_group_spec
+from .groups import GroupTable, canonical_spec, group_from_json, group_to_json, parse_group_spec, validate_group
 
 __all__ = [
     "MatFun",
@@ -220,20 +220,39 @@ def make_pd(f: MatFun) -> MatFun:
     return convolve(star(f), f)
 
 
+def _is_standard_spec(name: str) -> bool:
+    try:
+        canonical_spec(name)
+    except ValueError:
+        return False
+    return True
+
+
 def matfun_to_json(a: MatFun) -> dict:
+    """JSON object of a; a group whose name is not a standard spec is embedded
+    as its table (group_to_json), so that the object loads again."""
     values = np.stack([a.values.real, a.values.imag], axis=-1)
-    return {"group_id": a.group.name, "n": a.n, "values": values.tolist()}
+    obj = {"group_id": a.group.name, "n": a.n, "values": values.tolist()}
+    if not _is_standard_spec(a.group.name):
+        obj["group"] = group_to_json(a.group)
+    return obj
 
 
 def matfun_from_json(obj: dict, group: GroupTable | None = None) -> MatFun:
-    """Rebuild a MatFun; the group is resolved from group_id unless given."""
+    """Rebuild a MatFun; unless given, the group is the embedded table,
+    which must satisfy the group axioms, or else the spec in group_id."""
     try:
         group_id = str(obj["group_id"])
         n = int(obj["n"])
         raw = np.asarray(obj["values"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed MatFun JSON: {exc}") from exc
-    if group is None:
+    if group is None and "group" in obj:
+        group = group_from_json(obj["group"], name=group_id)
+        violations = validate_group(group).violations
+        if violations:
+            raise ValueError(f"embedded group table is not a group: {violations[0]}")
+    elif group is None:
         group = parse_group_spec(group_id)
     if raw.shape != (group.order, n, n, 2):
         raise ValueError(f"MatFun JSON values have shape {raw.shape}, expected "

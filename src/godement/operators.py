@@ -1,10 +1,13 @@
-"""Left-convolution operators on L2(G, C^n) as concrete block matrices.
+"""Left-convolution operators on L2(G, C^n).
 
 For a matrix function a, the operator (conv_matrix) has n x n block
 (x, y) equal to a(x y^-1), acting on vector functions flattened with
 index g*n + component.  Positive definiteness of a is certified two
-independent ways: via the spectrum of this operator, and via the
-pointwise Gram matrix with block (i, j) = a(i^-1 j).
+independent ways: via the spectrum of this operator, taken block by
+block in the Fourier basis of the group (see fourier), and via the
+pointwise Gram matrix with block (i, j) = a(i^-1 j).  The dense matrix
+(conv_matrix, decompose, extract_kernel) stays as the reference the
+block route is tested against.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fourier import FourierSpectrum, _power_of_two_unit, count_leq, fourier_spectrum
 from .groups import GroupTable, _generating_set
-from .matfun import MatFun, _conv_operator
+from .matfun import MatFun, _conv_operator, subtract
 
 __all__ = [
     "ConvMatrix",
@@ -96,23 +100,9 @@ class SpectralDecomposition:
         return _certificate(self.eigenvalues, self.hermitian_gap, tol)
 
     def projector_leq(self, t: float, cluster_rel: float = 1e-10) -> np.ndarray:
-        """Orthogonal projector onto eigenvectors with eigenvalue <= t.
-
-        Exactly degenerate eigenvalues come back from the solver split
-        at rounding level; a threshold landing inside such a cluster
-        would select a basis-dependent half of the eigenspace.  The cut
-        therefore absorbs any whole cluster it touches: only the
-        projector onto full clusters is a well-defined object.  For the
-        same reason an eigenvalue within that rounding above t counts as
-        equal to t, so a cut at a computed eigenvalue keeps it whichever
-        solver computed t.
-        """
-        ev = self.eigenvalues
-        gap = cluster_rel * max(abs(ev[0]), abs(ev[-1]), 1e-300)
-        count = int(np.searchsorted(ev, t + gap, side="right"))
-        while 0 < count < ev.size and ev[count] - ev[count - 1] <= gap:
-            count += 1
-        cols = self.eigenvectors[:, :count]
+        """Orthogonal projector onto eigenvectors with eigenvalue <= t,
+        widened to whole clusters of degenerate eigenvalues (fourier.count_leq)."""
+        cols = self.eigenvectors[:, :count_leq(self.eigenvalues, t, cluster_rel)]
         return cols @ cols.conj().T
 
 
@@ -161,14 +151,9 @@ def operator_norm(a: MatFun) -> float:
 
 
 def _hermitian_split(data: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Hermitian part H of data and ||data - data^H||_F, both divided by unit.
-
-    unit is the power of two that brings the largest entry of data into
-    [1, 2): dividing by it is exact, and the squares the Frobenius norm
-    sums can neither overflow nor underflow.
-    """
-    peak = float(np.max(np.abs(data), initial=0.0))
-    unit = float(np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)) if 0.0 < peak < np.inf else 1.0
+    """Hermitian part H of data and ||data - data^H||_F, both divided by
+    unit = _power_of_two_unit(data), and unit."""
+    unit = _power_of_two_unit(data)
     scaled = data / unit
     adjoint = scaled.conj().T
     return (scaled + adjoint) / 2.0, float(np.linalg.norm(scaled - adjoint)), unit
@@ -210,15 +195,14 @@ def decompose(op: ConvMatrix, hermitian_tol: float = 1e-8) -> SpectralDecomposit
     return SpectralDecomposition(eigenvalues, eigenvectors, herm * unit, gap, norm)
 
 
-def _certified_decomposition(a: MatFun, tol: float) -> SpectralDecomposition:
-    """decompose(conv_matrix(a)), whose eigenvalues also certify a: raises
+def _certified_spectrum(a: MatFun, tol: float) -> FourierSpectrum:
+    """The Fourier block spectrum of a, which also certifies it: raises
     NotPositiveDefiniteError unless a is positive definite at tol."""
-    # the certificate, relative at tol, is what judges Hermitian symmetry here
-    sd = decompose(conv_matrix(a), hermitian_tol=np.inf)
-    verdict = sd.certificate(tol).verdict
+    spectrum = fourier_spectrum(a)
+    verdict = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, tol).verdict
     if verdict != "positive_definite":
         raise NotPositiveDefiniteError(f"input is not positive definite: {verdict}")
-    return sd
+    return spectrum
 
 
 def is_positive_definite(a: MatFun, tol: float = DEFAULT_PD_TOL) -> PDCertificate:
@@ -227,10 +211,12 @@ def is_positive_definite(a: MatFun, tol: float = DEFAULT_PD_TOL) -> PDCertificat
     Verdict is positive_definite iff ||C - C^H||_F <= tol * ||H||_2, with
     H the Hermitian part of C, and the minimum eigenvalue of H is
     >= -tol * ||H||_2.  Both are relative, so the verdict is scale
-    invariant; one eigvalsh gives the minimum eigenvalue and ||H||_2.
+    invariant.  The eigenvalues come from the Fourier blocks of H, one
+    batched eigvalsh per block size, and the gap from a itself:
+    ||C - C^H||_F = sqrt(|G|) ||a - a*||_F.
     """
-    herm, gap, unit = _hermitian_split(conv_matrix(a).data)
-    return _certificate(np.linalg.eigvalsh(herm) * unit, gap * unit, tol)
+    spectrum = fourier_spectrum(a, vectors=False)
+    return _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, tol)
 
 
 def gram_pd_check(a: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
@@ -312,21 +298,17 @@ def extract_kernel(op: ConvMatrix, equivariance_tol: float = 1e-8) -> MatFun:
     return MatFun(g, n, col.reshape(g.order, n, n))
 
 
-def _project_columns(a: MatFun, projector: np.ndarray) -> MatFun:
-    # Column j of a flattens to index g*n + row; project each column.
-    cols = a.values.reshape(a.group.order * a.n, a.n)
-    return MatFun(a.group, a.n, (projector @ cols).reshape(a.group.order, a.n, a.n))
-
-
 def spectral_truncate(a: MatFun, t: float, tol: float = DEFAULT_PD_TOL) -> MatFun:
     """Spectral cut of a positive definite function at threshold t.
 
-    Projects every column of a onto the eigenvectors of its convolution
-    operator with eigenvalue <= t.  The result a_t is again positive
-    definite, its convolution matrix equals P_t times that of a, and
-    a_t grows with t in the positive definite ordering.
+    The result a_t has convolution matrix P_t H, where H is the Hermitian
+    part of the convolution matrix of a (equal to it within the
+    certificate's tolerance) and P_t projects onto its eigenvectors with
+    eigenvalue <= t.  a_t is again positive definite and grows with t in
+    the positive definite ordering.  One Fourier spectrum certifies a and
+    gives the cut.
     """
-    return _project_columns(a, _certified_decomposition(a, tol).projector_leq(t))
+    return _certified_spectrum(a, tol).cut(t)
 
 
 def pd_order_leq(a: MatFun, b: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
@@ -338,6 +320,6 @@ def pd_order_leq(a: MatFun, b: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
     and must still count as comparable.
     """
     scale = max(is_positive_definite(a, tol).operator_norm, is_positive_definite(b, tol).operator_norm)
-    herm, gap, unit = _hermitian_split(conv_matrix(b).data - conv_matrix(a).data)
-    min_eig = float(np.linalg.eigvalsh(herm)[0]) * unit
-    return _verdict(min_eig, gap * unit, scale, tol) == "positive_definite"
+    spectrum = fourier_spectrum(subtract(b, a), vectors=False)
+    min_eig = float(spectrum.eigenvalues[0])
+    return _verdict(min_eig, spectrum.hermitian_gap, scale, tol) == "positive_definite"

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matfun import MatFun, _conv_kernel, convolve, l2_norm, matfun_to_json, subtract, zero_matfun
-from .operators import (
-    ConvMatrix,
-    DEFAULT_PD_TOL,
-    NotPositiveDefiniteError,
-    _certified_decomposition,
-    extract_kernel,
-    is_positive_definite,
-)
+from .operators import DEFAULT_PD_TOL, NotPositiveDefiniteError, _certified_spectrum, is_positive_definite
 
 __all__ = [
     "SqrtResult",
@@ -82,18 +75,20 @@ class PolySpec:
 def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL) -> SqrtResult:
     """Square root by spectral calculus on the convolution operator.
 
-    Eigenvalues at or below pd_tol * ||op||, the resolution of the PD
-    certificate, are set to zero before taking the scalar square root:
-    below it an eigenvalue is rounding noise, and the square root would
-    amplify it to sqrt(noise) and break right-translation equivariance
-    of the root.  An input the certificate rejects is a hard error; the
-    certificate and the root come from one eigendecomposition.  A
+    The operator is taken block by block in the Fourier basis of the
+    group, and the root goes back to a function through its block column
+    at the identity.  Eigenvalues at or below pd_tol * ||op||, the
+    resolution of the PD certificate, are set to zero before taking the
+    scalar square root: below it an eigenvalue is rounding noise, and
+    the square root would amplify it to sqrt(noise).  An input the
+    certificate rejects is a hard error; the certificate and the root
+    come from one spectrum.  The residual ||psi*psi - phi|| / ||phi|| is
+    then checked independently with the convolution kernel, and a
     residual that is not finite fails.
     """
-    sd = _certified_decomposition(phi, pd_tol)
-    eigenvalues = np.where(sd.eigenvalues <= pd_tol * sd.operator_norm, 0.0, sd.eigenvalues)
-    root = (sd.eigenvectors * np.sqrt(eigenvalues)) @ sd.eigenvectors.conj().T
-    psi = extract_kernel(ConvMatrix(phi.group, phi.n, root))
+    spectrum = _certified_spectrum(phi, pd_tol)
+    floor = pd_tol * spectrum.operator_norm
+    psi = spectrum.apply(lambda ev: np.sqrt(np.where(ev <= floor, 0.0, ev)))
     denom = l2_norm(phi)
     residual = l2_norm(subtract(convolve(psi, psi), phi)) / denom if denom > 0 else 0.0
     if not residual <= tol:
@@ -165,19 +160,15 @@ def sqrt_iterative(
 def truncation_sequence(phi: MatFun, thresholds: list[float], pd_tol: float = DEFAULT_PD_TOL) -> list[MatFun]:
     """Spectral cuts of phi at an ascending list of thresholds.
 
-    All cuts share one eigendecomposition, which also certifies phi, so their convolution
-    operators commute exactly and the sequence increases toward phi in
-    the PD ordering as the thresholds pass the top eigenvalue.
+    All cuts share one Fourier spectrum, which also certifies phi, so
+    their convolution operators commute exactly and the sequence
+    increases toward phi in the PD ordering as the thresholds pass the
+    top eigenvalue.
     """
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be ascending")
-    sd = _certified_decomposition(phi, pd_tol)
-    cols = phi.values.reshape(phi.group.order * phi.n, phi.n)
-    out = []
-    for t in thresholds:
-        projected = sd.projector_leq(t) @ cols
-        out.append(MatFun(phi.group, phi.n, projected.reshape(phi.group.order, phi.n, phi.n)))
-    return out
+    spectrum = _certified_spectrum(phi, pd_tol)
+    return [spectrum.cut(t) for t in thresholds]
 
 
 def poly_apply(phi: MatFun, p: PolySpec) -> MatFun:

@@ -29,13 +29,8 @@ from .matfun import (
     random_matfun,
     subtract,
 )
-from .operators import (
-    conv_matrix,
-    decompose,
-    hermitian_symmetry_residual,
-    is_positive_definite,
-    spectral_truncate,
-)
+from .fourier import FourierSpectrum
+from .operators import DEFAULT_PD_TOL, _certified_spectrum, hermitian_symmetry_residual, is_positive_definite
 from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
 
 __all__ = [
@@ -87,11 +82,14 @@ class TheoremReport:
         }
 
 
+def _worst(a: float, b: float) -> float:
+    """max(a, b) that keeps a NaN: max() compares false against it and drops it."""
+    return a if np.isnan(a) or a > b else b
+
+
 def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict | None) -> None:
     target.trials += trial.trials
-    # max() would drop a NaN: it compares false against everything
-    if np.isnan(trial.worst_residual) or trial.worst_residual > target.worst_residual:
-        target.worst_residual = trial.worst_residual
+    target.worst_residual = _worst(trial.worst_residual, target.worst_residual)
     for key, value in trial.details.items():
         if isinstance(value, (int, float)) and key.startswith("indeterminate"):
             target.details[key] = target.details.get(key, 0) + value
@@ -188,24 +186,28 @@ def classify_magnitude(value: float, tol: float) -> str:
 def check_theorem_c(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremReport:
     """Verify the biconditional: inner product zero iff convolution zero.
 
-    Both scaled magnitudes are reported.  A trial fails only when one
-    side classifies as zero and the other as nonzero; magnitudes inside
-    the band (tol, 100 tol) are flagged indeterminate, not failed.
+    Both scaled magnitudes are reported.  A trial fails when one side
+    classifies as zero and the other as nonzero, or when a magnitude is
+    not finite (NaN would otherwise land in the indeterminate band);
+    magnitudes inside the band (tol, 100 tol) are flagged indeterminate,
+    not failed.
     """
     scale = max(l2_norm(phi) * l2_norm(psi), 1e-300)
     inner_mag = abs(inner(phi, psi)) / scale
     conv_mag = l2_norm(convolve(phi, psi)) / scale
     side_a = classify_magnitude(inner_mag, tol)
     side_b = classify_magnitude(conv_mag, tol)
-    indeterminate = "indeterminate" in (side_a, side_b)
-    contradiction = not indeterminate and side_a != side_b
+    finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
+    indeterminate = finite and "indeterminate" in (side_a, side_b)
+    contradiction = finite and not indeterminate and side_a != side_b
+    passed = finite and not contradiction
     report = TheoremReport(
         "C",
         1,
         phi.group.name,
         phi.n,
-        max(inner_mag, conv_mag) if contradiction else 0.0,
-        not contradiction,
+        _worst(inner_mag, conv_mag) if not passed else 0.0,
+        passed,
     )
     report.details = {
         "inner_scaled": inner_mag,
@@ -214,7 +216,9 @@ def check_theorem_c(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremRepo
         "conv_class": side_b,
         "indeterminate_trials": 1 if indeterminate else 0,
     }
-    if contradiction:
+    if not finite:
+        report.details["failure"] = f"non-finite magnitude: inner {inner_mag!r}, convolution {conv_mag!r}"
+    if not passed:
         report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
     return report
 
@@ -240,17 +244,20 @@ def build_orthogonal_pd_pair(theta: MatFun, split_t: float) -> tuple[MatFun, Mat
     The first piece is the spectral cut of theta at split_t, the second
     is the remainder; their convolution operators live on orthogonal
     spectral subspaces, so the pair has zero convolution and zero inner
-    product, and the pieces sum back to theta.
+    product, and the pieces sum back to theta.  Raises
+    NotPositiveDefiniteError unless theta is positive definite.
     """
-    sd = decompose(conv_matrix(theta))
-    below = np.count_nonzero(sd.eigenvalues <= split_t)
-    if below == 0 or below == sd.eigenvalues.size:
-        raise SpectrumSplitError(
-            f"split {split_t} leaves {below} of {sd.eigenvalues.size} eigenvalues below"
-        )
-    low = spectral_truncate(theta, split_t)
-    high = subtract(theta, low)
-    return low, high
+    return _orthogonal_pair(theta, _certified_spectrum(theta, DEFAULT_PD_TOL), split_t)
+
+
+def _orthogonal_pair(theta: MatFun, spectrum: FourierSpectrum, split_t: float) -> tuple[MatFun, MatFun]:
+    """build_orthogonal_pd_pair from a spectrum of theta already certified."""
+    ev = spectrum.eigenvalues
+    below = np.count_nonzero(ev <= split_t)
+    if below == 0 or below == ev.size:
+        raise SpectrumSplitError(f"split {split_t} leaves {below} of {ev.size} eigenvalues below")
+    low = spectrum.cut(split_t)
+    return low, subtract(theta, low)
 
 
 @dataclass(frozen=True)
@@ -293,8 +300,8 @@ def _random_pd(group: GroupTable, n: int, seed: int) -> MatFun:
     return make_pd(random_matfun(group, n, seed))
 
 
-def _split_point(sd_eigenvalues: np.ndarray) -> float:
-    return float((sd_eigenvalues[0] + sd_eigenvalues[-1]) / 2.0)
+def _split_point(eigenvalues: np.ndarray) -> float:
+    return float((eigenvalues[0] + eigenvalues[-1]) / 2.0)
 
 
 def _trial_a(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
@@ -311,8 +318,9 @@ def _trial_b(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
 
 def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     theta = _random_pd(group, n, derive_seed(seed, "theta"))
-    sd = decompose(conv_matrix(theta))
-    low, high = build_orthogonal_pd_pair(theta, _split_point(sd.eigenvalues))
+    # one spectrum gives the split point, checks it, and makes the cut
+    spectrum = _certified_spectrum(theta, DEFAULT_PD_TOL)
+    low, high = _orthogonal_pair(theta, spectrum, _split_point(spectrum.eigenvalues))
     orth = check_theorem_c(low, high, tol=cfg.pair_tol)
     phi = _random_pd(group, n, derive_seed(seed, "phi"))
     psi = _random_pd(group, n, derive_seed(seed, "psi"))
@@ -321,7 +329,7 @@ def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     if overlap.passed and overlap.details["inner_class"] != "nonzero":
         overlap.passed = False
         overlap.details["failure"] = "random pair did not classify as nonzero"
-    merged = TheoremReport("C", 1, group.name, n, max(orth.worst_residual, overlap.worst_residual),
+    merged = TheoremReport("C", 1, group.name, n, _worst(orth.worst_residual, overlap.worst_residual),
                            orth.passed and overlap.passed)
     merged.details = {
         "orthogonal": orth.details,

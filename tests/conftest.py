@@ -10,6 +10,7 @@ from godement import (
     build_symmetric,
     make_pd,
     random_matfun,
+    validate_group,
 )
 
 
@@ -55,3 +56,15 @@ def phi_21(z2: GroupTable) -> MatFun:
 
 def random_pd(group: GroupTable, n: int, seed: int) -> MatFun:
     return make_pd(random_matfun(group, n, seed))
+
+
+def relabeled_s3() -> GroupTable:
+    """S3 with its elements shuffled, so the identity is not index 0."""
+    s3 = build_symmetric(3)
+    perm = np.array([4, 2, 5, 0, 3, 1])  # new index of old element i
+    old = np.argsort(perm)  # old element at new index j
+    mult = perm[s3.mult[old][:, old]]
+    table = GroupTable(order=6, mult=mult, inv=perm[s3.inv[old]],
+                       identity=int(perm[s3.identity]), labels=tuple("abcdef"))
+    assert validate_group(table).ok and table.identity != 0
+    return table

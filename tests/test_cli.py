@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from godement import matfun_from_json, matfun_to_json
+import godement
+from godement import l2_norm, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from godement.cli import main
-from conftest import phi_21
+from conftest import phi_21, relabeled_s3
 
 
 def run_cli(*argv) -> int:
@@ -78,6 +84,46 @@ class TestSampleCertify:
         assert run_cli("certify", str(path)) == 2
         path.write_text("not json at all")
         assert run_cli("certify", str(path)) == 2
+
+
+class TestCustomTable:
+    def test_relabeled_s3_certify_sqrt_truncate(self, tmp_path, capsys):
+        grp = relabeled_s3()
+        phi = make_pd(random_matfun(grp, 2, 75))
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(matfun_to_json(phi)))
+        assert run_cli("certify", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "positive_definite"
+        assert run_cli("sqrt", str(path)) == 0
+        result = json.loads(capsys.readouterr().out)
+        psi = matfun_from_json(result["psi"])
+        assert psi.group.same_table(grp) and result["residual"] <= 1e-8
+        assert run_cli("truncate", str(path), "-t", "1e300") == 0
+        cut = matfun_from_json(json.loads(capsys.readouterr().out))
+        assert l2_norm(cut) == pytest.approx(l2_norm(phi), rel=1e-10)
+
+
+class TestProcess:
+    def test_spectral_calls_load_no_lazy_numpy_package(self, tmp_path, z2):
+        # numpy.random and numpy.ma load on first use and would add 10-20 ms
+        # to every fresh process
+        path = write_phi21(tmp_path, z2)
+        script = (
+            "import sys\n"
+            "from godement.cli import main\n"
+            f"for argv in (['certify', {path!r}], ['sqrt', {path!r}], ['truncate', {path!r}, '-t', '2']):\n"
+            "    assert main(argv + ['--out', argv[1] + '.out']) == 0\n"
+            "print(sorted(m for m in ('numpy.random', 'numpy.ma') if m in sys.modules))\n"
+        )
+        src = str(Path(godement.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_output_is_one_line(self, tmp_path, z2, capsys):
+        assert run_cli("certify", write_phi21(tmp_path, z2)) == 0
+        assert capsys.readouterr().out.count("\n") == 1
 
 
 class TestSqrt:

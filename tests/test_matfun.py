@@ -10,11 +10,11 @@ from godement import (
     MatFun,
     VecFun,
     add,
-    build_symmetric,
     conv_matrix,
     convolve,
     convolve_vec,
     delta_identity,
+    group_to_json,
     inner,
     is_positive_definite,
     l1_norm,
@@ -28,11 +28,10 @@ from godement import (
     scale,
     star,
     subtract,
-    validate_group,
     zero_matfun,
 )
 from godement.matfun import _conv_index
-from conftest import phi_21, random_pd
+from conftest import phi_21, random_pd, relabeled_s3
 
 REL = 1e-10
 
@@ -94,18 +93,6 @@ def naive_convolve(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarra
         for g in group.elements():
             out[x] += a[g] @ b[group.mul(group.invert(g), x)]
     return out
-
-
-def relabeled_s3() -> GroupTable:
-    """S3 with its elements shuffled, so the identity is not index 0."""
-    s3 = build_symmetric(3)
-    perm = np.array([4, 2, 5, 0, 3, 1])  # new index of old element i
-    old = np.argsort(perm)  # old element at new index j
-    mult = perm[s3.mult[old][:, old]]
-    table = GroupTable(order=6, mult=mult, inv=perm[s3.inv[old]],
-                       identity=int(perm[s3.identity]), labels=tuple("abcdef"))
-    assert validate_group(table).ok and table.identity != 0
-    return table
 
 
 class TestKernel:
@@ -337,6 +324,28 @@ class TestJson:
         obj = matfun_to_json(phi_21(z2))
         again = matfun_from_json(obj, group=z2)
         assert again.group is z2
+
+    def test_custom_table_round_trip(self):
+        grp = relabeled_s3()
+        phi = random_pd(grp, 2, seed=72)
+        obj = json.loads(json.dumps(matfun_to_json(phi)))
+        assert obj["group_id"] == "custom" and obj["group"] == group_to_json(grp)
+        again = matfun_from_json(obj)
+        assert again.group.same_table(grp) and again.group.name == "custom"
+        assert np.array_equal(again.values, phi.values)
+        assert again.group.identity == grp.identity != 0
+
+    def test_standard_table_not_embedded(self, d4):
+        assert "group" not in matfun_to_json(random_pd(d4, 1, seed=73))
+
+    def test_embedded_table_must_be_a_group(self):
+        obj = matfun_to_json(random_pd(relabeled_s3(), 1, seed=74))
+        obj["group"]["mult"][1][2] = obj["group"]["mult"][1][3]
+        with pytest.raises(ValueError, match="not a group"):
+            matfun_from_json(obj)
+        obj["group"] = {"order": 6}
+        with pytest.raises(ValueError, match="malformed group"):
+            matfun_from_json(obj)
 
     def test_malformed(self):
         with pytest.raises(ValueError):

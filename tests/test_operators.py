@@ -4,13 +4,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import godement.fourier
 import godement.operators
+import godement.roots
+import godement.theorems
 from godement import (
     ConvMatrix,
     EquivarianceError,
     MatFun,
     NotPositiveDefiniteError,
     add,
+    build_orthogonal_pd_pair,
     conv_matrix,
     convolve,
     convolve_vec,
@@ -36,7 +40,9 @@ from godement import (
     translation_equivariance_residual,
     truncation_sequence,
 )
+from godement.fourier import fourier_basis
 from godement.groups import _closure, _generating_set
+from godement.theorems import SuiteConfig, _trial_c
 from conftest import phi_21, random_pd
 
 
@@ -361,18 +367,24 @@ def verdict_inputs(groups):
 
 
 class TestSinglePass:
+    """Every MatFun spectral call solves small Fourier blocks, batched per
+    block size, after one basis eigh per group table."""
+
     class CountingLinalg:
-        """np.linalg with a call count per function; a 2-norm counts as an svd."""
+        """np.linalg recording (function, matrix side) per call; a 2-norm counts as an svd."""
 
         def __init__(self):
-            self.calls = Counter()
+            self.calls = []
 
         def __getattr__(self, name):
             fn = getattr(np.linalg, name)
 
             def counted(*args, **kwargs):
                 order = kwargs.get("ord", args[1] if len(args) > 1 else None)
-                self.calls["svd" if name == "norm" and order in (2, -2, "nuc") else name] += 1
+                if name == "norm" and order in (2, -2, "nuc"):
+                    self.calls.append(("svd", None))
+                elif name in ("eigh", "eigvalsh", "svd", "eig", "eigvals"):
+                    self.calls.append((name, np.shape(args[0])[-1]))
                 return fn(*args, **kwargs)
 
             return counted
@@ -382,31 +394,79 @@ class TestSinglePass:
         linalg = self.CountingLinalg()
         proxy = types.SimpleNamespace(**{k: getattr(np, k) for k in dir(np) if not k.startswith("__")})
         proxy.linalg = linalg
-        monkeypatch.setattr(godement.operators, "np", proxy)
+        for module in (godement.operators, godement.fourier, godement.roots, godement.theorems):
+            monkeypatch.setattr(module, "np", proxy)
         return linalg.calls
 
-    def test_sqrt_spectral_one_eigh(self, calls, s3):
-        sqrt_spectral(random_pd(s3, 2, seed=30))
-        assert calls["eigh"] == 1
-        assert calls["eigvalsh"] == 0 and calls["svd"] == 0
+    @staticmethod
+    def solves(calls, name):
+        return [side for fn, side in calls if fn == name]
 
-    def test_truncations_one_eigh(self, calls, d4):
+    def test_sqrt_spectral_batched_block_eigh(self, calls, s3):
+        phi = random_pd(s3, 2, seed=30)
+        fourier_basis(s3)
+        calls.clear()
+        sqrt_spectral(phi)
+        # S3 has invariant subspaces of dimensions 1 and 2: blocks of side 2 and 4
+        assert sorted(self.solves(calls, "eigh")) == [2, 4]
+        assert self.solves(calls, "eigvalsh") == [] and self.solves(calls, "svd") == []
+
+    def test_truncations_one_spectrum_each(self, calls, d4):
         phi = random_pd(d4, 2, seed=31)
+        fourier_basis(d4)
+        calls.clear()
         spectral_truncate(phi, 1.0)
         truncation_sequence(phi, [0.5, 1.0, 2.0])
-        assert calls["eigh"] == 2
-        assert calls["eigvalsh"] == 0 and calls["svd"] == 0
+        sizes = len(fourier_basis(d4).classes)
+        assert len(self.solves(calls, "eigh")) == 2 * sizes
+        assert self.solves(calls, "eigvalsh") == [] and self.solves(calls, "svd") == []
 
-    def test_certificate_one_eigvalsh(self, calls, q8):
-        assert is_positive_definite(random_pd(q8, 2, seed=32)).ok
-        assert calls["eigvalsh"] == 1
-        assert calls["eigh"] == 0 and calls["svd"] == 0
+    def test_certificate_batched_block_eigvalsh(self, calls, q8):
+        phi = random_pd(q8, 2, seed=32)
+        fourier_basis(q8)
+        calls.clear()
+        assert is_positive_definite(phi).ok
+        # Q8: four characters and one real 4-dimensional subspace (quaternionic type)
+        assert sorted(self.solves(calls, "eigvalsh")) == [2, 8]
+        assert self.solves(calls, "eigh") == [] and self.solves(calls, "svd") == []
+
+    def test_no_operator_sized_eigensolve(self, calls):
+        grp = parse_group_spec("s4")
+        phi = random_pd(grp, 3, seed=34)
+        fourier_basis(grp)
+        calls.clear()
+        ev = is_positive_definite(phi)
+        sqrt_spectral(phi)
+        spectral_truncate(phi, ev.operator_norm / 2)
+        truncation_sequence(phi, [ev.operator_norm / 4, ev.operator_norm / 2])
+        build_orthogonal_pd_pair(phi, ev.operator_norm / 2)
+        pd_order_leq(scale(0.5, phi), phi)
+        _trial_c(grp, 3, 35, SuiteConfig())
+        sides = [side for fn, side in calls if fn in ("eigh", "eigvalsh")]
+        # the largest S4 subspace has dimension 3: blocks of side 9, never 72
+        assert max(sides) == 3 * 3 < grp.order * 3
+        assert self.solves(calls, "svd") == []
+
+    def test_basis_one_eigh_per_table_cached(self, calls):
+        first, second = parse_group_spec("d6"), parse_group_spec("d6")
+        phi = random_pd(first, 2, seed=36)
+        is_positive_definite(phi)
+        assert self.solves(calls, "eigh") == [first.order]
+        calls.clear()
+        is_positive_definite(phi)
+        sqrt_spectral(phi)
+        assert first.order not in self.solves(calls, "eigh")
+        assert fourier_basis(first) is fourier_basis(first)
+        # the cache lives on the table instance, not on its spec string
+        calls.clear()
+        is_positive_definite(MatFun(second, 2, phi.values))
+        assert self.solves(calls, "eigh") == [second.order]
 
     def test_gram_and_order_use_no_svd(self, calls, z6):
         phi = random_pd(z6, 2, seed=33)
         assert gram_pd_check(phi)
         assert pd_order_leq(scale(0.5, phi), phi)
-        assert calls["svd"] == 0
+        assert self.solves(calls, "svd") == []
 
 
 class TestVerdict:
@@ -425,7 +485,8 @@ class TestVerdict:
             from_sd = decompose(conv_matrix(phi), hermitian_tol=np.inf).certificate()
             assert from_sd.verdict == cert.verdict
             assert from_sd.operator_norm == pytest.approx(cert.operator_norm, rel=1e-12)
-            assert from_sd.hermitian_residual == cert.hermitian_residual
+            # sqrt(|G|) ||a - a*||_F here, ||C - C^H||_F there: equal up to summation order
+            assert from_sd.hermitian_residual == pytest.approx(cert.hermitian_residual, rel=1e-12)
 
     def test_hermitian_gap_is_frobenius(self, z2):
         vals = np.zeros((2, 2, 2), dtype=complex)

@@ -182,6 +182,38 @@ class TestTheoremC:
         # for genuine pairs, so drive the classifier directly
         assert classify_magnitude(0.0, 1e-10) != classify_magnitude(1.0, 1e-10)
 
+    def test_nan_inner_product_fails_with_reason(self, d4, monkeypatch):
+        # classify_magnitude(nan) is "indeterminate", which alone would pass the trial
+        monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
+        report = check_theorem_c(random_pd(d4, 2, seed=14), random_pd(d4, 2, seed=15))
+        assert not report.passed
+        assert np.isnan(report.worst_residual)
+        assert "non-finite" in report.details["failure"]
+        assert report.details["indeterminate_trials"] == 0
+        assert report.counterexample is not None
+
+    def test_nan_convolution_magnitude_fails(self, d4, monkeypatch):
+        real_convolve, real_norm = godement.theorems.convolve, godement.theorems.l2_norm
+        products = []
+
+        def convolve_spy(a, b):
+            products.append(real_convolve(a, b))
+            return products[-1]
+
+        monkeypatch.setattr(godement.theorems, "convolve", convolve_spy)
+        monkeypatch.setattr(godement.theorems, "l2_norm",
+                            lambda a: float("nan") if any(a is p for p in products) else real_norm(a))
+        report = check_theorem_c(random_pd(d4, 2, seed=16), random_pd(d4, 2, seed=17))
+        assert not report.passed and np.isnan(report.worst_residual)
+        assert "convolution nan" in report.details["failure"]
+
+    def test_nan_fails_the_trial_and_the_suite(self, s3, monkeypatch):
+        monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
+        report, _ = godement.theorems._trial_c(s3, 2, 18, SuiteConfig())
+        assert not report.passed and np.isnan(report.worst_residual)
+        result = run_suite(SuiteConfig(groups=("s3",), dims=(1,), trials=1))
+        assert not [r for r in result["reports"] if r["theorem"] == "C"][0]["passed"]
+
     def test_perturbation_scales_linearly(self, d3):
         theta = random_pd(d3, 2, seed=11)
         ev = np.linalg.eigvalsh(conv_matrix(theta).data)
