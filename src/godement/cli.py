@@ -113,10 +113,11 @@ def _cmd_truncate(args) -> int:
 def _suite_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["theorem", "group", "n", "trial", "worst_residual", "passed"])
+    writer.writerow(["theorem", "group", "n", "trial", "worst_residual", "passed", "iterations"])
     for r in report["trial_rows"]:
+        # csv writes None, the iterations of a theorem without a root, as an empty field
         writer.writerow([r["theorem"], r["group"], r["n"], r["trial"],
-                         repr(r["worst_residual"]), r["passed"]])
+                         repr(r["worst_residual"]), r["passed"], r["iterations"]])
     return buf.getvalue()
 
 

@@ -195,10 +195,10 @@ def decompose(op: ConvMatrix, hermitian_tol: float = 1e-8) -> SpectralDecomposit
     return SpectralDecomposition(eigenvalues, eigenvectors, herm * unit, gap, norm)
 
 
-def _certified_spectrum(a: MatFun, tol: float) -> FourierSpectrum:
+def _certified_spectrum(a: MatFun, tol: float, vectors: bool = True) -> FourierSpectrum:
     """The Fourier block spectrum of a, which also certifies it: raises
     NotPositiveDefiniteError unless a is positive definite at tol."""
-    spectrum = fourier_spectrum(a)
+    spectrum = fourier_spectrum(a, vectors=vectors)
     verdict = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, tol).verdict
     if verdict != "positive_definite":
         raise NotPositiveDefiniteError(f"input is not positive definite: {verdict}")

@@ -9,12 +9,14 @@ iterates increase toward the root from below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matfun import MatFun, _conv_kernel, convolve, l2_norm, matfun_to_json, subtract, zero_matfun
-from .operators import DEFAULT_PD_TOL, NotPositiveDefiniteError, _certified_spectrum, is_positive_definite
+from .fourier import FourierSpectrum
+from .matfun import MatFun, _conv_index, convolve, l2_norm, matfun_to_json, subtract, zero_matfun
+from .operators import DEFAULT_PD_TOL, _certified_spectrum
 
 __all__ = [
     "SqrtResult",
@@ -86,7 +88,11 @@ def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL
     then checked independently with the convolution kernel, and a
     residual that is not finite fails.
     """
-    spectrum = _certified_spectrum(phi, pd_tol)
+    return _spectral_root(phi, _certified_spectrum(phi, pd_tol), tol, pd_tol)
+
+
+def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, pd_tol: float) -> SqrtResult:
+    """sqrt_spectral from a spectrum of phi, with eigenvectors, already certified at pd_tol."""
     floor = pd_tol * spectrum.operator_norm
     psi = spectrum.apply(lambda ev: np.sqrt(np.where(ev <= floor, 0.0, ev)))
     denom = l2_norm(phi)
@@ -113,11 +119,20 @@ def sqrt_iterative(
     so the iterates are positive definite, increase in the PD ordering,
     and their squares stay dominated by phi~.  Convergence slows near
     spectral values close to zero, hence the generous default cap.
+
+    The loop runs on u_k = X_k / 2 against phi~ / 4, where a step is
+    u_{k+1} = u_k + (phi~/4 - u_k * u_k) and psi = 2 sqrt(s) u_k.  Every
+    rescaling is by a power of two, so this is the same arithmetic as on
+    X_k, and a step needs no rescaling.
     """
-    cert = is_positive_definite(phi, pd_tol)
-    if not cert.ok:
-        raise NotPositiveDefiniteError(f"input is not positive definite: {cert.verdict}")
-    s = cert.operator_norm
+    return _iterative_root(phi, _certified_spectrum(phi, pd_tol, vectors=False), max_iter, tol, record_iterates)
+
+
+def _iterative_root(
+    phi: MatFun, spectrum: FourierSpectrum, max_iter: int, tol: float, record_iterates: bool
+) -> SqrtResult:
+    """sqrt_iterative from a spectrum of phi already certified, which gives s."""
+    s = spectrum.operator_norm
     if s == 0.0:
         return SqrtResult(
             psi=zero_matfun(phi.group, phi.n),
@@ -127,33 +142,38 @@ def sqrt_iterative(
             monotone_trace=(),
             iterates=() if record_iterates else None,
         )
-    sqrt_s = float(np.sqrt(s))
     group, n = phi.group, phi.n
-    # the loop runs on raw (|G|, n, n) arrays; a MatFun is built only for
-    # what is returned, so the finiteness check is explicit here
-    target = (1.0 / s) * phi.values
-    denom = float(np.linalg.norm(target))
-    x = np.zeros_like(target)
+    root_scale = 2.0 * math.sqrt(s)
+    # u, its two views and the buffers for u*u and the gap are made once; a
+    # step allocates only the gathered convolution matrix of u (np.take into
+    # a buffer is slower than fancy indexing at these sizes)
+    index = _conv_index(group, n)
+    target = ((0.25 / s) * phi.values).reshape(group.order * n, n)
+    u = np.zeros((group.order, n, n), dtype=np.complex128)
+    flat, cols = u.reshape(-1), u.reshape(group.order * n, n)
+    square, gap = np.empty_like(cols), np.empty_like(cols)
+    denom = math.sqrt(np.vdot(target, target).real)
     trace: list[float] = []
     iterates: list[MatFun] = []
     for k in range(1, max_iter + 1):
-        gap = target - _conv_kernel(group, x, x)
-        residual = float(np.linalg.norm(gap)) / denom
-        if not np.isfinite(residual):
+        np.dot(flat[index], cols, out=square)
+        np.subtract(target, square, out=gap)
+        residual = math.sqrt(np.vdot(gap, gap).real) / denom
+        if not math.isfinite(residual):
             raise ConvergenceError(f"non-finite residual at step {k}")
         if residual <= tol:
             return SqrtResult(
-                psi=MatFun(group, n, sqrt_s * x),
+                psi=MatFun(group, n, root_scale * u),
                 method="iterative",
                 residual=residual,
                 iterations=k - 1,
                 monotone_trace=tuple(trace),
                 iterates=tuple(iterates) if record_iterates else None,
             )
-        x = x + 0.5 * gap
-        trace.append(sqrt_s * float(np.linalg.norm(x)))
+        cols += gap
+        trace.append(root_scale * math.sqrt(np.vdot(cols, cols).real))
         if record_iterates:
-            iterates.append(MatFun(group, n, sqrt_s * x))
+            iterates.append(MatFun(group, n, root_scale * u))
     raise ConvergenceError(f"no convergence to {tol:.1e} within {max_iter} iterations")
 
 

@@ -29,9 +29,15 @@ from .matfun import (
     random_matfun,
     subtract,
 )
-from .fourier import FourierSpectrum
-from .operators import DEFAULT_PD_TOL, _certified_spectrum, hermitian_symmetry_residual, is_positive_definite
-from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
+from .fourier import FourierSpectrum, fourier_spectrum
+from .operators import (
+    DEFAULT_PD_TOL,
+    _certificate,
+    _certified_spectrum,
+    hermitian_symmetry_residual,
+    is_positive_definite,
+)
+from .roots import ConvergenceError, _iterative_root, _spectral_root
 
 __all__ = [
     "TheoremReport",
@@ -87,7 +93,9 @@ def _worst(a: float, b: float) -> float:
     return a if np.isnan(a) or a > b else b
 
 
-def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict | None) -> None:
+def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict[str, MatFun] | None) -> None:
+    """Fold one trial into the aggregate.  The trial's input functions are
+    serialized only when it is the first failing one, as the counterexample."""
     target.trials += trial.trials
     target.worst_residual = _worst(trial.worst_residual, target.worst_residual)
     for key, value in trial.details.items():
@@ -95,7 +103,9 @@ def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict | None) -> 
             target.details[key] = target.details.get(key, 0) + value
     if not trial.passed and target.passed:
         target.passed = False
-        target.counterexample = inputs if inputs is not None else trial.counterexample
+        target.counterexample = (
+            {name: matfun_to_json(f) for name, f in inputs.items()} if inputs is not None else trial.counterexample
+        )
 
 
 def check_theorem_a(
@@ -110,11 +120,16 @@ def check_theorem_a(
     Runs both root constructions and checks: psi * psi reproduces phi,
     psi is positive definite and star-fixed, the two methods agree, the
     iterative trace is monotone and obeys the trace bound at the identity.
+    One Fourier spectrum of phi certifies it and serves both roots.  The
+    star gap is relative to ||psi||, and the trace bound
+    ||psi_k||^2 <= Tr phi(e) is relative to Tr phi(e), so neither depends
+    on the scale of phi.
     """
     group, n = phi.group, phi.n
     scale_phi = l2_norm(phi)
     report = TheoremReport("A", 1, group.name, n, 0.0, True)
-    cert = is_positive_definite(phi)
+    spectrum = fourier_spectrum(phi)
+    cert = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, DEFAULT_PD_TOL)
     if not cert.ok:
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
@@ -122,8 +137,8 @@ def check_theorem_a(
         return report
 
     try:
-        spectral = sqrt_spectral(phi, tol=tol)
-        iterative = sqrt_iterative(phi, max_iter=max_iter, tol=iter_tol)
+        spectral = _spectral_root(phi, spectrum, tol, DEFAULT_PD_TOL)
+        iterative = _iterative_root(phi, spectrum, max_iter, iter_tol, False)
     except (ConvergenceError, ValueError) as exc:
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
@@ -131,16 +146,15 @@ def check_theorem_a(
         return report
 
     # iterative convergence itself is enforced by ConvergenceError above
+    agreement = l2_norm(subtract(spectral.psi, iterative.psi))
     residuals = {
         "spectral_residual": spectral.residual / tol,
-        "star_gap": hermitian_symmetry_residual(spectral.psi)
-        / max(1e-300, 1e-10 * max(l2_norm(spectral.psi), 1.0)),
+        "star_gap": hermitian_symmetry_residual(spectral.psi) / max(1e-300, 1e-10 * l2_norm(spectral.psi)),
         "psi_not_pd": 0.0 if is_positive_definite(spectral.psi).ok else np.inf,
-        "method_agreement": l2_norm(subtract(spectral.psi, iterative.psi))
-        / max(1e-300, agreement_tol * scale_phi),
+        "method_agreement": agreement / max(1e-300, agreement_tol * scale_phi),
     }
     trace = iterative.monotone_trace or ()
-    trace_bound = float(np.trace(phi.values[group.identity]).real) + 1e-8
+    trace_bound = float(np.trace(phi.values[group.identity]).real) * (1.0 + 1e-12)
     dip_floor = -1e-12 * max(trace, default=0.0)
     monotone_ok = all(trace[i + 1] - trace[i] >= dip_floor for i in range(len(trace) - 1))
     bound_ok = all(v * v <= trace_bound for v in trace)
@@ -153,7 +167,7 @@ def check_theorem_a(
         "spectral_residual": spectral.residual,
         "iterative_residual": iterative.residual,
         "iterations": iterative.iterations,
-        "agreement": l2_norm(subtract(spectral.psi, iterative.psi)),
+        "agreement": agreement,
     }
     if not report.worst_residual <= 1.0:
         report.passed = False
@@ -166,7 +180,8 @@ def check_theorem_b(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremRepo
     """Verify that the inner product of two PD functions is real nonnegative."""
     scale = max(l2_norm(phi) * l2_norm(psi), 1e-300)
     value = inner(phi, psi)
-    residual = max(abs(value.imag), max(0.0, -value.real)) / scale
+    deficit = 0.0 if value.real >= 0.0 else -value.real  # NaN when the real part is NaN
+    residual = _worst(abs(value.imag), deficit) / scale
     report = TheoremReport("B", 1, phi.group.name, phi.n, residual / max(tol, 1e-300), residual <= tol)
     report.details = {"inner_real": value.real, "inner_imag": value.imag}
     if not report.passed:
@@ -306,14 +321,14 @@ def _split_point(eigenvalues: np.ndarray) -> float:
 
 def _trial_a(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     phi = _random_pd(group, n, seed)
-    return check_theorem_a(phi, tol=cfg.tol, max_iter=cfg.max_iter), {"phi": matfun_to_json(phi)}
+    return check_theorem_a(phi, tol=cfg.tol, max_iter=cfg.max_iter), {"phi": phi}
 
 
 def _trial_b(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     phi = _random_pd(group, n, derive_seed(seed, "phi"))
     psi = _random_pd(group, n, derive_seed(seed, "psi"))
     report = check_theorem_b(phi, psi, tol=cfg.pair_tol)
-    return report, {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
+    return report, {"phi": phi, "psi": psi}
 
 
 def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
@@ -337,15 +352,14 @@ def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
         "indeterminate_trials": orth.details["indeterminate_trials"]
         + overlap.details["indeterminate_trials"],
     }
-    inputs = {"theta": matfun_to_json(theta), "phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
-    return merged, inputs
+    return merged, {"theta": theta, "phi": phi, "psi": psi}
 
 
 def _trial_lemma(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     phi = _random_pd(group, n, derive_seed(seed, "phi"))
     psi = _random_pd(group, n, derive_seed(seed, "psi"))
     report = check_inner_trace(phi, psi)
-    return report, {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
+    return report, {"phi": phi, "psi": psi}
 
 
 _TRIALS = {"A": _trial_a, "B": _trial_b, "C": _trial_c, "lemma_2_1": _trial_lemma}
@@ -358,7 +372,9 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
     a seed derived from the suite seed and the trial coordinates, so
     results do not depend on scheduling.  The worker count is capped by
     the GODEMENT_SUITE_THREADS environment variable.  With
-    collect_trials, the result also carries one flat row per trial.
+    collect_trials, the result also carries one flat row per trial, whose
+    iterations is the iterative root's step count for Theorem A and None
+    for the other theorems.
     """
     config.validate()
     reports: list[TheoremReport] = []
@@ -389,6 +405,7 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
                             "trial": t,
                             "worst_residual": trial_report.worst_residual,
                             "passed": trial_report.passed,
+                            "iterations": trial_report.details.get("iterations"),
                         })
                 reports.append(aggregate)
     result = {

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -188,8 +189,11 @@ class TestSuite:
                        "--csv", "--out", str(out))
         assert code == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "theorem,group,n,trial,worst_residual,passed"
+        assert lines[0] == "theorem,group,n,trial,worst_residual,passed,iterations"
         assert len(lines) == 1 + 4 * 3  # header + one row per (theorem, trial)
+        for row in csv.DictReader(lines):
+            # the iterative root's step count for Theorem A, empty for the others
+            assert (int(row["iterations"]) > 0) if row["theorem"] == "A" else row["iterations"] == ""
 
     def test_empty_groups_rejected_without_flag(self):
         assert run_cli("suite", "--groups", "", "--trials", "1") == 2

@@ -25,9 +25,32 @@ from godement import (
     truncation_sequence,
     zero_matfun,
 )
+from godement.matfun import _conv_kernel
 from conftest import phi_21, random_pd
 
 SQRT3 = np.sqrt(3.0)
+
+STANDARD_SPECS = ("trivial", "z2", "z6", "z24", "klein", "d3", "d4", "d12", "q8",
+                  "s3", "s4", "z2xz3", "z3xq8", "z2xd6")
+
+
+def reference_iterative(phi: MatFun, max_iter: int, tol: float):
+    """The monotone iteration step by step on X_k, with the convolution
+    kernel and np.linalg.norm: the oracle of the fused loop in roots.
+    Returns (psi values, iterations, monotone trace)."""
+    s = is_positive_definite(phi).operator_norm
+    sqrt_s = float(np.sqrt(s))
+    target = (1.0 / s) * phi.values
+    denom = float(np.linalg.norm(target))
+    x = np.zeros_like(target)
+    trace = []
+    for k in range(1, max_iter + 1):
+        gap = target - _conv_kernel(phi.group, x, x)
+        if float(np.linalg.norm(gap)) / denom <= tol:
+            return sqrt_s * x, k - 1, np.array(trace)
+        x = x + 0.5 * gap
+        trace.append(sqrt_s * float(np.linalg.norm(x)))
+    raise AssertionError(f"reference loop did not converge within {max_iter} steps")
 
 
 def conv_residual(psi: MatFun, phi: MatFun) -> float:
@@ -164,14 +187,42 @@ class TestSqrtIterative:
     def test_nonfinite_step_raises_at_once(self, d4, monkeypatch):
         calls = []
 
-        def nan_kernel(group, a, b):
-            calls.append(1)
-            return np.full(b.shape, np.nan, dtype=complex)
+        class NanProducts:
+            """numpy as the roots module sees it, except that every product is NaN."""
 
-        monkeypatch.setattr(godement.roots, "_conv_kernel", nan_kernel)
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, a, b, out):
+                calls.append(1)
+                out[...] = np.nan
+                return out
+
+        monkeypatch.setattr(godement.roots, "np", NanProducts())
         with pytest.raises(ConvergenceError, match="non-finite residual at step 1"):
             sqrt_iterative(random_pd(d4, 2, seed=12), max_iter=1000)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("s5",))
+    def test_matches_reference_loop(self, spec):
+        grp = parse_group_spec(spec)
+        for n in (1, 2, 3):
+            phi = random_pd(grp, n, seed=40 + n)
+            psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9)
+            result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9)
+            assert result.iterations == iterations
+            assert np.linalg.norm(result.psi.values - psi) <= 1e-15 * np.linalg.norm(psi)
+            assert len(result.monotone_trace) == len(trace)
+            assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= 1e-14 * trace)
+
+    def test_recorded_iterates_match_reference_loop(self, s3):
+        phi = random_pd(s3, 2, seed=7)
+        psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9)
+        result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9, record_iterates=True)
+        assert len(result.iterates) == iterations
+        norms = np.array([l2_norm(x) for x in result.iterates])
+        assert np.all(np.abs(norms - trace) <= 1e-14 * trace)
+        assert np.linalg.norm(result.iterates[-1].values - psi) <= 1e-15 * np.linalg.norm(psi)
 
     def test_zero_function(self, z2):
         result = sqrt_iterative(zero_matfun(z2, 2))

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import godement.fourier
+import godement.operators
+import godement.roots
 import godement.theorems
 
 from godement import (
@@ -21,14 +25,18 @@ from godement import (
     delta_identity,
     inner,
     l2_norm,
+    matfun_from_json,
+    matfun_to_json,
     matrix_coeff_fun,
+    parse_group_spec,
     regular_rep,
     run_suite,
     scale,
+    sqrt_iterative,
     sqrt_spectral,
     subtract,
 )
-from godement.theorems import _merge, classify_magnitude
+from godement.theorems import _merge, classify_magnitude, derive_seed
 from conftest import phi_21, random_pd
 
 
@@ -65,6 +73,67 @@ class TestTheoremA:
         assert report.details["failure"] == "star_gap"
         assert np.isnan(report.worst_residual)
 
+    def test_one_spectrum_of_phi_per_trial(self, s3, monkeypatch):
+        # the certificate and both roots share one spectrum of phi; psi has its own
+        real = godement.fourier.fourier_spectrum
+        seen = []
+
+        def spy(a, vectors=True):
+            seen.append(a)
+            return real(a, vectors=vectors)
+
+        for module in (godement.fourier, godement.operators, godement.roots, godement.theorems):
+            if module.__dict__.get("fourier_spectrum") is real:
+                monkeypatch.setattr(module, "fourier_spectrum", spy)
+        phi = random_pd(s3, 2, seed=3)
+        assert check_theorem_a(phi).passed
+        assert len(seen) == 2
+        assert seen[0] is phi
+        assert np.array_equal(seen[1].values, sqrt_spectral(phi).psi.values)
+        # the public roots certify phi themselves, once each
+        seen.clear()
+        sqrt_spectral(phi)
+        sqrt_iterative(phi, max_iter=200_000, tol=1e-9)
+        assert len(seen) == 2 and seen[0] is phi and seen[1] is phi
+
+    @pytest.mark.parametrize("c", [1.0, 1e-150])
+    def test_star_gap_is_relative(self, z2, c, monkeypatch):
+        real = godement.theorems._spectral_root
+
+        def with_star_gap(phi, spectrum, tol, pd_tol):
+            # i eps at the identity gives a star gap of 2 eps = 5e-10 ||psi||: five
+            # times the tolerance, but small enough that psi stays PD
+            result = real(phi, spectrum, tol, pd_tol)
+            values = result.psi.values.copy()
+            values[phi.group.identity] += 0.5j * 5e-10 * l2_norm(result.psi)
+            return dataclasses.replace(result, psi=MatFun(phi.group, phi.n, values))
+
+        phi = scale(c, phi_21(z2))
+        # method_agreement compares a gap that scales like sqrt(phi) with
+        # agreement_tol * ||phi||, so at 1e-150 it would fail first on its own
+        assert check_theorem_a(phi, agreement_tol=1e300).passed
+        monkeypatch.setattr(godement.theorems, "_spectral_root", with_star_gap)
+        report = check_theorem_a(phi, agreement_tol=1e300)
+        assert not report.passed
+        assert report.details["failure"] == "star_gap"
+        assert report.worst_residual == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("c", [1.0, 1e-150])
+    def test_trace_bound_is_relative(self, z2, c, monkeypatch):
+        real = godement.theorems._iterative_root
+
+        def overshooting(phi, spectrum, max_iter, tol, record_iterates):
+            # one more trace value with v^2 = Tr phi(e) (1 + 1e-9)
+            result = real(phi, spectrum, max_iter, tol, record_iterates)
+            top = np.sqrt(np.trace(phi.values[phi.group.identity]).real * (1.0 + 1e-9))
+            return dataclasses.replace(result, monotone_trace=result.monotone_trace + (top,))
+
+        phi = scale(c, phi_21(z2))
+        monkeypatch.setattr(godement.theorems, "_iterative_root", overshooting)
+        report = check_theorem_a(phi, agreement_tol=1e300)
+        assert not report.passed
+        assert report.details["failure"] == "trace_bound"
+
     def test_non_pd_input_fails_with_counterexample(self, z2):
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
         report = check_theorem_a(phi)
@@ -98,6 +167,15 @@ class TestTheoremB:
         report = check_theorem_b(matrix_coeff_fun(reg, u1), matrix_coeff_fun(reg, u2))
         assert report.passed
         assert report.details["inner_real"] >= -1e-10
+
+
+    def test_nan_inner_product_fails(self, d4, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN real part must not go through max()
+        monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
+        report = check_theorem_b(random_pd(d4, 2, seed=1), random_pd(d4, 2, seed=2))
+        assert not report.passed
+        assert np.isnan(report.worst_residual)
+        assert report.counterexample is not None
 
 
 class TestOrthogonalPair:
@@ -300,3 +378,39 @@ class TestRunSuite:
         detailed = run_suite(config, collect_trials=True)
         assert len(detailed["trial_rows"]) == 4 * 3
         assert all(row["passed"] for row in detailed["trial_rows"])
+        for row in detailed["trial_rows"]:
+            if row["theorem"] == "A":
+                assert isinstance(row["iterations"], int) and row["iterations"] > 0
+            else:
+                assert row["iterations"] is None
+
+    def test_passing_trials_serialize_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(godement.theorems, "matfun_to_json", lambda a: calls.append(a))
+        assert run_suite(SuiteConfig(groups=("s3",), dims=(1, 2), trials=2, seed=8))["passed"]
+        assert calls == []
+
+    def test_counterexample_is_the_serialized_inputs_and_replays(self, monkeypatch):
+        # a NaN inner product fails B, C and Lemma 2.1; a NaN star gap fails A
+        monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
+        monkeypatch.setattr(godement.theorems, "hermitian_symmetry_residual", lambda psi: float("nan"))
+        config = SuiteConfig(groups=("s3",), dims=(2,), trials=2, seed=9)
+        result = run_suite(config)
+        grp = parse_group_spec("s3")
+        replay = {
+            "A": lambda f: check_theorem_a(f["phi"]),
+            "B": lambda f: check_theorem_b(f["phi"], f["psi"]),
+            "C": lambda f: check_theorem_c(f["phi"], f["psi"]),
+            "lemma_2_1": lambda f: check_inner_trace(f["phi"], f["psi"]),
+        }
+        assert {r["theorem"] for r in result["reports"]} == set(replay)
+        for r in result["reports"]:
+            assert not r["passed"]
+            # the first failing trial is trial 0, regenerated from its coordinates
+            seed = derive_seed(config.seed, r["theorem"], grp.name, 2, 0)
+            _, inputs = godement.theorems._TRIALS[r["theorem"]](grp, 2, seed, config)
+            expected = {name: matfun_to_json(f) for name, f in inputs.items()}
+            assert json.dumps(r["counterexample"], sort_keys=True) == json.dumps(expected, sort_keys=True)
+            loaded = {name: matfun_from_json(obj) for name, obj in r["counterexample"].items()}
+            assert all(np.array_equal(loaded[name].values, f.values) for name, f in inputs.items())
+            assert not replay[r["theorem"]](loaded).passed
