@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupTable, _generating_set
-from .matfun import MatFun
+from .matfun import MatFun, _power_of_two_unit
 
 __all__ = ["FourierBasis", "FourierSpectrum", "fourier_basis", "fourier_spectrum", "count_leq"]
 
@@ -57,6 +57,11 @@ class _SizeClass:
     vectors: np.ndarray  # (k, |G|, m): orthonormal columns of each V_j
     reps: np.ndarray  # (k, |G|, m, m): pi_j(g)
 
+    def at_identity(self, e: int, n: int) -> np.ndarray:
+        """(V_j[e] (x) I)^T for every j, as (k, m n, n)."""
+        k, m = self.vectors.shape[0], self.vectors.shape[2]
+        return (self.vectors[:, e, :, None, None] * np.eye(n)).reshape(k, m * n, n)
+
 
 @dataclass(frozen=True, eq=False)
 class FourierBasis:
@@ -71,6 +76,27 @@ class FourierBasis:
     classes: tuple[_SizeClass, ...]
     forward: np.ndarray  # (sum k m^2, |G|)
     columns: np.ndarray  # (|G|, |G|)
+
+    def blocks(self, values: np.ndarray) -> list[np.ndarray]:
+        """B_j = sum_g pi_j(g) (x) a(g) of raw values a (|G|, n, n), one
+        (k, m n, m n) array per class, all from one product."""
+        order, n = values.shape[0], values.shape[1]
+        flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(order, n * n)
+        coeffs = (self.forward @ flat.view(np.float64)).view(np.complex128)
+        blocks, start = [], 0
+        for cls in self.classes:
+            k, m = cls.vectors.shape[0], cls.vectors.shape[2]
+            rows = coeffs[start:start + k * m * m]
+            start += k * m * m
+            blocks.append(rows.reshape(k, m, m, n, n).transpose(0, 1, 3, 2, 4).reshape(k, m * n, m * n))
+        return blocks
+
+    def kernel(self, at_identity: list[np.ndarray]) -> np.ndarray:
+        """Raw values (|G|, n, n) of the function whose convolution operator
+        has, per class, the block columns B_j (V_j[e] (x) I)^T given as (k, m n, n)."""
+        n = at_identity[0].shape[2]
+        kernel = self.columns @ np.concatenate([c.reshape(-1, n * n) for c in at_identity])
+        return kernel.reshape(self.columns.shape[0], n, n)
 
 
 def _probe(group: GroupTable) -> np.ndarray:
@@ -166,16 +192,6 @@ def fourier_basis(group: GroupTable) -> FourierBasis:
     return basis
 
 
-def _power_of_two_unit(values: np.ndarray) -> float:
-    """The power of two that brings the largest |entry| into [1, 2), or 1.
-
-    Dividing by it is exact, and sums of squares of the quotient can
-    neither overflow nor underflow.
-    """
-    peak = float(np.max(np.abs(values), initial=0.0))
-    return float(np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)) if 0.0 < peak < np.inf else 1.0
-
-
 def count_leq(eigenvalues: np.ndarray, t: float, cluster_rel: float = 1e-10) -> int:
     """How many of the ascending eigenvalues a spectral cut at t keeps.
 
@@ -219,15 +235,10 @@ class FourierSpectrum:
     def apply(self, f) -> MatFun:
         """The function whose convolution operator is f(H), for f acting
         elementwise on eigenvalue arrays."""
-        n, e = self.n, self.group.identity
-        parts = []
-        for cls, (values, vectors) in zip(self.basis.classes, self.blocks):
-            k, m = cls.vectors.shape[0], cls.vectors.shape[2]
-            at_e = (cls.vectors[:, e, :, None, None] * np.eye(n)).reshape(k, m * n, n)  # (V_j[e] (x) I)^T
-            weights = vectors @ (f(values)[..., None] * (vectors.conj().swapaxes(1, 2) @ at_e))
-            parts.append(weights.reshape(k * m, n * n))
-        kernel = self.basis.columns @ np.concatenate(parts)
-        return MatFun(self.group, n, kernel.reshape(self.group.order, n, n))
+        e = self.group.identity
+        parts = [vectors @ (f(values)[..., None] * (vectors.conj().swapaxes(1, 2) @ cls.at_identity(e, self.n)))
+                 for cls, (values, vectors) in zip(self.basis.classes, self.blocks)]
+        return MatFun(self.group, self.n, self.basis.kernel(parts))
 
     def cut(self, t: float) -> MatFun:
         """The spectral cut at t: f(H) with f(lambda) = lambda on the
@@ -251,14 +262,9 @@ def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     scaled = a.values / unit
     adjoint = np.conj(scaled[group.inv]).transpose(0, 2, 1)
     gap = float(np.sqrt(group.order) * np.linalg.norm(scaled - adjoint)) * unit
-    herm = np.ascontiguousarray((scaled + adjoint) / 2.0).reshape(group.order, n * n)
-    coeffs = (basis.forward @ herm.view(np.float64)).view(np.complex128)
-    blocks, start = [], 0
-    for cls in basis.classes:
-        k, m = cls.vectors.shape[0], cls.vectors.shape[2]
-        rows = coeffs[start:start + k * m * m]
-        start += k * m * m
-        b = rows.reshape(k, m, m, n, n).transpose(0, 1, 3, 2, 4).reshape(k, m * n, m * n)
+    herm = (scaled + adjoint) / 2.0
+    blocks = []
+    for b in basis.blocks(herm):
         if vectors:
             values, vecs = np.linalg.eigh(b)
             blocks.append((values * unit, vecs))

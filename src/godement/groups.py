@@ -37,7 +37,10 @@ class GroupTable:
     counting measure (every element has mass 1).  Each instance keeps
     private caches of the convolution gather index per matrix dimension
     (see matfun), of its generating set (see _generating_set) and of its
-    Fourier basis (see fourier), which live and die with the table.
+    Fourier basis (see fourier), which live and die with the table.  The
+    tables parse_group_spec returns live for the whole process, one per
+    canonical spec; the builders and group_from_json make a new table on
+    every call.
     """
 
     order: int
@@ -388,15 +391,31 @@ def canonical_spec(spec: str) -> str:
     return "x".join(canon)
 
 
+# One table per canonical spec for the life of the process, so that the
+# per-table caches (gather index, generating set, Fourier basis) are built
+# once per process.  Tables are immutable; threads that race on a first
+# build make equal tables and setdefault keeps one of them.
+_SPEC_TABLES: dict[str, GroupTable] = {}
+
+
 def parse_group_spec(spec: str) -> GroupTable:
-    """Build a standard group from a spec string; see canonical_spec."""
+    """The standard group of a spec string (see canonical_spec), built on
+    first use and then shared: equal specs give the same table object."""
+    canon = canonical_spec(spec)
+    table = _SPEC_TABLES.get(canon)
+    if table is None:
+        table = _SPEC_TABLES.setdefault(canon, _build_spec(canon))
+    return table
+
+
+def _build_spec(canon: str) -> GroupTable:
     builders = {
         "cyclic": build_cyclic,
         "dihedral": build_dihedral,
         "symmetric": build_symmetric,
     }
     tables: list[GroupTable] = []
-    for part in canonical_spec(spec).split("x"):
+    for part in canon.split("x"):
         kind, _, arg = part.partition(":")
         if kind == "quaternion":
             tables.append(build_quaternion())

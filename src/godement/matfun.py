@@ -177,8 +177,32 @@ def conjugate(a: MatFun) -> MatFun:
     return MatFun(a.group, a.n, np.conj(a.values))
 
 
+def _power_of_two_unit(values: np.ndarray) -> float:
+    """The power of two that brings the largest |entry| into [1, 2), or 1.
+
+    Dividing by it is exact, and sums of squares of the quotient can
+    neither overflow nor underflow.
+    """
+    peak = float(np.max(np.abs(values), initial=0.0))
+    return float(np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)) if 0.0 < peak < np.inf else 1.0
+
+
+# Below this a plain norm may have lost its squares to underflow.
+_TINY_NORM = 2.0**-500
+
+
 def l2_norm(a: MatFun) -> float:
-    return float(np.linalg.norm(a.values))
+    """sqrt(sum_g ||a(g)||_F^2), finite for every finite a.
+
+    The plain norm squares the entries, so it overflows from entries
+    near 1e154 and underflows below 1e-154; only then is it recomputed
+    on a divided by the power of two near its largest entry.
+    """
+    norm = float(np.linalg.norm(a.values))
+    if not _TINY_NORM <= norm < np.inf:
+        unit = _power_of_two_unit(a.values)
+        norm = float(np.linalg.norm(a.values / unit)) * unit
+    return norm
 
 
 def l1_norm(a: MatFun) -> float:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSpectrum, _power_of_two_unit, count_leq, fourier_spectrum
+from .fourier import FourierSpectrum, count_leq, fourier_spectrum
 from .groups import GroupTable, _generating_set
-from .matfun import MatFun, _conv_operator, subtract
+from .matfun import MatFun, _conv_operator, _power_of_two_unit, subtract
 
 __all__ = [
     "ConvMatrix",
@@ -182,15 +182,15 @@ def decompose(op: ConvMatrix, hermitian_tol: float = 1e-8) -> SpectralDecomposit
 
     The one eigensolve of a spectral call: the result also carries the
     Hermitian gap and ||H||_2, from which certificate() gives the PD
-    verdict.  Raises ValueError when the gap exceeds
-    hermitian_tol * max(||H||_2, 1).
+    verdict.  Raises ValueError when the gap exceeds hermitian_tol *
+    ||H||_2, a relative test, so scaling op keeps the verdict.
     """
     herm, gap, unit = _hermitian_split(op.data)
     eigenvalues, eigenvectors = np.linalg.eigh(herm)
     eigenvalues = eigenvalues * unit
     gap *= unit
     norm = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
-    if not gap <= hermitian_tol * max(norm, 1.0):
+    if not gap <= hermitian_tol * max(norm, 1e-300):
         raise ValueError(f"matrix is not Hermitian: residual {gap:.3e} at norm {norm:.3e}")
     return SpectralDecomposition(eigenvalues, eigenvectors, herm * unit, gap, norm)
 
@@ -284,10 +284,11 @@ def extract_kernel(op: ConvMatrix, equivariance_tol: float = 1e-8) -> MatFun:
     generating set, see translation_commutant_residual); then column j
     of the kernel at x is op applied to the delta at the identity
     tensored with basis vector j, which is just the block column of op
-    at the identity element.
+    at the identity element.  The residual is judged relative to
+    ||op||_F, so scaling op keeps the verdict.
     """
     worst = translation_commutant_residual(op)
-    scale = max(float(np.linalg.norm(op.data)), 1.0)
+    scale = max(float(np.linalg.norm(op.data)), 1e-300)
     if not worst <= equivariance_tol * scale:
         raise EquivarianceError(
             f"matrix does not commute with right translations: residual {worst:.3e}"

@@ -5,6 +5,17 @@ phi = psi * psi (convolution).  Two constructions are provided: direct
 spectral calculus on the convolution operator, and a monotone damped
 fixed-point iteration carried out entirely with convolutions, whose
 iterates increase toward the root from below.
+
+The iteration has two step routes with the same iterates.  Operators of
+side |G| n below _BLOCK_MIN_SIDE take the dense step: one gather of the
+convolution matrix of the iterate and one product.  Larger ones step on
+the Fourier blocks of the iterate (see fourier), where convolution is a
+product of small blocks; blocks of nearby sizes are zero-padded into one
+stack per batched matmul.  The threshold comes from measured per-step
+costs: on one 2-core host the block step lost below |G| n = 48 (s3 and
+q8 at n = 2, z2xs4 at n = 1) and won from 72 on (s4 at n = 3, s5, z2xs5).
+A block root is then checked once on the convolution kernel, which does
+not depend on the basis.
 """
 
 from __future__ import annotations
@@ -17,6 +28,14 @@ import numpy as np
 from .fourier import FourierSpectrum
 from .matfun import MatFun, _conv_index, convolve, l2_norm, matfun_to_json, subtract, zero_matfun
 from .operators import DEFAULT_PD_TOL, _certified_spectrum
+
+# Operators of side |G| n from this on iterate on their Fourier blocks,
+# smaller ones on the gathered convolution matrix (README, Performance notes).
+_BLOCK_MIN_SIDE = 64
+# Fixed cost of one matmul call in a block step, in complex multiply-adds.
+_RUN_COST = 2000.0
+# Rounding allowed between the block loop's residual and its recomputation.
+_RECHECK_SLACK = 1e-6
 
 __all__ = [
     "SqrtResult",
@@ -124,6 +143,14 @@ def sqrt_iterative(
     u_{k+1} = u_k + (phi~/4 - u_k * u_k) and psi = 2 sqrt(s) u_k.  Every
     rescaling is by a power of two, so this is the same arithmetic as on
     X_k, and a step needs no rescaling.
+
+    For |G| n >= 64 the step runs on the Fourier blocks of u instead of its
+    gathered convolution matrix: the same iterates up to rounding (same
+    step counts, psi within about 1e-13), with the residual and the
+    monotone trace read off the blocks by Plancherel.  residual is then the
+    loop's own; psi*psi is recomputed once with the convolution kernel,
+    and a relative residual above tol * (1 + 1e-6) raises
+    ConvergenceError.
     """
     return _iterative_root(phi, _certified_spectrum(phi, pd_tol, vectors=False), max_iter, tol, record_iterates)
 
@@ -142,13 +169,41 @@ def _iterative_root(
             monotone_trace=(),
             iterates=() if record_iterates else None,
         )
-    group, n = phi.group, phi.n
-    root_scale = 2.0 * math.sqrt(s)
+    group, root_scale = phi.group, 2.0 * math.sqrt(s)
+    target = (0.25 / s) * phi.values
+    on_blocks = group.order * phi.n >= _BLOCK_MIN_SIDE
+    if on_blocks:
+        u, residual, trace, iterates = _block_steps(spectrum.basis, group, target, root_scale, max_iter, tol,
+                                                    record_iterates)
+    else:
+        u, residual, trace, iterates = _dense_steps(group, target, root_scale, max_iter, tol, record_iterates)
+    psi = MatFun(group, phi.n, root_scale * u)
+    if on_blocks:
+        # the loop saw only blocks; the root is checked on the convolution kernel
+        check = l2_norm(subtract(convolve(psi, psi), phi)) / l2_norm(phi)
+        if not check <= tol * (1.0 + _RECHECK_SLACK):
+            raise ConvergenceError(f"iterative square root residual {check:.3e} exceeds {tol:.3e} "
+                                   f"on the convolution kernel")
+    return SqrtResult(
+        psi=psi,
+        method="iterative",
+        residual=residual,
+        iterations=len(trace),
+        monotone_trace=tuple(trace),
+        iterates=tuple(iterates) if record_iterates else None,
+    )
+
+
+def _dense_steps(group, target, root_scale, max_iter, tol, record_iterates):
+    """The iteration on u against target = phi~/4 as functions: each step
+    gathers the convolution matrix of u.  Returns the values of u, the last
+    residual, the trace and the iterates."""
+    n = target.shape[1]
     # u, its two views and the buffers for u*u and the gap are made once; a
     # step allocates only the gathered convolution matrix of u (np.take into
     # a buffer is slower than fancy indexing at these sizes)
     index = _conv_index(group, n)
-    target = ((0.25 / s) * phi.values).reshape(group.order * n, n)
+    target = target.reshape(group.order * n, n)
     u = np.zeros((group.order, n, n), dtype=np.complex128)
     flat, cols = u.reshape(-1), u.reshape(group.order * n, n)
     square, gap = np.empty_like(cols), np.empty_like(cols)
@@ -162,19 +217,91 @@ def _iterative_root(
         if not math.isfinite(residual):
             raise ConvergenceError(f"non-finite residual at step {k}")
         if residual <= tol:
-            return SqrtResult(
-                psi=MatFun(group, n, root_scale * u),
-                method="iterative",
-                residual=residual,
-                iterations=k - 1,
-                monotone_trace=tuple(trace),
-                iterates=tuple(iterates) if record_iterates else None,
-            )
+            return u, residual, trace, iterates
         cols += gap
         trace.append(root_scale * math.sqrt(np.vdot(cols, cols).real))
         if record_iterates:
             iterates.append(MatFun(group, n, root_scale * u))
     raise ConvergenceError(f"no convergence to {tol:.1e} within {max_iter} iterations")
+
+
+def _block_steps(basis, group, target, root_scale, max_iter, tol, record_iterates):
+    """The iteration on the Fourier blocks U_j of u: U_j <- U_j + T_j - U_j U_j.
+
+    The blocks of each run of size classes (_stack_plan) are zero-padded to
+    its largest side and stacked, so a step is one batched matmul per run;
+    padding stays zero under the step.  All runs share one flat buffer each
+    for U, T, the squares and the gap, so the rest of a step is four whole-
+    buffer operations.  Since ||a||_2^2 = sum_j ||B_j(a)||_F^2 / |G|, the
+    residual and the trace come from the blocks, and u goes back to a
+    function through the block columns at the identity.  Returns as
+    _dense_steps does.
+    """
+    n = target.shape[1]
+    blocks = basis.blocks(target)
+    sides = [b.shape[1] for b in blocks]
+    runs = _stack_plan(sides, [b.shape[0] for b in blocks])
+    shapes = [(sum(b.shape[0] for b in blocks[lo:hi]), sides[hi - 1]) for lo, hi in runs]
+    size = sum(k * side * side for k, side in shapes)
+    t, u, square, gap = (np.zeros(size, dtype=np.complex128) for _ in range(4))
+
+    def stacked(flat):
+        views, start = [], 0
+        for k, side in shapes:
+            views.append(flat[start:start + k * side * side].reshape(k, side, side))
+            start += k * side * side
+        return views
+
+    u_runs, square_runs = stacked(u), stacked(square)
+    # the unpadded block views of u, class by class, for mapping u back
+    u_blocks = []
+    for (lo, hi), t_run, u_run in zip(runs, stacked(t), u_runs):
+        at = 0
+        for b in blocks[lo:hi]:
+            k, side = b.shape[0], b.shape[1]
+            t_run[at:at + k, :side, :side] = b
+            u_blocks.append(u_run[at:at + k, :side, :side])
+            at += k
+    at_e = [cls.at_identity(group.identity, n) for cls in basis.classes]
+
+    def function():
+        return basis.kernel([b @ e for b, e in zip(u_blocks, at_e)])
+
+    denom = math.sqrt(np.vdot(t, t).real)
+    norm_scale = root_scale / math.sqrt(group.order)
+    trace: list[float] = []
+    iterates: list[MatFun] = []
+    for k in range(1, max_iter + 1):
+        for u_run, square_run in zip(u_runs, square_runs):
+            np.matmul(u_run, u_run, out=square_run)
+        np.subtract(t, square, out=gap)
+        residual = math.sqrt(np.vdot(gap, gap).real) / denom
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"non-finite residual at step {k}")
+        if residual <= tol:
+            return function(), residual, trace, iterates
+        u += gap
+        trace.append(norm_scale * math.sqrt(np.vdot(u, u).real))
+        if record_iterates:
+            iterates.append(MatFun(group, n, root_scale * function()))
+    raise ConvergenceError(f"no convergence to {tol:.1e} within {max_iter} iterations")
+
+
+def _stack_plan(sides: list[int], counts: list[int]) -> list[tuple[int, int]]:
+    """Split the size classes, ascending by block side, into runs (lo, hi)
+    padded to the side of their last class, at the least cost: padded
+    multiply-adds plus _RUN_COST per run, which stands for the fixed cost
+    of one more matmul call."""
+    best, start = [0.0], [0]
+    for hi in range(1, len(sides) + 1):
+        cost, lo = min((best[lo] + _RUN_COST + sum(counts[lo:hi]) * sides[hi - 1] ** 3, lo) for lo in range(hi))
+        best.append(cost)
+        start.append(lo)
+    runs, hi = [], len(sides)
+    while hi:
+        runs.append((start[hi], hi))
+        hi = start[hi]
+    return runs[::-1]
 
 
 def truncation_sequence(phi: MatFun, thresholds: list[float], pd_tol: float = DEFAULT_PD_TOL) -> list[MatFun]:

@@ -9,7 +9,9 @@ import pytest
 import godement.fourier
 from godement import (
     ConvMatrix,
+    build_dihedral,
     build_orthogonal_pd_pair,
+    build_symmetric,
     conv_matrix,
     decompose,
     extract_kernel,
@@ -167,7 +169,7 @@ def test_split_eigenspace_is_merged(monkeypatch):
         return h
 
     monkeypatch.setattr(godement.fourier, "_probe", near_identity)
-    grp = parse_group_spec("s4")
+    grp = build_symmetric(4)  # a fresh table: the shared one from parse_group_spec may have its basis
     basis = fourier_basis(grp)
     assert max(c.vectors.shape[2] for c in basis.classes) > 3  # merged past any irreducible
     for a in inputs(grp, 2):
@@ -181,7 +183,7 @@ def test_split_eigenspace_is_merged(monkeypatch):
 
 def test_one_block_when_nothing_separates(monkeypatch):
     monkeypatch.setattr(godement.fourier, "_probe", lambda group: np.zeros(group.order))
-    grp = parse_group_spec("d4")
+    grp = build_dihedral(4)  # a fresh table, as above
     basis = fourier_basis(grp)
     assert [c.vectors.shape for c in basis.classes] == [(1, 8, 8)]
     phi = random_pd(grp, 2, seed=900)
@@ -196,7 +198,7 @@ def test_basis_first_build_race():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            grp = parse_group_spec("s4")
+            grp = build_symmetric(4)  # fresh: parse_group_spec would share one built table
             barrier, got = threading.Barrier(8), []
 
             def worker():

@@ -323,3 +323,11 @@ class TestSpecs:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             parse_group_spec("banana")
+
+    def test_one_table_per_spec(self):
+        table = parse_group_spec("s5")
+        assert parse_group_spec("S5") is table and parse_group_spec("symmetric:5") is table
+        assert parse_group_spec("z2xs4") is parse_group_spec("cyclic:2 x S4")
+        assert parse_group_spec("s4") is not table
+        fresh = build_symmetric(5)  # the builders still make a new table each call
+        assert fresh is not table and fresh.same_table(table)

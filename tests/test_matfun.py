@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from godement import (
     MatFun,
     VecFun,
     add,
+    build_symmetric,
     conv_matrix,
     convolve,
     convolve_vec,
@@ -149,7 +151,7 @@ class TestKernel:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                grp = parse_group_spec("s4")
+                grp = build_symmetric(4)  # fresh: parse_group_spec would share one built table
                 got = race(grp)
                 assert len(got) == 8
                 assert all(index is got[0] for index in got)
@@ -224,6 +226,21 @@ class TestLinearOps:
 
     def test_l2_of_delta(self, d4):
         assert l2_norm(delta_identity(d4, 3)) == pytest.approx(np.sqrt(3))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_l2_scales_at_extreme_magnitudes(self, s3):
+        # the plain norm squares entries: it gave inf from about 1e154 on, and 0.0 at 1e-170
+        phi = make_pd(random_matfun(s3, 2, seed=3))
+        base = l2_norm(phi)
+        assert base == float(np.linalg.norm(phi.values))  # ordinary inputs keep the plain result
+        for c in (1e-200, 1e-170, 1e154, 1e200):
+            assert abs(l2_norm(scale(c, phi)) - c * base) <= 4e-16 * c * base
+
+    def test_l2_of_nan_is_nan(self):
+        # MatFun refuses NaN, so the input is a stand-in with the one attribute read
+        values = np.zeros((2, 1, 1), dtype=complex)
+        values[1, 0, 0] = np.nan
+        assert np.isnan(l2_norm(types.SimpleNamespace(values=values)))
 
     def test_l1_example(self, z2):
         assert l1_norm(phi_21(z2)) == pytest.approx(3.0)
@@ -334,6 +351,12 @@ class TestJson:
         assert again.group.same_table(grp) and again.group.name == "custom"
         assert np.array_equal(again.values, phi.values)
         assert again.group.identity == grp.identity != 0
+
+    def test_custom_table_not_shared(self):
+        # only standard specs share one table per process; embedded tables are built per load
+        obj = matfun_to_json(random_pd(relabeled_s3(), 1, seed=75))
+        first, second = matfun_from_json(obj), matfun_from_json(obj)
+        assert first.group is not second.group and first.group.same_table(second.group)
 
     def test_standard_table_not_embedded(self, d4):
         assert "group" not in matfun_to_json(random_pd(d4, 1, seed=73))

@@ -14,6 +14,7 @@ from godement import (
     MatFun,
     NotPositiveDefiniteError,
     add,
+    build_dihedral,
     build_orthogonal_pd_pair,
     conv_matrix,
     convolve,
@@ -228,6 +229,15 @@ class TestExtractKernel:
         with pytest.raises(EquivarianceError):
             extract_kernel(ConvMatrix(z2, 1, bad))
 
+    def test_verdict_is_scale_invariant(self, s3):
+        # a random 12 x 12 matrix does not commute with the right translations
+        bad = np.random.default_rng(5).standard_normal((12, 12)).astype(complex)
+        good = conv_matrix(random_matfun(s3, 2, seed=5)).data
+        for c in (1.0, 1e-12):
+            with pytest.raises(EquivarianceError):
+                extract_kernel(ConvMatrix(s3, 2, c * bad))
+            assert np.array_equal(extract_kernel(ConvMatrix(s3, 2, c * good)).values, (c * good)[:, :2].reshape(6, 2, 2))
+
     def test_commutant_residual_zero_for_conv_matrices(self, q8):
         a = random_matfun(q8, 2, seed=15)
         assert translation_commutant_residual(conv_matrix(a)) == 0.0
@@ -314,6 +324,14 @@ class TestSpectralDecomposition:
         phi = MatFun(z2, 1, np.array([[[1.0]], [[1j]]]))
         with pytest.raises(ValueError, match="Hermitian"):
             decompose(conv_matrix(phi))
+
+    def test_hermitian_check_is_scale_invariant(self, s3):
+        a = random_matfun(s3, 2, seed=5)  # its convolution matrix is far from Hermitian
+        phi = random_pd(s3, 2, seed=5)
+        for c in (1.0, 1e-12):
+            with pytest.raises(ValueError, match="Hermitian"):
+                decompose(conv_matrix(scale(c, a)))
+            assert decompose(conv_matrix(scale(c, phi))).certificate().ok
 
     def test_projector_edges(self, z2):
         sd = decompose(conv_matrix(phi_21(z2)))
@@ -448,7 +466,8 @@ class TestSinglePass:
         assert self.solves(calls, "svd") == []
 
     def test_basis_one_eigh_per_table_cached(self, calls):
-        first, second = parse_group_spec("d6"), parse_group_spec("d6")
+        # fresh tables: parse_group_spec shares one table per spec
+        first, second = build_dihedral(6), build_dihedral(6)
         phi = random_pd(first, 2, seed=36)
         is_positive_definite(phi)
         assert self.solves(calls, "eigh") == [first.order]

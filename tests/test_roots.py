@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from godement import (
     NotPositiveDefiniteError,
     PolySpec,
     build_orthogonal_pd_pair,
+    build_symmetric,
+    check_theorem_a,
     conv_matrix,
     convolve,
     delta_identity,
@@ -25,6 +29,7 @@ from godement import (
     truncation_sequence,
     zero_matfun,
 )
+from godement.fourier import fourier_basis
 from godement.matfun import _conv_kernel
 from conftest import phi_21, random_pd
 
@@ -34,10 +39,11 @@ STANDARD_SPECS = ("trivial", "z2", "z6", "z24", "klein", "d3", "d4", "d12", "q8"
                   "s3", "s4", "z2xz3", "z3xq8", "z2xd6")
 
 
-def reference_iterative(phi: MatFun, max_iter: int, tol: float):
+def reference_iterative(phi: MatFun, max_iter: int, tol: float, iterates: list | None = None):
     """The monotone iteration step by step on X_k, with the convolution
-    kernel and np.linalg.norm: the oracle of the fused loop in roots.
-    Returns (psi values, iterations, monotone trace)."""
+    kernel and np.linalg.norm: the oracle of both step routes in roots.
+    Returns (psi values, iterations, monotone trace), and appends the
+    values of every iterate sqrt(s) X_k to iterates when given."""
     s = is_positive_definite(phi).operator_norm
     sqrt_s = float(np.sqrt(s))
     target = (1.0 / s) * phi.values
@@ -50,7 +56,17 @@ def reference_iterative(phi: MatFun, max_iter: int, tol: float):
             return sqrt_s * x, k - 1, np.array(trace)
         x = x + 0.5 * gap
         trace.append(sqrt_s * float(np.linalg.norm(x)))
+        if iterates is not None:
+            iterates.append(sqrt_s * x)
     raise AssertionError(f"reference loop did not converge within {max_iter} steps")
+
+
+def on_blocks(phi: MatFun) -> bool:
+    return phi.group.order * phi.n >= godement.roots._BLOCK_MIN_SIDE
+
+
+def rel(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 def conv_residual(psi: MatFun, phi: MatFun) -> float:
@@ -100,9 +116,16 @@ class TestSqrtSpectral:
 
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_residual_fails(self, s3):
-        # at 1e200 the residual's norms overflow to inf / inf = NaN, which must not pass
-        phi = scale(1e200, random_pd(s3, 2, seed=3))
+    def test_extreme_scales_pass(self, s3):
+        # the residual's norms once overflowed to inf / inf = NaN from about 1e154
+        phi = random_pd(s3, 2, seed=3)
+        for c in (1e-200, 1e200):
+            assert sqrt_spectral(scale(c, phi)).residual <= 1e-8
+            assert sqrt_iterative(scale(c, phi), tol=1e-8).residual <= 1e-8
+
+    def test_nonfinite_residual_fails(self, s3, monkeypatch):
+        phi = random_pd(s3, 2, seed=3)
+        monkeypatch.setattr(godement.roots, "l2_norm", lambda a: l2_norm(a) if a is phi else float("nan"))
         with pytest.raises(ConvergenceError, match="nan"):
             sqrt_spectral(phi)
 
@@ -210,10 +233,13 @@ class TestSqrtIterative:
             phi = random_pd(grp, n, seed=40 + n)
             psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9)
             result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9)
+            # the dense route does the reference's arithmetic up to powers of
+            # two; the block route rounds in another basis
+            psi_tol, trace_tol = (1e-13, 1e-13) if on_blocks(phi) else (1e-15, 1e-14)
             assert result.iterations == iterations
-            assert np.linalg.norm(result.psi.values - psi) <= 1e-15 * np.linalg.norm(psi)
+            assert np.linalg.norm(result.psi.values - psi) <= psi_tol * np.linalg.norm(psi)
             assert len(result.monotone_trace) == len(trace)
-            assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= 1e-14 * trace)
+            assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= trace_tol * trace)
 
     def test_recorded_iterates_match_reference_loop(self, s3):
         phi = random_pd(s3, 2, seed=7)
@@ -228,6 +254,52 @@ class TestSqrtIterative:
         result = sqrt_iterative(zero_matfun(z2, 2))
         assert l2_norm(result.psi) == 0.0
         assert result.iterations == 0
+
+    @pytest.mark.parametrize("spec, n", [("s4", 3), ("z2xs4", 2), ("s5", 1), ("s5", 2), ("s5", 3),
+                                         ("z2xs5", 1), ("z2xs5", 2)])
+    def test_block_route_matches_reference_loop(self, spec, n, monkeypatch):
+        def no_dense(*args):
+            raise AssertionError("dense route taken")
+
+        monkeypatch.setattr(godement.roots, "_dense_steps", no_dense)
+        phi = random_pd(parse_group_spec(spec), n, seed=60 + n)
+        expected: list[np.ndarray] = []
+        psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9, iterates=expected)
+        result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9, record_iterates=True)
+        assert result.iterations == iterations == len(result.iterates)
+        assert rel(result.psi.values, psi) <= 1e-13
+        assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= 1e-13 * trace)
+        assert max(rel(got.values, want) for got, want in zip(result.iterates, expected)) <= 1e-13
+        assert np.array_equal(result.iterates[-1].values, result.psi.values)
+        assert result.residual <= 1e-9 and conv_residual(result.psi, phi) <= 1e-9 * (1 + 1e-6)
+
+    @pytest.mark.parametrize("spec", ["z6", "d4", "q8", "s3"])
+    def test_small_operators_take_dense_route(self, spec, monkeypatch):
+        # the cells of the default suite grid: blocks of side <= 8 lose to one gather
+        def no_blocks(*args):
+            raise AssertionError("block route taken")
+
+        monkeypatch.setattr(godement.roots, "_block_steps", no_blocks)
+        for n in (1, 2):
+            phi = random_pd(parse_group_spec(spec), n, seed=70 + n)
+            assert not on_blocks(phi)
+            assert sqrt_iterative(phi, tol=1e-9).residual <= 1e-9
+            assert check_theorem_a(phi).passed
+
+    def test_block_root_checked_on_the_kernel(self, monkeypatch):
+        # a basis whose columns map blocks back wrongly still certifies phi and
+        # converges on the blocks; only the convolution kernel sees the error
+        grp = build_symmetric(4)  # fresh: the corrupted basis must not reach the shared table
+        phi = random_pd(grp, 3, seed=80)
+        assert on_blocks(phi)
+        basis = fourier_basis(grp)
+        columns = basis.columns.copy()
+        columns[:, -1] *= 1.0 + 1e-6
+        monkeypatch.setitem(grp._fourier_cache, "basis", dataclasses.replace(basis, columns=columns))
+        with pytest.raises(ConvergenceError, match="convolution kernel"):
+            sqrt_iterative(phi, tol=1e-9)
+        monkeypatch.setitem(grp._fourier_cache, "basis", basis)
+        assert sqrt_iterative(phi, tol=1e-9).residual <= 1e-9
 
 
 class TestTruncationSequence:
