@@ -22,6 +22,28 @@ subspaces is invariant.  What would not be harmless is an eigenspace split
 by the clustering, so every V_j is checked for invariance on a generating
 set, and one that fails is merged with its neighbours; in the worst case a
 single block remains, which is C itself in another basis.
+
+Types and multiplicities.  An irreducible pi of degree d occurs d times in
+L (fewer real copies for complex and quaternionic pi), and C is the same
+block on every copy once the copies carry the same pi_j.  The subspaces
+of one size are therefore sorted into types by their characters
+chi_j(g) = tr pi_j(g) on all of G; inequivalent representations have
+characters at least 1 apart at some element.  Each further copy V_c of a
+type is rotated onto the type's first copy V_r by the intertwiner
+
+    W = sum_g pi_c(g) E pi_r(g)^T,  E the matrix unit that makes W largest,
+
+so that pi_c(g) W = W pi_r(g).  Between equivalent irreducibles every
+nonzero intertwiner is a scalar times an orthogonal matrix, for real,
+complex and quaternionic type alike, so W scaled to W^T W = I makes V_c W
+an orthonormal copy that carries pi_r exactly.  The rotated copy is
+checked on the generating set with the same invariance tolerance (and
+W^T W = I with it); a copy that fails, such as a merged reducible one
+whose intertwiners need not be orthogonal, stays a type of its own.  So
+only one block per type is formed and solved, and a spectrum lists each
+type's eigenvalues as often as the type has copies.  Norms follow
+Plancherel with the same weights: ||a||_2^2 = sum_t mu_t ||B_t||_F^2 / |G|
+for mu_t copies of type t.
 """
 
 from __future__ import annotations
@@ -48,55 +70,65 @@ _CLUSTER_REL = 1e-9
 # eigenvalues of z2xs5 (relative gap 7e-5) give 3.5e-12, and those
 # subspaces are merged.
 _INVARIANCE_TOL = 1e-12
+# Characters of inequivalent representations differ by at least 1 at some
+# element (their difference has mean square sum_i n_i^2 >= 1 over G), so a
+# computed character within half of that of a type's is that type's.
+_CHARACTER_TOL = 0.5
 
 
 @dataclass(frozen=True, eq=False)
 class _SizeClass:
-    """The k invariant subspaces of one dimension m."""
+    """The invariant subspaces of one dimension m, sorted into k types.
 
-    vectors: np.ndarray  # (k, |G|, m): orthonormal columns of each V_j
-    reps: np.ndarray  # (k, |G|, m, m): pi_j(g)
+    Every copy of a type carries that type's pi_t exactly (see the module
+    docstring), so the class has k blocks however many copies it holds.
+    """
 
-    def at_identity(self, e: int, n: int) -> np.ndarray:
-        """(V_j[e] (x) I)^T for every j, as (k, m n, n)."""
-        k, m = self.vectors.shape[0], self.vectors.shape[2]
-        return (self.vectors[:, e, :, None, None] * np.eye(n)).reshape(k, m * n, n)
+    vectors: np.ndarray  # (c, |G|, m): orthonormal columns of each copy V_j
+    types: np.ndarray  # (c,): the type of each copy, an index into reps
+    reps: np.ndarray  # (k, |G|, m, m): pi_t(g) of each type
+    multiplicities: np.ndarray  # (k,): copies of each type
 
 
 @dataclass(frozen=True, eq=False)
 class FourierBasis:
-    """Invariant subspaces of the left regular representation, grouped by size.
+    """Invariant subspaces of the left regular representation, by size and type.
 
-    forward stacks, for every class in order, the entries pi_j(g)[alpha,
-    beta] as rows (j, alpha, beta) with one column per element g, so the
-    blocks of every subspace come from one product forward @ a.
-    columns holds the V_j side by side in the same order.
+    forward stacks, for every class in order, the entries pi_t(g)[alpha,
+    beta] of each type t as rows (t, alpha, beta) with one column per
+    element g, so the blocks of every type come from one product
+    forward @ a.  inverse maps blocks back: its column (t, alpha, beta)
+    holds sum_c V_c[x, alpha] V_c[e, beta] over the copies c of t, the
+    identity block columns of all copies at once.
     """
 
     classes: tuple[_SizeClass, ...]
     forward: np.ndarray  # (sum k m^2, |G|)
-    columns: np.ndarray  # (|G|, |G|)
+    inverse: np.ndarray  # (|G|, sum k m^2)
 
     def blocks(self, values: np.ndarray) -> list[np.ndarray]:
-        """B_j = sum_g pi_j(g) (x) a(g) of raw values a (|G|, n, n), one
+        """B_t = sum_g pi_t(g) (x) a(g) of raw values a (|G|, n, n), one
         (k, m n, m n) array per class, all from one product."""
         order, n = values.shape[0], values.shape[1]
         flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(order, n * n)
         coeffs = (self.forward @ flat.view(np.float64)).view(np.complex128)
         blocks, start = [], 0
         for cls in self.classes:
-            k, m = cls.vectors.shape[0], cls.vectors.shape[2]
+            k, m = cls.reps.shape[0], cls.reps.shape[2]
             rows = coeffs[start:start + k * m * m]
             start += k * m * m
             blocks.append(rows.reshape(k, m, m, n, n).transpose(0, 1, 3, 2, 4).reshape(k, m * n, m * n))
         return blocks
 
-    def kernel(self, at_identity: list[np.ndarray]) -> np.ndarray:
+    def kernel(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Raw values (|G|, n, n) of the function whose convolution operator
-        has, per class, the block columns B_j (V_j[e] (x) I)^T given as (k, m n, n)."""
-        n = at_identity[0].shape[2]
-        kernel = self.columns @ np.concatenate([c.reshape(-1, n * n) for c in at_identity])
-        return kernel.reshape(self.columns.shape[0], n, n)
+        has the given blocks, one (k, m n, m n) array per class as blocks
+        returns them: the inverse of blocks, from one product."""
+        n = blocks[0].shape[1] // self.classes[0].reps.shape[2]
+        rows = np.concatenate([b.reshape(b.shape[0], b.shape[1] // n, n, -1, n).transpose(0, 1, 3, 2, 4)
+                               .reshape(-1, n * n) for b in blocks])
+        values = (self.inverse @ rows.view(np.float64)).view(np.complex128)
+        return values.reshape(self.inverse.shape[0], n, n)
 
 
 def _probe(group: GroupTable) -> np.ndarray:
@@ -151,8 +183,48 @@ def _word_plan(group: GroupTable, letters: np.ndarray) -> list[tuple[np.ndarray,
     return levels
 
 
+def _aligned(copy: np.ndarray, pi_c: np.ndarray, pi_r: np.ndarray, moves: np.ndarray, gens: np.ndarray):
+    """The copy V_c (|G|, m), which carries pi_c, rotated to carry pi_r, or
+    None when the rotation fails the invariance check on the generators.
+
+    moves[s] lists s^-1 x for every x, so that (L(s) V)[x] = V[moves[s, x]].
+    """
+    order, m = copy.shape
+    # T[a, i, b, j] = sum_g pi_c(g)[a, i] pi_r(g)[b, j]; T[:, i, :, j] is the
+    # intertwiner averaged from the matrix unit E_ij
+    t = (pi_c.reshape(order, m * m).T @ pi_r.reshape(order, m * m)).reshape(m, m, m, m)
+    i, j = np.unravel_index(np.argmax(np.einsum("aibj,aibj->ij", t, t)), (m, m))
+    w = t[:, i, :, j]
+    w = w * (np.sqrt(m) / np.linalg.norm(w))
+    rotated = copy @ w
+    defect = np.linalg.norm(rotated[moves] - rotated @ pi_r[gens], axis=(1, 2))
+    if np.max(defect) <= _INVARIANCE_TOL and np.linalg.norm(w.T @ w - np.eye(m)) <= _INVARIANCE_TOL:
+        return rotated
+    return None
+
+
+def _typed(group: GroupTable, gens: np.ndarray, vectors: np.ndarray, reps: np.ndarray) -> _SizeClass:
+    """Sort the copies of one size into types by character and rotate every
+    further copy of a type onto the type's first one, in place in vectors."""
+    characters = np.trace(reps, axis1=2, axis2=3)
+    moves = group.mult[group.inv[gens]]
+    firsts: list[int] = []
+    types = np.empty(len(vectors), dtype=np.intp)
+    for c in range(len(vectors)):
+        for t, r in enumerate(firsts):
+            if np.max(np.abs(characters[c] - characters[r])) <= _CHARACTER_TOL:
+                rotated = _aligned(vectors[c], reps[c], reps[r], moves, gens)
+                if rotated is not None:
+                    vectors[c], types[c] = rotated, t
+                    break
+        else:
+            types[c] = len(firsts)
+            firsts.append(c)
+    return _SizeClass(vectors, types, reps[firsts], np.bincount(types))
+
+
 def _build_basis(group: GroupTable, h: np.ndarray) -> FourierBasis:
-    order = group.order
+    order, e = group.order, group.identity
     w, q = np.linalg.eigh(h[group.mult[group.inv]])
     gap = _CLUSTER_REL * max(abs(w[0]), abs(w[-1]), 1e-300)
     bounds = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), order]
@@ -168,15 +240,21 @@ def _build_basis(group: GroupTable, h: np.ndarray) -> FourierBasis:
         on_letters = np.concatenate([on_letters, on_letters.swapaxes(2, 3)], axis=1)  # pi(s^-1) = pi(s)^T
         # pi_j(g) for every g, as products of the letter matrices along words
         reps = np.empty((len(chosen), order, m, m))
-        reps[:, group.identity] = np.eye(m)
+        reps[:, e] = np.eye(m)
         for fresh, parent, letter in plan:
             reps[:, fresh] = reps[:, parent] @ on_letters[:, letter]
-        classes.append(_SizeClass(np.stack([q[:, lo:hi] for lo, hi in chosen]), reps))
+        classes.append(_typed(group, gens, np.stack([q[:, lo:hi] for lo, hi in chosen]), reps))
     forward = np.concatenate([c.reps.transpose(0, 2, 3, 1).reshape(-1, order) for c in classes])
-    columns = np.concatenate([np.concatenate(list(c.vectors), axis=1) for c in classes], axis=1)
-    for array in (forward, columns, *(a for c in classes for a in (c.vectors, c.reps))):
+    # column (t, alpha, beta): sum over the copies c of t of V_c[x, alpha] V_c[e, beta]
+    inverse = []
+    for c in classes:
+        outer = (c.vectors[:, :, :, None] * c.vectors[:, e, None, None, :]).reshape(len(c.types), -1)
+        summed = np.eye(len(c.reps))[:, c.types] @ outer  # one row per type
+        inverse.append(summed.reshape(len(c.reps), order, -1).transpose(1, 0, 2).reshape(order, -1))
+    inverse = np.concatenate(inverse, axis=1)
+    for array in (forward, inverse, *(a for c in classes for a in (c.vectors, c.types, c.reps, c.multiplicities))):
         array.flags.writeable = False  # shared by every caller through the cache
-    return FourierBasis(tuple(classes), forward, columns)
+    return FourierBasis(tuple(classes), forward, inverse)
 
 
 def fourier_basis(group: GroupTable) -> FourierBasis:
@@ -215,8 +293,9 @@ class FourierSpectrum:
     """Block eigensystems of the Hermitian part H of the convolution operator of a.
 
     blocks holds, per size class, the eigenvalues (k, m n) and, when
-    requested, the eigenvectors (k, m n, m n) of its blocks.  eigenvalues
-    is the whole spectrum of H, ascending.  hermitian_gap is
+    requested, the eigenvectors (k, m n, m n) of the block of each type.
+    eigenvalues is the whole spectrum of H, ascending, each type's
+    eigenvalues repeated once per copy.  hermitian_gap is
     ||C - C^H||_F = sqrt(|G|) ||a - a*||_F.
     """
 
@@ -235,9 +314,7 @@ class FourierSpectrum:
     def apply(self, f) -> MatFun:
         """The function whose convolution operator is f(H), for f acting
         elementwise on eigenvalue arrays."""
-        e = self.group.identity
-        parts = [vectors @ (f(values)[..., None] * (vectors.conj().swapaxes(1, 2) @ cls.at_identity(e, self.n)))
-                 for cls, (values, vectors) in zip(self.basis.classes, self.blocks)]
+        parts = [(vectors * f(values)[:, None, :]) @ vectors.conj().swapaxes(1, 2) for values, vectors in self.blocks]
         return MatFun(self.group, self.n, self.basis.kernel(parts))
 
     def cut(self, t: float) -> MatFun:
@@ -253,8 +330,8 @@ def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
 
     a is first divided by the power of two near its largest entry, so
     neither the gap nor the blocks can overflow; one product builds the
-    blocks of every subspace and one batched eigh (eigvalsh without
-    vectors) per block size solves them.
+    block of every type and one batched eigh (eigvalsh without vectors)
+    per block size solves them.
     """
     group, n = a.group, a.n
     basis = fourier_basis(group)
@@ -270,5 +347,6 @@ def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
             blocks.append((values * unit, vecs))
         else:
             blocks.append((np.linalg.eigvalsh(b) * unit, None))
-    eigenvalues = np.sort(np.concatenate([values.ravel() for values, _ in blocks]))
+    eigenvalues = np.sort(np.concatenate([np.repeat(values, cls.multiplicities, axis=0).ravel()
+                                          for cls, (values, _) in zip(basis.classes, blocks)]))
     return FourierSpectrum(basis, group, n, tuple(blocks), eigenvalues, gap)

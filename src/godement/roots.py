@@ -9,11 +9,12 @@ iterates increase toward the root from below.
 The iteration has two step routes with the same iterates.  Operators of
 side |G| n below _BLOCK_MIN_SIDE take the dense step: one gather of the
 convolution matrix of the iterate and one product.  Larger ones step on
-the Fourier blocks of the iterate (see fourier), where convolution is a
-product of small blocks; blocks of nearby sizes are zero-padded into one
-stack per batched matmul.  The threshold comes from measured per-step
-costs: on one 2-core host the block step lost below |G| n = 48 (s3 and
-q8 at n = 2, z2xs4 at n = 1) and won from 72 on (s4 at n = 3, s5, z2xs5).
+the Fourier blocks of the iterate (see fourier), one per irreducible
+type, where convolution is a product of small blocks; blocks of nearby
+sizes are zero-padded into one stack per batched matmul.  The threshold
+comes from measured per-step costs: on one 2-core host the block step
+lost on every operator of side up to 16 and on z2xs4 at n = 1 (side 48),
+and won from 72 on (s4 at n = 3, s5, z2xs5).
 A block root is then checked once on the convolution kernel, which does
 not depend on the basis.
 """
@@ -226,16 +227,17 @@ def _dense_steps(group, target, root_scale, max_iter, tol, record_iterates):
 
 
 def _block_steps(basis, group, target, root_scale, max_iter, tol, record_iterates):
-    """The iteration on the Fourier blocks U_j of u: U_j <- U_j + T_j - U_j U_j.
+    """The iteration on the Fourier blocks U_t of u: U_t <- U_t + T_t - U_t U_t.
 
+    Every copy of a type has the same block, so there is one U_t per type.
     The blocks of each run of size classes (_stack_plan) are zero-padded to
     its largest side and stacked, so a step is one batched matmul per run;
     padding stays zero under the step.  All runs share one flat buffer each
-    for U, T, the squares and the gap, so the rest of a step is four whole-
-    buffer operations.  Since ||a||_2^2 = sum_j ||B_j(a)||_F^2 / |G|, the
-    residual and the trace come from the blocks, and u goes back to a
-    function through the block columns at the identity.  Returns as
-    _dense_steps does.
+    for U, T, the squares and the gap, so the rest of a step is a few whole-
+    buffer operations.  Since ||a||_2^2 = sum_t mu_t ||B_t(a)||_F^2 / |G|
+    for mu_t copies of type t, the residual and the trace are norms weighted
+    by multiplicity, and u goes back to a function through the basis kernel.
+    Returns as _dense_steps does.
     """
     n = target.shape[1]
     blocks = basis.blocks(target)
@@ -244,6 +246,7 @@ def _block_steps(basis, group, target, root_scale, max_iter, tol, record_iterate
     shapes = [(sum(b.shape[0] for b in blocks[lo:hi]), sides[hi - 1]) for lo, hi in runs]
     size = sum(k * side * side for k, side in shapes)
     t, u, square, gap = (np.zeros(size, dtype=np.complex128) for _ in range(4))
+    multiplicity = np.zeros(size)
 
     def stacked(flat):
         views, start = [], 0
@@ -255,19 +258,24 @@ def _block_steps(basis, group, target, root_scale, max_iter, tol, record_iterate
     u_runs, square_runs = stacked(u), stacked(square)
     # the unpadded block views of u, class by class, for mapping u back
     u_blocks = []
-    for (lo, hi), t_run, u_run in zip(runs, stacked(t), u_runs):
+    for (lo, hi), t_run, u_run, w_run in zip(runs, stacked(t), u_runs, stacked(multiplicity)):
         at = 0
-        for b in blocks[lo:hi]:
+        for b, cls in zip(blocks[lo:hi], basis.classes[lo:hi]):
             k, side = b.shape[0], b.shape[1]
             t_run[at:at + k, :side, :side] = b
+            w_run[at:at + k] = cls.multiplicities[:, None, None]
             u_blocks.append(u_run[at:at + k, :side, :side])
             at += k
-    at_e = [cls.at_identity(group.identity, n) for cls in basis.classes]
 
-    def function():
-        return basis.kernel([b @ e for b, e in zip(u_blocks, at_e)])
+    # weighted norms on the float views: squares, then one dot with the
+    # weight of each real and imaginary part (a complex-by-real product is slower)
+    weights, squares = np.repeat(multiplicity, 2), np.empty(2 * size)
+    t_parts, u_parts, gap_parts = t.view(np.float64), u.view(np.float64), gap.view(np.float64)
 
-    denom = math.sqrt(np.vdot(t, t).real)
+    def norm(parts):
+        return math.sqrt(np.dot(np.multiply(parts, parts, out=squares), weights))
+
+    denom = norm(t_parts)
     norm_scale = root_scale / math.sqrt(group.order)
     trace: list[float] = []
     iterates: list[MatFun] = []
@@ -275,15 +283,15 @@ def _block_steps(basis, group, target, root_scale, max_iter, tol, record_iterate
         for u_run, square_run in zip(u_runs, square_runs):
             np.matmul(u_run, u_run, out=square_run)
         np.subtract(t, square, out=gap)
-        residual = math.sqrt(np.vdot(gap, gap).real) / denom
+        residual = norm(gap_parts) / denom
         if not math.isfinite(residual):
             raise ConvergenceError(f"non-finite residual at step {k}")
         if residual <= tol:
-            return function(), residual, trace, iterates
+            return basis.kernel(u_blocks), residual, trace, iterates
         u += gap
-        trace.append(norm_scale * math.sqrt(np.vdot(u, u).real))
+        trace.append(norm_scale * norm(u_parts))
         if record_iterates:
-            iterates.append(MatFun(group, n, root_scale * function()))
+            iterates.append(MatFun(group, n, root_scale * basis.kernel(u_blocks)))
     raise ConvergenceError(f"no convergence to {tol:.1e} within {max_iter} iterations")
 
 

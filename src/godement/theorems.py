@@ -12,8 +12,6 @@ run_suite aggregates randomized trials deterministically per seed.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +19,7 @@ import numpy as np
 from .groups import GroupTable, parse_group_spec
 from .matfun import (
     MatFun,
+    _power_of_two_unit,
     convolve,
     inner,
     l2_norm,
@@ -51,9 +50,11 @@ __all__ = [
     "classify_magnitude",
     "run_suite",
     "derive_seed",
-    "THREADS_ENV_VAR",
 ]
 
+# The suite runs its trials in one thread and reads no environment variable.
+# The name stays because the benchmark harness (perfbench/run.py) clears the
+# variable it once named before it measures.
 THREADS_ENV_VAR = "GODEMENT_SUITE_THREADS"
 
 
@@ -176,13 +177,40 @@ def check_theorem_a(
     return report
 
 
+# Norms in this range multiply, in inner products and convolutions of a
+# pair, without overflow and with underflow far below rounding.
+_PAIR_RANGE = (2.0**-250, 2.0**250)
+
+
+def _in_range(a: MatFun) -> tuple[MatFun, float, float]:
+    """a / unit, its norm, and unit: a power of two that is 1 when the norm
+    of a lies in _PAIR_RANGE and else brings its largest entry into [1, 2).
+
+    The division is exact, and the pair checks are ratios homogeneous in
+    each function, so a verdict does not depend on the scale of either.
+    """
+    norm = l2_norm(a)
+    if _PAIR_RANGE[0] <= norm <= _PAIR_RANGE[1]:
+        return a, norm, 1.0
+    unit = _power_of_two_unit(a.values)
+    a = MatFun(a.group, a.n, a.values / unit)
+    return a, l2_norm(a), unit
+
+
 def check_theorem_b(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremReport:
-    """Verify that the inner product of two PD functions is real nonnegative."""
-    scale = max(l2_norm(phi) * l2_norm(psi), 1e-300)
-    value = inner(phi, psi)
+    """Verify that the inner product of two PD functions is real nonnegative.
+
+    The residual is relative to ||phi|| ||psi|| and is computed on phi and
+    psi brought into range (_in_range), so it holds at any scale; the
+    reported inner product is scaled back.
+    """
+    (phi_u, phi_norm, phi_unit), (psi_u, psi_norm, psi_unit) = _in_range(phi), _in_range(psi)
+    scale = max(phi_norm * psi_norm, 1e-300)
+    value = inner(phi_u, psi_u)
     deficit = 0.0 if value.real >= 0.0 else -value.real  # NaN when the real part is NaN
     residual = _worst(abs(value.imag), deficit) / scale
     report = TheoremReport("B", 1, phi.group.name, phi.n, residual / max(tol, 1e-300), residual <= tol)
+    value = value * phi_unit * psi_unit
     report.details = {"inner_real": value.real, "inner_imag": value.imag}
     if not report.passed:
         report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
@@ -205,11 +233,13 @@ def check_theorem_c(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremRepo
     classifies as zero and the other as nonzero, or when a magnitude is
     not finite (NaN would otherwise land in the indeterminate band);
     magnitudes inside the band (tol, 100 tol) are flagged indeterminate,
-    not failed.
+    not failed.  Both are relative to ||phi|| ||psi|| and computed on phi
+    and psi brought into range (_in_range), so they hold at any scale.
     """
-    scale = max(l2_norm(phi) * l2_norm(psi), 1e-300)
-    inner_mag = abs(inner(phi, psi)) / scale
-    conv_mag = l2_norm(convolve(phi, psi)) / scale
+    (phi_u, phi_norm, _), (psi_u, psi_norm, _) = _in_range(phi), _in_range(psi)
+    scale = max(phi_norm * psi_norm, 1e-300)
+    inner_mag = abs(inner(phi_u, psi_u)) / scale
+    conv_mag = l2_norm(convolve(phi_u, psi_u)) / scale
     side_a = classify_magnitude(inner_mag, tol)
     side_b = classify_magnitude(conv_mag, tol)
     finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
@@ -239,14 +269,21 @@ def check_theorem_c(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremRepo
 
 
 def check_inner_trace(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremReport:
-    """Verify <phi, psi> = Tr((phi * psi)(e)) for positive definite pairs."""
-    scale = max(l2_norm(phi) * l2_norm(psi), 1e-300)
-    lhs = inner(phi, psi)
-    rhs = complex(np.trace(convolve(phi, psi).values[phi.group.identity]))
+    """Verify <phi, psi> = Tr((phi * psi)(e)) for positive definite pairs.
+
+    The residual is relative to ||phi|| ||psi|| and is computed on phi and
+    psi brought into range (_in_range), so it holds at any scale; the
+    reported values are scaled back.
+    """
+    (phi_u, phi_norm, phi_unit), (psi_u, psi_norm, psi_unit) = _in_range(phi), _in_range(psi)
+    scale = max(phi_norm * psi_norm, 1e-300)
+    lhs = inner(phi_u, psi_u)
+    rhs = complex(np.trace(convolve(phi_u, psi_u).values[phi.group.identity]))
     residual = abs(lhs - rhs) / scale
     report = TheoremReport(
         "lemma_2_1", 1, phi.group.name, phi.n, residual / max(tol, 1e-300), residual <= tol
     )
+    lhs, rhs = lhs * phi_unit * psi_unit, rhs * phi_unit * psi_unit
     report.details = {"inner": [lhs.real, lhs.imag], "trace_at_identity": [rhs.real, rhs.imag]}
     if not report.passed:
         report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
@@ -301,14 +338,6 @@ def derive_seed(*parts) -> int:
     """Stable 64-bit stream seed from heterogeneous parts."""
     text = ":".join(str(p) for p in parts)
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def _suite_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _random_pd(group: GroupTable, n: int, seed: int) -> MatFun:
@@ -370,8 +399,7 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
 
     Deterministic per (config, seed): every trial draws its inputs from
     a seed derived from the suite seed and the trial coordinates, so
-    results do not depend on scheduling.  The worker count is capped by
-    the GODEMENT_SUITE_THREADS environment variable.  With
+    results do not depend on the order in which trials run.  With
     collect_trials, the result also carries one flat row per trial, whose
     iterations is the iterative root's step count for Theorem A and None
     for the other theorems.
@@ -379,23 +407,14 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
     config.validate()
     reports: list[TheoremReport] = []
     rows: list[dict] = []
-    workers = _suite_workers()
     for spec in config.groups:
         group = parse_group_spec(spec)
         for n in config.dims:
             for theorem, trial_fn in _TRIALS.items():
                 aggregate = TheoremReport(theorem, 0, group.name, n, 0.0, True)
-
-                def one(t: int, fn=trial_fn, grp=group, dim=n, thm=theorem):
-                    seed = derive_seed(config.seed, thm, grp.name, dim, t)
-                    return fn(grp, dim, seed, config)
-
-                if workers > 1:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        outcomes = list(pool.map(one, range(config.trials)))
-                else:
-                    outcomes = [one(t) for t in range(config.trials)]
-                for t, (trial_report, inputs) in enumerate(outcomes):
+                for t in range(config.trials):
+                    seed = derive_seed(config.seed, theorem, group.name, n, t)
+                    trial_report, inputs = trial_fn(group, n, seed, config)
                     _merge(aggregate, trial_report, inputs)
                     if collect_trials:
                         rows.append({

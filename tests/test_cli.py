@@ -122,6 +122,21 @@ class TestProcess:
                              timeout=120, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_successive_calls_share_no_flags(self, tmp_path, z2, capsys):
+        # one parser serves every call of the process; each call parses into
+        # a fresh namespace, so no flag or default carries over
+        path = write_phi21(tmp_path, z2)
+        assert godement.cli._parser() is godement.cli._parser()
+        assert run_cli("sqrt", path, "--method", "iterative", "--tol", "1e-3") == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "iterative"
+        assert run_cli("sqrt", path) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["method"] == "spectral" and result["residual"] <= 1e-12
+        assert run_cli("certify", path, "--group", "z6") == 2
+        assert run_cli("certify", path) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "positive_definite"
+        assert run_cli("certify", path, "--group", "z2") == 0
+
     def test_output_is_one_line(self, tmp_path, z2, capsys):
         assert run_cli("certify", write_phi21(tmp_path, z2)) == 0
         assert capsys.readouterr().out.count("\n") == 1

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import godement.fourier
+import godement.groups
 from godement import (
     ConvMatrix,
     build_dihedral,
@@ -130,19 +131,19 @@ def test_scale_invariant(spec):
                 assert rel_err(sqrt_spectral(scale(c, phi)).psi.values / np.sqrt(c), root) <= 1e-12, c
 
 
-@pytest.mark.parametrize("spec", ("d4", "q8", "s4", "z2xd6", "z3xq8", "custom"))
+@pytest.mark.parametrize("spec", ("d4", "q8", "s4", "z2xd6", "z3xq8", "custom") + LARGE)
 def test_basis_blocks_a_representation(spec):
     grp = group_of(spec)
     basis = fourier_basis(grp)
-    q = basis.columns
+    q = np.concatenate([v for c in basis.classes for v in c.vectors], axis=1)
     assert np.linalg.norm(q.T @ q - np.eye(grp.order)) <= 1e-13 * grp.order
     for cls in basis.classes:
-        reps = cls.reps
-        # pi(g) pi(h) = pi(gh) and L(g) V = V pi(g) for every pair of elements
-        prods = np.einsum("kgab,khbc->kghac", reps, reps)
-        assert np.max(np.abs(prods - reps[:, grp.mult])) <= 1e-12
+        # pi(g) pi(h) = pi(gh) for every type, and L(g) V = V pi(g) for every
+        # copy V, which carries the representation of its type
+        prods = np.einsum("kgab,khbc->kghac", cls.reps, cls.reps)
+        assert np.max(np.abs(prods - cls.reps[:, grp.mult])) <= 1e-12
         moved = cls.vectors[:, grp.mult[grp.inv]]  # (L(g) V)[x] = V[g^-1 x]
-        assert np.max(np.abs(moved - cls.vectors[:, None] @ reps)) <= 1e-12
+        assert np.max(np.abs(moved - cls.vectors[:, None] @ cls.reps[cls.types])) <= 1e-12
 
 
 def test_irreducible_dimensions():
@@ -155,6 +156,53 @@ def test_irreducible_dimensions():
     assert sizes("z5") == [1, 2, 2]
     assert sizes("s4") == [1, 1, 2, 2] + [3] * 6
     assert sizes("s5") == [1, 1] + [4] * 8 + [5] * 10 + [6] * 6
+
+
+def test_one_block_per_type():
+    # the copies of one irreducible carry one representation and share one
+    # block: S4 has 10 invariant subspaces of 5 types, S5 26 of 7
+    for spec, copies, types in (("s3", 4, 3), ("s4", 10, 5), ("s5", 26, 7), ("z2xs5", 46, 16)):
+        grp = parse_group_spec(spec)
+        basis = fourier_basis(grp)
+        assert sum(len(c.types) for c in basis.classes) == copies
+        assert sum(len(c.reps) for c in basis.classes) == types
+        assert sum(int(c.multiplicities.sum()) for c in basis.classes) == copies
+        spectrum = fourier_spectrum(random_pd(grp, 2, seed=950), vectors=False)
+        assert sum(len(values) for values, _ in spectrum.blocks) == types
+        assert spectrum.eigenvalues.size == 2 * grp.order
+    s5 = fourier_basis(parse_group_spec("s5"))
+    assert [(c.reps.shape[2], c.multiplicities.tolist()) for c in s5.classes] == [
+        (1, [1, 1]), (4, [4, 4]), (5, [5, 5]), (6, [6])]
+
+
+def test_blocks_and_kernel_are_inverse():
+    for spec in ("s3", "q8", "s4", "z3xq8", "custom"):
+        grp = group_of(spec)
+        basis = fourier_basis(grp)
+        for n in (1, 2):
+            a = random_matfun(grp, n, seed=960 + n)
+            assert rel_err(basis.kernel(basis.blocks(a.values)), a.values) <= 1e-13
+
+
+def test_copy_failing_alignment_stays_its_own_type(monkeypatch):
+    grp = build_symmetric(4)  # fresh, as below
+    basis = fourier_basis(grp)
+    three = basis.classes[-1]  # two inequivalent 3-dimensional types, three copies each
+    gens, _ = godement.groups._generating_set(grp)
+    moves = grp.mult[grp.inv[gens]]
+    first, other = (int(np.flatnonzero(three.types == t)[0]) for t in (0, 1))
+    copy = three.vectors[first]
+    assert godement.fourier._aligned(copy, three.reps[0], three.reps[0], moves, gens) is not None
+    assert godement.fourier._aligned(copy, three.reps[0], three.reps[1], moves, gens) is None
+    # with every alignment refused, each subspace is a type of its own and
+    # the results are those of solving every copy separately
+    monkeypatch.setattr(godement.fourier, "_aligned", lambda *args: None)
+    grp = build_symmetric(4)
+    assert sum(len(c.reps) for c in fourier_basis(grp).classes) == 10
+    phi = random_pd(grp, 2, seed=970)
+    ev, _ = dense_spectrum(phi)
+    assert np.max(np.abs(fourier_spectrum(phi).eigenvalues - ev)) <= 1e-12 * ev[-1]
+    assert rel_err(sqrt_spectral(phi).psi.values, dense_root(phi)) <= 1e-10
 
 
 def test_split_eigenspace_is_merged(monkeypatch):

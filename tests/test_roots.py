@@ -287,15 +287,15 @@ class TestSqrtIterative:
             assert check_theorem_a(phi).passed
 
     def test_block_root_checked_on_the_kernel(self, monkeypatch):
-        # a basis whose columns map blocks back wrongly still certifies phi and
+        # a basis whose inverse maps blocks back wrongly still certifies phi and
         # converges on the blocks; only the convolution kernel sees the error
         grp = build_symmetric(4)  # fresh: the corrupted basis must not reach the shared table
         phi = random_pd(grp, 3, seed=80)
         assert on_blocks(phi)
         basis = fourier_basis(grp)
-        columns = basis.columns.copy()
-        columns[:, -1] *= 1.0 + 1e-6
-        monkeypatch.setitem(grp._fourier_cache, "basis", dataclasses.replace(basis, columns=columns))
+        inverse = basis.inverse.copy()
+        inverse[:, -1] *= 1.0 + 1e-6
+        monkeypatch.setitem(grp._fourier_cache, "basis", dataclasses.replace(basis, inverse=inverse))
         with pytest.raises(ConvergenceError, match="convolution kernel"):
             sqrt_iterative(phi, tol=1e-9)
         monkeypatch.setitem(grp._fourier_cache, "basis", basis)

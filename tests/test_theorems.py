@@ -328,6 +328,54 @@ class TestInnerTrace:
         assert report.details["trace_at_identity"][0] == pytest.approx(5.0)
 
 
+class TestPairChecksAtAnyScale:
+    # Theorem B, C and the trace lemma judge ratios homogeneous in each
+    # function, so a verdict must not change when phi or psi is scaled
+    SCALES = (1e-200, 1e-160, 1.0, 1e160, 1e200)
+
+    @pytest.fixture
+    def pair(self, s3):
+        return random_pd(s3, 2, seed=40), random_pd(s3, 2, seed=41)
+
+    def test_theorem_b(self, pair):
+        phi, psi = pair
+        base, negative = check_theorem_b(phi, psi), check_theorem_b(phi, scale(-1.0, psi))
+        assert base.passed and not negative.passed
+        for c in self.SCALES:
+            for other in (c, 1.0 / c):
+                assert check_theorem_b(scale(c, phi), scale(other, psi)).passed, (c, other)
+                report = check_theorem_b(scale(c, phi), scale(-other, psi))
+                assert not report.passed, (c, other)
+                assert report.worst_residual == pytest.approx(negative.worst_residual, rel=1e-12)
+            if 1e-300 < c * c < 1e300:  # the inner product itself is representable
+                report = check_theorem_b(scale(c, phi), scale(c, psi))
+                assert report.details["inner_real"] == pytest.approx(c * c * base.details["inner_real"], rel=1e-12)
+
+    def test_theorem_c(self, s3, pair):
+        phi, psi = pair
+        theta = random_pd(s3, 2, seed=42)
+        ev = np.linalg.eigvalsh(conv_matrix(theta).data)
+        low, high = build_orthogonal_pd_pair(theta, float((ev[0] + ev[-1]) / 2))
+        overlap = check_theorem_c(phi, psi)
+        for c in self.SCALES:
+            for other in (c, 1.0 / c):
+                report = check_theorem_c(scale(c, low), scale(other, high))
+                assert report.passed, (c, other)
+                assert (report.details["inner_class"], report.details["conv_class"]) == ("zero", "zero")
+                report = check_theorem_c(scale(c, phi), scale(other, psi))
+                assert report.passed, (c, other)
+                assert (report.details["inner_class"], report.details["conv_class"]) == ("nonzero", "nonzero")
+                for key in ("inner_scaled", "conv_scaled"):
+                    assert report.details[key] == pytest.approx(overlap.details[key], rel=1e-12)
+
+    def test_inner_trace(self, pair):
+        phi, psi = pair
+        for c in self.SCALES:
+            for other in (c, 1.0 / c):
+                report = check_inner_trace(scale(c, phi), scale(other, psi))
+                assert report.passed and report.worst_residual <= 1e-2, (c, other)
+
+
 class TestRunSuite:
     def test_small_suite_passes(self):
         config = SuiteConfig(groups=("cyclic:6", "dihedral:3"), dims=(1, 2), trials=4, seed=7, name="small")
@@ -351,14 +399,6 @@ class TestRunSuite:
         first = json.dumps(run_suite(config), sort_keys=True)
         second = json.dumps(run_suite(config), sort_keys=True)
         assert first == second
-
-    def test_threads_do_not_change_results(self, monkeypatch):
-        config = SuiteConfig(groups=("dihedral:3",), dims=(1,), trials=4, seed=13, name="thr")
-        monkeypatch.delenv("GODEMENT_SUITE_THREADS", raising=False)
-        sequential = json.dumps(run_suite(config), sort_keys=True)
-        monkeypatch.setenv("GODEMENT_SUITE_THREADS", "3")
-        threaded = json.dumps(run_suite(config), sort_keys=True)
-        assert sequential == threaded
 
     def test_merge_keeps_nan(self):
         aggregate = TheoremReport("A", 0, "cyclic:2", 1, 0.0, True)
