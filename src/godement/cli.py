@@ -15,7 +15,7 @@ import sys
 from datetime import datetime, timezone
 
 from .groups import canonical_spec, group_to_json, parse_group_spec
-from .matfun import _complex_normal, _generator, make_pd, matfun_from_json, matfun_to_json, random_matfun
+from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from .operators import NotPositiveDefiniteError, is_positive_definite, spectral_truncate
 from .reps import check_tensor_nonneg, regular_rep, tensor_product
 from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
@@ -155,9 +155,7 @@ def _cmd_rep_demo(args) -> int:
     group = parse_group_spec(args.group)
     reg = regular_rep(group)
     rep = tensor_product(reg, reg) if args.tensor else reg
-    rg = _generator(derive_seed(args.seed, "rep-demo"))
-    u1 = _complex_normal(rg, (args.n, rep.dim))
-    u2 = _complex_normal(rg, (args.n, rep.dim))
+    u1, u2 = _complex_normals(derive_seed(args.seed, "rep-demo"), (args.n, rep.dim), (args.n, rep.dim))
     report = check_tensor_nonneg(rep, u1, rep, u2, tol=args.tol)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE

@@ -8,6 +8,8 @@ inner product is <a, b> = sum_g Tr(a(g) conj(b(g))^T).
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,21 @@ __all__ = [
 ]
 
 
+def _checked_values(values, shape: tuple[int, ...], axes: str, kind: str) -> np.ndarray:
+    """values as a read-only C-contiguous complex128 array of the given shape,
+    with every entry finite.  An array that is C-contiguous complex128
+    already is taken as it is, without a copy; the shape and finiteness
+    checks run on every call."""
+    if not (type(values) is np.ndarray and values.dtype == np.complex128 and values.flags.c_contiguous):
+        values = np.ascontiguousarray(values, dtype=np.complex128)
+    if values.shape != shape:
+        raise ValueError(f"values shape {values.shape} does not match {axes} = {shape}")
+    if not np.isfinite(values.view(np.float64)).all():
+        raise ValueError(f"{kind} entries must be finite")
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class MatFun:
     """One complex n x n matrix per group element; values[g] is the value at g."""
@@ -46,16 +63,8 @@ class MatFun:
     values: np.ndarray  # (|G|, n, n) complex128
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if vals.shape != (self.group.order, self.n, self.n):
-            raise ValueError(
-                f"values shape {vals.shape} does not match (|G|, n, n) = "
-                f"({self.group.order}, {self.n}, {self.n})"
-            )
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise ValueError("MatFun entries must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        shape = (self.group.order, self.n, self.n)
+        object.__setattr__(self, "values", _checked_values(self.values, shape, "(|G|, n, n)", "MatFun"))
 
     def at(self, g: int) -> np.ndarray:
         return self.values[g]
@@ -70,16 +79,8 @@ class VecFun:
     values: np.ndarray  # (|G|, n) complex128
 
     def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.complex128))
-        if vals.shape != (self.group.order, self.n):
-            raise ValueError(
-                f"values shape {vals.shape} does not match (|G|, n) = "
-                f"({self.group.order}, {self.n})"
-            )
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise ValueError("VecFun entries must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        shape = (self.group.order, self.n)
+        object.__setattr__(self, "values", _checked_values(self.values, shape, "(|G|, n)", "VecFun"))
 
     def flat(self) -> np.ndarray:
         """Flatten to C^(|G| n) with index g*n + component."""
@@ -146,10 +147,14 @@ def convolve_vec(a: MatFun, u: VecFun) -> VecFun:
     return VecFun(a.group, a.n, _conv_kernel(a.group, a.values, u.values))
 
 
+def _adjoint(group: GroupTable, a: np.ndarray) -> np.ndarray:
+    """conj(a(g^-1))^T for every g, on raw values a (|G|, n, n)."""
+    return np.conj(a[group.inv]).transpose(0, 2, 1)
+
+
 def star(a: MatFun) -> MatFun:
     """Adjoint in the *-algebra: a*(g) = conj(a(g^-1))^T."""
-    vals = np.conj(a.values[a.group.inv]).transpose(0, 2, 1)
-    return MatFun(a.group, a.n, vals)
+    return MatFun(a.group, a.n, _adjoint(a.group, a.values))
 
 
 def inner(a: MatFun, b: MatFun) -> complex:
@@ -191,6 +196,23 @@ def _power_of_two_unit(values: np.ndarray) -> float:
 _TINY_NORM = 2.0**-500
 
 
+@np.errstate(over="ignore")  # an overflowing sum is recomputed, so its warning would be noise
+def _plain_norm(values: np.ndarray) -> float:
+    """The Frobenius norm as numpy.linalg.norm computes it, in the same order."""
+    flat = values.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _l2(values: np.ndarray) -> float:
+    """l2_norm of raw values, for callers that hold an array and no MatFun."""
+    norm = _plain_norm(values)
+    if not _TINY_NORM <= norm < math.inf:
+        unit = _power_of_two_unit(values)
+        norm = _plain_norm(values / unit) * unit
+    return norm
+
+
 def l2_norm(a: MatFun) -> float:
     """sqrt(sum_g ||a(g)||_F^2), finite for every finite a.
 
@@ -198,11 +220,7 @@ def l2_norm(a: MatFun) -> float:
     near 1e154 and underflows below 1e-154; only then is it recomputed
     on a divided by the power of two near its largest entry.
     """
-    norm = float(np.linalg.norm(a.values))
-    if not _TINY_NORM <= norm < np.inf:
-        unit = _power_of_two_unit(a.values)
-        norm = float(np.linalg.norm(a.values / unit)) * unit
-    return norm
+    return _l2(a.values)
 
 
 def l1_norm(a: MatFun) -> float:
@@ -220,28 +238,50 @@ def zero_matfun(group: GroupTable, n: int) -> MatFun:
     return MatFun(group, n, np.zeros((group.order, n, n), dtype=np.complex128))
 
 
-def _generator(seed: int) -> np.random.Generator:
-    # Philox is counter-based: the stream is a pure function of the key.
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+_STREAMS = threading.local()
+_SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def _complex_normal(rg: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard complex Gaussian entries: real then imaginary parts drawn from rg."""
-    return (rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2.0)
+def _complex_normals(seed: int, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Standard complex Gaussian arrays of the given shapes, drawn in turn
+    (real then imaginary parts of each) from the Philox stream keyed by seed.
+
+    Philox is counter-based: its whole state is its key, its counter and a
+    buffer, so setting that state (key, counter 0, empty buffer) on this
+    thread's one generator gives the stream Generator(Philox(key)) would,
+    without building one.  The generator never leaves this function, so
+    no caller can hold it across another draw.
+    """
+    rg = getattr(_STREAMS, "generator", None)
+    if rg is None:
+        rg = _STREAMS.generator = np.random.Generator(np.random.Philox(key=0))
+    rg.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & _SEED_MASK, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draws = []
+    for shape in shapes:
+        re, im = rg.standard_normal((2, *shape))
+        draws.append((re + 1j * im) / np.sqrt(2.0))
+    return draws
 
 
 def random_matfun(group: GroupTable, n: int, seed: int) -> MatFun:
     """Independent standard complex Gaussian entries, deterministic per seed."""
-    return MatFun(group, n, _complex_normal(_generator(seed), (group.order, n, n)))
+    return MatFun(group, n, _complex_normals(seed, (group.order, n, n))[0])
 
 
 def random_vecfun(group: GroupTable, n: int, seed: int) -> VecFun:
-    return VecFun(group, n, _complex_normal(_generator(seed), (group.order, n)))
+    return VecFun(group, n, _complex_normals(seed, (group.order, n))[0])
 
 
 def make_pd(f: MatFun) -> MatFun:
     """star(f) * f, positive definite since its convolution operator is T^H T."""
-    return convolve(star(f), f)
+    return MatFun(f.group, f.n, _conv_kernel(f.group, _adjoint(f.group, f.values), f.values))
 
 
 def _is_standard_spec(name: str) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import FourierSpectrum
-from .matfun import MatFun, _conv_index, convolve, l2_norm, matfun_to_json, subtract, zero_matfun
+from .matfun import MatFun, _conv_index, _conv_kernel, _l2, convolve, l2_norm, matfun_to_json, zero_matfun
 from .operators import DEFAULT_PD_TOL, _certified_spectrum
 
 # Operators of side |G| n from this on iterate on their Fourier blocks,
@@ -116,10 +116,15 @@ def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, pd_tol: f
     floor = pd_tol * spectrum.operator_norm
     psi = spectrum.apply(lambda ev: np.sqrt(np.where(ev <= floor, 0.0, ev)))
     denom = l2_norm(phi)
-    residual = l2_norm(subtract(convolve(psi, psi), phi)) / denom if denom > 0 else 0.0
+    residual = _square_gap(psi, phi) / denom if denom > 0 else 0.0
     if not residual <= tol:
         raise ConvergenceError(f"spectral square root residual {residual:.3e} exceeds {tol:.3e}")
     return SqrtResult(psi=psi, method="spectral", residual=residual)
+
+
+def _square_gap(psi: MatFun, phi: MatFun) -> float:
+    """||psi * psi - phi||_2, on the convolution kernel."""
+    return _l2(_conv_kernel(psi.group, psi.values, psi.values) - phi.values)
 
 
 def sqrt_iterative(
@@ -181,7 +186,7 @@ def _iterative_root(
     psi = MatFun(group, phi.n, root_scale * u)
     if on_blocks:
         # the loop saw only blocks; the root is checked on the convolution kernel
-        check = l2_norm(subtract(convolve(psi, psi), phi)) / l2_norm(phi)
+        check = _square_gap(psi, phi) / l2_norm(phi)
         if not check <= tol * (1.0 + _RECHECK_SLACK):
             raise ConvergenceError(f"iterative square root residual {check:.3e} exceeds {tol:.3e} "
                                    f"on the convolution kernel")

@@ -19,8 +19,9 @@ import numpy as np
 from .groups import GroupTable, parse_group_spec
 from .matfun import (
     MatFun,
+    _conv_kernel,
+    _l2,
     _power_of_two_unit,
-    convolve,
     inner,
     l2_norm,
     make_pd,
@@ -147,18 +148,15 @@ def check_theorem_a(
         return report
 
     # iterative convergence itself is enforced by ConvergenceError above
-    agreement = l2_norm(subtract(spectral.psi, iterative.psi))
+    agreement = _l2(spectral.psi.values - iterative.psi.values)
     residuals = {
         "spectral_residual": spectral.residual / tol,
         "star_gap": hermitian_symmetry_residual(spectral.psi) / max(1e-300, 1e-10 * l2_norm(spectral.psi)),
         "psi_not_pd": 0.0 if is_positive_definite(spectral.psi).ok else np.inf,
         "method_agreement": agreement / max(1e-300, agreement_tol * scale_phi),
     }
-    trace = iterative.monotone_trace or ()
-    trace_bound = float(np.trace(phi.values[group.identity]).real) * (1.0 + 1e-12)
-    dip_floor = -1e-12 * max(trace, default=0.0)
-    monotone_ok = all(trace[i + 1] - trace[i] >= dip_floor for i in range(len(trace) - 1))
-    bound_ok = all(v * v <= trace_bound for v in trace)
+    phi_trace = float(np.trace(phi.values[group.identity]).real)
+    monotone_ok, bound_ok = _trace_checks(iterative.monotone_trace or (), phi_trace)
     residuals["trace_monotone"] = 0.0 if monotone_ok else np.inf
     residuals["trace_bound"] = 0.0 if bound_ok else np.inf
 
@@ -175,6 +173,16 @@ def check_theorem_a(
         report.counterexample = {"phi": matfun_to_json(phi)}
         report.details["failure"] = worst_key
     return report
+
+
+def _trace_checks(trace, phi_trace: float) -> tuple[bool, bool]:
+    """Whether the trace ||psi_k|| of the iteration is monotone up to a dip of
+    1e-12 of its largest value, and whether every ||psi_k||^2 stays within
+    Tr phi(e) up to 1e-12 of it."""
+    trace = np.asarray(trace, dtype=np.float64)
+    monotone = (np.diff(trace) >= -1e-12 * trace.max(initial=0.0)).all()
+    bounded = (trace * trace <= phi_trace * (1.0 + 1e-12)).all()
+    return bool(monotone), bool(bounded)
 
 
 # Norms in this range multiply, in inner products and convolutions of a
@@ -239,7 +247,7 @@ def check_theorem_c(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremRepo
     (phi_u, phi_norm, _), (psi_u, psi_norm, _) = _in_range(phi), _in_range(psi)
     scale = max(phi_norm * psi_norm, 1e-300)
     inner_mag = abs(inner(phi_u, psi_u)) / scale
-    conv_mag = l2_norm(convolve(phi_u, psi_u)) / scale
+    conv_mag = _l2(_conv_kernel(phi.group, phi_u.values, psi_u.values)) / scale
     side_a = classify_magnitude(inner_mag, tol)
     side_b = classify_magnitude(conv_mag, tol)
     finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
@@ -278,7 +286,7 @@ def check_inner_trace(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremRe
     (phi_u, phi_norm, phi_unit), (psi_u, psi_norm, psi_unit) = _in_range(phi), _in_range(psi)
     scale = max(phi_norm * psi_norm, 1e-300)
     lhs = inner(phi_u, psi_u)
-    rhs = complex(np.trace(convolve(phi_u, psi_u).values[phi.group.identity]))
+    rhs = complex(np.trace(_conv_kernel(phi.group, phi_u.values, psi_u.values)[phi.group.identity]))
     residual = abs(lhs - rhs) / scale
     report = TheoremReport(
         "lemma_2_1", 1, phi.group.name, phi.n, residual / max(tol, 1e-300), residual <= tol

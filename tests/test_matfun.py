@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+import godement.cli
 from godement import (
     GroupTable,
     MatFun,
@@ -32,7 +33,9 @@ from godement import (
     subtract,
     zero_matfun,
 )
+from godement.cli import main
 from godement.matfun import _conv_index
+from godement.theorems import derive_seed
 from conftest import phi_21, random_pd, relabeled_s3
 
 REL = 1e-10
@@ -227,7 +230,6 @@ class TestLinearOps:
     def test_l2_of_delta(self, d4):
         assert l2_norm(delta_identity(d4, 3)) == pytest.approx(np.sqrt(3))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_l2_scales_at_extreme_magnitudes(self, s3):
         # the plain norm squares entries: it gave inf from about 1e154 on, and 0.0 at 1e-170
         phi = make_pd(random_matfun(s3, 2, seed=3))
@@ -273,6 +275,13 @@ class TestRandomAndPd:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("spec", STANDARD_SPECS)
+    def test_make_pd_is_star_f_times_f_bitwise(self, spec):
+        grp = parse_group_spec(spec)
+        for n in (1, 2, 3):
+            f = random_matfun(grp, n, seed=derive_seed(spec, n))
+            assert np.array_equal(make_pd(f).values, convolve(star(f), f).values), (spec, n)
+
     def test_make_pd_of_delta(self, z6):
         delta = delta_identity(z6, 2)
         assert rel_close(make_pd(delta), delta, tol=0.0)
@@ -287,6 +296,77 @@ class TestRandomAndPd:
         # E|z|^2 = 1 per entry; loose sanity band
         mean_sq = np.mean(np.abs(a.values) ** 2)
         assert 0.5 < mean_sq < 1.8
+
+
+def fresh_draws(seed: int, *shapes) -> list[np.ndarray]:
+    """The reference stream: a new Generator(Philox) per seed, real then
+    imaginary parts of each shape in turn."""
+    rg = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+    return [(rg.standard_normal(shape) + 1j * rg.standard_normal(shape)) / np.sqrt(2.0) for shape in shapes]
+
+
+STREAM_SEEDS = (0, 1, 2**63 + 5, 2**64 - 1, -3, derive_seed(2024, "A", "S3", 2, 0), derive_seed(7, "phi"),
+                derive_seed(7, "psi"))
+
+
+class TestStream:
+    def test_draws_match_a_fresh_generator(self, s3):
+        for seed in STREAM_SEEDS:
+            for n in (1, 2, 3):
+                assert np.array_equal(random_matfun(s3, n, seed).values, fresh_draws(seed, (6, n, n))[0]), seed
+                assert np.array_equal(random_vecfun(s3, n, seed).values, fresh_draws(seed, (6, n))[0]), seed
+
+    @pytest.mark.parametrize("tensor", [False, True])
+    def test_rep_demo_draws_match_a_fresh_generator(self, monkeypatch, capsys, tensor):
+        seen = []
+        real = godement.cli.check_tensor_nonneg
+
+        def spy(rep1, u1, rep2, u2, **kwargs):
+            seen.append((rep1.dim, u1, u2))
+            return real(rep1, u1, rep2, u2, **kwargs)
+
+        monkeypatch.setattr(godement.cli, "check_tensor_nonneg", spy)
+        assert main(["rep-demo", "--group", "d3", "--n", "2", "--seed", "5"] + (["--tensor"] if tensor else [])) == 0
+        capsys.readouterr()
+        (dim, u1, u2), = seen
+        # u1 then u2 from one stream, in that order
+        want1, want2 = fresh_draws(derive_seed(5, "rep-demo"), (2, dim), (2, dim))
+        assert np.array_equal(u1, want1) and np.array_equal(u2, want2)
+
+    def test_interleaved_seeds_reproduce(self, d4):
+        a = random_matfun(d4, 2, seed=2**63 + 5).values
+        b = random_vecfun(d4, 3, seed=17).values
+        assert np.array_equal(random_matfun(d4, 2, seed=2**63 + 5).values, a)
+        assert np.array_equal(random_vecfun(d4, 3, seed=17).values, b)
+        assert not np.array_equal(random_matfun(d4, 2, seed=17).values, a)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_threads_draw_as_one_thread_does(self, s3, workers):
+        # each thread has its own generator: concurrent draws match sequential ones
+        seeds = [derive_seed(11, k) for k in range(40)]
+        expected = [random_matfun(s3, 2, seed).values for seed in seeds]
+        barrier = threading.Barrier(workers)
+        got: dict[int, list[np.ndarray]] = {}
+
+        def worker(w):
+            barrier.wait(timeout=10)
+            got[w] = [random_matfun(s3, 2, seed).values for seed in seeds[w::2] + seeds[::-1]]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+        for w in range(workers):
+            want = expected[w::2] + expected[::-1]
+            assert len(got[w]) == len(want)
+            assert all(np.array_equal(x, y) for x, y in zip(got[w], want))
 
 
 class TestVecFun:
@@ -320,6 +400,45 @@ class TestValidation:
     def test_rejects_bad_shape(self, z2):
         with pytest.raises(ValueError, match="shape"):
             MatFun(z2, 2, np.zeros((2, 1, 1), dtype=complex))
+        with pytest.raises(ValueError, match="shape"):
+            VecFun(z2, 2, np.zeros((2, 1), dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_rejects_nonfinite_in_every_form(self, z2, bad):
+        for vals in (np.array([[[0.0]], [[bad]]]), np.array([[[0.0]], [[bad]]], dtype=complex), [[[0.0]], [[bad]]]):
+            with pytest.raises(ValueError, match="finite"):
+                MatFun(z2, 1, vals)
+        with pytest.raises(ValueError, match="finite"):
+            VecFun(z2, 1, np.array([[bad], [0.0]], dtype=complex))
+
+    def test_converts_other_input(self, d3):
+        ref = random_matfun(d3, 2, seed=5).values
+        inputs = {
+            "list": ref.tolist(),
+            "float": ref.real.copy(),
+            "int": np.arange(24).reshape(6, 2, 2),
+            "python float": [[[float(k)] * 2] * 2 for k in range(6)],
+            "fortran": np.asfortranarray(ref),
+            "strided": np.concatenate([ref, ref], axis=2)[:, :, :2],
+            "big-endian": ref.astype(">c16"),
+        }
+        for name, vals in inputs.items():
+            got = MatFun(d3, 2, vals).values
+            assert got.dtype == np.complex128 and got.flags.c_contiguous and not got.flags.writeable, name
+            assert np.array_equal(got, np.asarray(vals, dtype=complex)), name
+            if isinstance(vals, np.ndarray):
+                assert vals.flags.writeable, name  # a converted input is copied, not frozen
+        u = VecFun(d3, 2, np.asfortranarray(ref[:, :, 0].real))
+        assert u.values.dtype == np.complex128 and u.values.flags.c_contiguous and not u.values.flags.writeable
+
+    def test_wraps_complex_arrays_without_a_copy(self, d3):
+        vals = random_matfun(d3, 2, seed=5).values.copy()
+        a = MatFun(d3, 2, vals)
+        assert a.values is vals and not vals.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a.values[0, 0, 0] = 1.0
+        u = np.zeros((6, 2), dtype=complex)
+        assert VecFun(d3, 2, u).values is u and not u.flags.writeable
 
 
 class TestJson:

@@ -36,7 +36,8 @@ from godement import (
     sqrt_spectral,
     subtract,
 )
-from godement.theorems import _merge, classify_magnitude, derive_seed
+from godement.operators import DEFAULT_PD_TOL
+from godement.theorems import _in_range, _merge, classify_magnitude, derive_seed
 from conftest import phi_21, random_pd
 
 
@@ -59,9 +60,10 @@ class TestTheoremA:
 
     def test_nan_residual_fails_with_reason(self, s3, monkeypatch):
         # l2_norm no longer overflows at 1e200, where this input once gave a NaN
-        # residual; the NaN now comes from the residual's norm itself
+        # residual; the NaN now comes from the residual's norm itself, taken on
+        # the array psi*psi - phi
         phi = random_pd(s3, 2, seed=3)
-        monkeypatch.setattr(godement.roots, "l2_norm", lambda a: l2_norm(a) if a is phi else float("nan"))
+        monkeypatch.setattr(godement.roots, "_l2", lambda values: float("nan"))
         report = check_theorem_a(phi)
         assert not report.passed
         assert "residual nan" in report.details["failure"]
@@ -143,6 +145,70 @@ class TestTheoremA:
         assert report.counterexample is not None
         assert "phi" in report.counterexample
         assert "not positive definite" in report.details["failure"]
+
+
+def loop_trace_checks(trace, phi_trace):
+    """Theorem A's trace checks as loops over the trace: the reference."""
+    dip_floor = -1e-12 * max(trace, default=0.0)
+    monotone = all(trace[i + 1] - trace[i] >= dip_floor for i in range(len(trace) - 1))
+    bounded = all(v * v <= phi_trace * (1.0 + 1e-12) for v in trace)
+    return monotone, bounded
+
+
+# one spec per family and product shape
+ARRAY_LEVEL_SPECS = ("z2", "z6", "klein", "d3", "d4", "q8", "s3", "s4", "z2xz3", "z2xd6")
+
+
+class TestArrayLevelQuantities:
+    # the checks compute these on arrays; each equals, bit for bit, its
+    # expression on MatFuns
+
+    @pytest.mark.parametrize("spec", ARRAY_LEVEL_SPECS)
+    def test_theorem_a(self, spec):
+        grp = parse_group_spec(spec)
+        for n in (1, 2, 3):
+            phi = random_pd(grp, n, seed=derive_seed("A", spec, n))
+            report = check_theorem_a(phi)
+            spectrum = godement.fourier.fourier_spectrum(phi)
+            spectral = godement.roots._spectral_root(phi, spectrum, 1e-8, DEFAULT_PD_TOL)
+            iterative = godement.roots._iterative_root(phi, spectrum, 200_000, 1e-9, False)
+            assert report.details["agreement"] == l2_norm(subtract(spectral.psi, iterative.psi)), (spec, n)
+            residual = l2_norm(subtract(convolve(spectral.psi, spectral.psi), phi)) / l2_norm(phi)
+            assert report.details["spectral_residual"] == residual, (spec, n)
+
+    def test_trace_checks_match_the_loops(self):
+        rng = np.random.default_rng(3)
+        traces = [(), (1.0,), (float("nan"),), (1.0, float("nan"), 2.0), (0.0, 0.0)]
+        for _ in range(300):
+            steps = rng.uniform(-1e-11, 1.0, size=rng.integers(1, 40)) * rng.choice([1e-8, 1.0, 1e8])
+            trace = np.cumsum(steps)
+            if trace.size > 1 and rng.random() < 0.5:  # a step down just inside or well outside the floor
+                i = rng.integers(1, trace.size)
+                trace[i] = trace[i - 1] - rng.choice([1e-13, 1e-6]) * trace.max()
+            traces.append(tuple(float(v) for v in trace))
+        seen = set()
+        for trace in traces:
+            peak = max(trace, default=1.0)
+            for phi_trace in (peak * peak * (1.0 - 1e-13), peak * peak, peak * peak * (1.0 + 2e-12), 0.0):
+                got = godement.theorems._trace_checks(trace, phi_trace)
+                assert got == loop_trace_checks(trace, phi_trace), (trace, phi_trace)
+                seen.add(got)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("spec", ARRAY_LEVEL_SPECS)
+    def test_pair_checks(self, spec):
+        grp = parse_group_spec(spec)
+        for n in (1, 2, 3):
+            phi = random_pd(grp, n, seed=derive_seed("phi", spec, n))
+            psi = random_pd(grp, n, seed=derive_seed("psi", spec, n))
+            # in range as given, and brought into range by powers of two
+            for a, b in ((phi, psi), (scale(1e200, phi), scale(1e-200, psi))):
+                (a_u, a_norm, a_unit), (b_u, b_norm, b_unit) = _in_range(a), _in_range(b)
+                product = convolve(a_u, b_u)
+                conv_scaled = l2_norm(product) / max(a_norm * b_norm, 1e-300)
+                assert check_theorem_c(a, b).details["conv_scaled"] == conv_scaled, (spec, n)
+                rhs = complex(np.trace(product.values[grp.identity])) * a_unit * b_unit
+                assert check_inner_trace(a, b).details["trace_at_identity"] == [rhs.real, rhs.imag], (spec, n)
 
 
 class TestTheoremB:
@@ -273,16 +339,8 @@ class TestTheoremC:
         assert report.counterexample is not None
 
     def test_nan_convolution_magnitude_fails(self, d4, monkeypatch):
-        real_convolve, real_norm = godement.theorems.convolve, godement.theorems.l2_norm
-        products = []
-
-        def convolve_spy(a, b):
-            products.append(real_convolve(a, b))
-            return products[-1]
-
-        monkeypatch.setattr(godement.theorems, "convolve", convolve_spy)
-        monkeypatch.setattr(godement.theorems, "l2_norm",
-                            lambda a: float("nan") if any(a is p for p in products) else real_norm(a))
+        # the convolution's norm is the one taken on an array; the pair's norms are on MatFuns
+        monkeypatch.setattr(godement.theorems, "_l2", lambda values: float("nan"))
         report = check_theorem_c(random_pd(d4, 2, seed=16), random_pd(d4, 2, seed=17))
         assert not report.passed and np.isnan(report.worst_residual)
         assert "convolution nan" in report.details["failure"]
