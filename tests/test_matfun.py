@@ -34,7 +34,7 @@ from godement import (
     zero_matfun,
 )
 from godement.cli import main
-from godement.matfun import _conv_index
+from godement.matfun import _conv_index, _plain_norm
 from godement.theorems import derive_seed
 from conftest import phi_21, random_pd, relabeled_s3
 
@@ -237,6 +237,14 @@ class TestLinearOps:
         assert base == float(np.linalg.norm(phi.values))  # ordinary inputs keep the plain result
         for c in (1e-200, 1e-170, 1e154, 1e200):
             assert abs(l2_norm(scale(c, phi)) - c * base) <= 4e-16 * c * base
+
+    def test_plain_norm_is_numpy_norm_bitwise(self, s3):
+        # suite output depends on the plain norm rounding as numpy.linalg.norm does
+        base = make_pd(random_matfun(s3, 2, seed=3)).values
+        arrays = [base, base * 1e100, base[:, :1, :], base.transpose(2, 1, 0), base[::2], np.zeros((3, 1, 1), complex)]
+        arrays += [random_matfun(s3, n, seed=n).values for n in (1, 3, 4)]
+        for values in arrays:
+            assert _plain_norm(values) == float(np.linalg.norm(values))
 
     def test_l2_of_nan_is_nan(self):
         # MatFun refuses NaN, so the input is a stand-in with the one attribute read
