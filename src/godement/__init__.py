@@ -58,12 +58,10 @@ from .operators import (
     gram_pd_check,
     hermitian_symmetry_residual,
     is_positive_definite,
-    operator_norm,
     pd_order_leq,
     right_translation_matrix,
     spectral_truncate,
     translation_commutant_residual,
-    translation_equivariance_residual,
 )
 from .reps import (
     UnitaryRep,

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _generating_set
-from .matfun import MatFun, _power_of_two_unit
+from .groups import GroupTable, _generating_set, _word_plan
+from .matfun import MatFun, _adjoint, _power_of_two_unit
 
 __all__ = ["FourierBasis", "FourierSpectrum", "fourier_basis", "fourier_spectrum", "count_leq"]
 
@@ -74,6 +74,9 @@ _INVARIANCE_TOL = 1e-12
 # element (their difference has mean square sum_i n_i^2 >= 1 over G), so a
 # computed character within half of that of a type's is that type's.
 _CHARACTER_TOL = 0.5
+# Eigenvalues of a spectrum closer than this, relative to the largest, are
+# one cluster that a spectral cut keeps or drops whole (count_leq).
+_CUT_CLUSTER_REL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,24 +168,6 @@ def _invariant_ranges(on_gens: np.ndarray, bounds: list[int]) -> list[tuple[int,
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _word_plan(group: GroupTable, letters: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Breadth-first levels (new, parent, letter) with new = parent * letters[letter]."""
-    seen = np.zeros(group.order, dtype=bool)
-    seen[group.identity] = True
-    frontier = np.array([group.identity], dtype=np.intp)
-    levels = []
-    while frontier.size:
-        reached = group.mult[np.ix_(frontier, letters)].ravel()
-        where = np.full(group.order, -1, dtype=np.intp)
-        where[reached] = np.arange(reached.size)  # one position of each reached element
-        fresh = np.flatnonzero((where >= 0) & ~seen)
-        if fresh.size:
-            levels.append((fresh, frontier[where[fresh] // letters.size], where[fresh] % letters.size))
-        seen[fresh] = True
-        frontier = fresh
-    return levels
-
-
 def _aligned(copy: np.ndarray, pi_c: np.ndarray, pi_r: np.ndarray, moves: np.ndarray, gens: np.ndarray):
     """The copy V_c (|G|, m), which carries pi_c, rotated to carry pi_r, or
     None when the rotation fails the invariance check on the generators.
@@ -270,7 +255,7 @@ def fourier_basis(group: GroupTable) -> FourierBasis:
     return basis
 
 
-def count_leq(eigenvalues: np.ndarray, t: float, cluster_rel: float = 1e-10) -> int:
+def count_leq(eigenvalues: np.ndarray, t: float) -> int:
     """How many of the ascending eigenvalues a spectral cut at t keeps.
 
     Exactly degenerate eigenvalues come back from a solver split at
@@ -281,7 +266,7 @@ def count_leq(eigenvalues: np.ndarray, t: float, cluster_rel: float = 1e-10) -> 
     it whichever solver computed t.
     """
     ev = eigenvalues
-    gap = cluster_rel * max(abs(ev[0]), abs(ev[-1]), 1e-300)
+    gap = _CUT_CLUSTER_REL * max(abs(ev[0]), abs(ev[-1]), 1e-300)
     count = int(np.searchsorted(ev, t + gap, side="right"))
     while 0 < count < ev.size and ev[count] - ev[count - 1] <= gap:
         count += 1
@@ -337,7 +322,7 @@ def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     basis = fourier_basis(group)
     unit = _power_of_two_unit(a.values)
     scaled = a.values / unit
-    adjoint = np.conj(scaled[group.inv]).transpose(0, 2, 1)
+    adjoint = _adjoint(group, scaled)
     gap = float(np.sqrt(group.order) * np.linalg.norm(scaled - adjoint)) * unit
     herm = (scaled + adjoint) / 2.0
     blocks = []

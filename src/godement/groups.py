@@ -82,24 +82,27 @@ class GroupTable:
         )
 
 
-def _closure(t: GroupTable, letters: np.ndarray) -> tuple[np.ndarray, int]:
+def _word_plan(t: GroupTable, letters: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Breadth-first search from the identity, multiplying by letters on the
-    right: membership mask of the subgroup they generate and the largest
+    right: one level (new, parent, letter) per distance, with new = parent *
+    letters[letter].  The elements of the levels and the identity make up the
+    subgroup the letters generate, and the number of levels is the largest
     distance reached."""
     seen = np.zeros(t.order, dtype=bool)
     seen[t.identity] = True
     frontier = np.array([t.identity], dtype=np.intp)
-    depth = 0
-    while True:
-        # a mask, not np.unique, which would import numpy.ma on first use
-        hit = np.zeros(t.order, dtype=bool)
-        hit[t.mult[np.ix_(frontier, letters)]] = True
-        reached = np.flatnonzero(hit & ~seen)
-        if reached.size == 0:
-            return seen, depth
-        seen[reached] = True
-        frontier = reached
-        depth += 1
+    levels = []
+    while frontier.size:
+        # positions in a mask, not np.unique, which would import numpy.ma on first use
+        reached = t.mult[np.ix_(frontier, letters)].ravel()
+        where = np.full(t.order, -1, dtype=np.intp)
+        where[reached] = np.arange(reached.size)  # one position of each reached element
+        fresh = np.flatnonzero((where >= 0) & ~seen)
+        if fresh.size:
+            levels.append((fresh, frontier[where[fresh] // letters.size], where[fresh] % letters.size))
+        seen[fresh] = True
+        frontier = fresh
+    return levels
 
 
 def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
@@ -120,7 +123,10 @@ def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
             if not seen[x]:
                 gens.append(x)
                 letters = np.array(gens, dtype=np.intp)
-                seen, diameter = _closure(t, np.concatenate([letters, t.inv[letters]]))
+                levels = _word_plan(t, np.concatenate([letters, t.inv[letters]]))
+                for fresh, _, _ in levels:
+                    seen[fresh] = True
+                diameter = len(levels)
         generators = np.array(gens, dtype=np.intp)
         generators.flags.writeable = False
         found = cache.setdefault("generators", (generators, diameter))

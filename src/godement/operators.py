@@ -18,7 +18,7 @@ import numpy as np
 
 from .fourier import FourierSpectrum, count_leq, fourier_spectrum
 from .groups import GroupTable, _generating_set
-from .matfun import MatFun, _conv_operator, _power_of_two_unit, subtract
+from .matfun import MatFun, _adjoint, _conv_operator, _power_of_two_unit, subtract
 
 __all__ = [
     "ConvMatrix",
@@ -27,13 +27,11 @@ __all__ = [
     "NotPositiveDefiniteError",
     "EquivarianceError",
     "conv_matrix",
-    "operator_norm",
     "decompose",
     "is_positive_definite",
     "gram_pd_check",
     "hermitian_symmetry_residual",
     "right_translation_matrix",
-    "translation_equivariance_residual",
     "translation_commutant_residual",
     "extract_kernel",
     "spectral_truncate",
@@ -42,6 +40,9 @@ __all__ = [
 ]
 
 DEFAULT_PD_TOL = 1e-9
+# Largest translation-commutant residual of an operator extract_kernel
+# accepts, relative to the operator's Frobenius norm.
+_EQUIVARIANCE_TOL = 1e-8
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -68,10 +69,6 @@ class ConvMatrix:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
-    def block(self, x: int, y: int) -> np.ndarray:
-        n = self.n
-        return self.data[x * n:(x + 1) * n, y * n:(y + 1) * n]
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
@@ -89,20 +86,14 @@ class SpectralDecomposition:
     hermitian_gap: float
     operator_norm: float
 
-    @property
-    def residual(self) -> float:
-        """Frobenius reconstruction error ||V diag(lambda) V^H - H||_F."""
-        recon = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.linalg.norm(recon - self.hermitian))
-
     def certificate(self, tol: float = DEFAULT_PD_TOL) -> "PDCertificate":
         """The PD verdict of C at tol, as is_positive_definite gives it."""
         return _certificate(self.eigenvalues, self.hermitian_gap, tol)
 
-    def projector_leq(self, t: float, cluster_rel: float = 1e-10) -> np.ndarray:
+    def projector_leq(self, t: float) -> np.ndarray:
         """Orthogonal projector onto eigenvectors with eigenvalue <= t,
         widened to whole clusters of degenerate eigenvalues (fourier.count_leq)."""
-        cols = self.eigenvectors[:, :count_leq(self.eigenvalues, t, cluster_rel)]
+        cols = self.eigenvectors[:, :count_leq(self.eigenvalues, t)]
         return cols @ cols.conj().T
 
 
@@ -143,11 +134,6 @@ def _blocks_to_matrix(values: np.ndarray, idx: np.ndarray, order: int, n: int) -
 def conv_matrix(a: MatFun) -> ConvMatrix:
     """Matrix of left convolution by a: block(x, y) = a(x y^-1)."""
     return ConvMatrix(a.group, a.n, _conv_operator(a.group, a.values))
-
-
-def operator_norm(a: MatFun) -> float:
-    """Spectral norm of the convolution operator of a."""
-    return float(np.linalg.norm(conv_matrix(a).data, 2))
 
 
 def _hermitian_split(data: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -233,7 +219,7 @@ def gram_pd_check(a: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
 
 def hermitian_symmetry_residual(a: MatFun) -> float:
     """max_g ||a(g) - conj(a(g^-1))^T||_F, the gap to star-fixedness."""
-    gap = a.values - np.conj(a.values[a.group.inv]).transpose(0, 2, 1)
+    gap = a.values - _adjoint(a.group, a.values)
     return float(np.max(np.linalg.norm(gap, axis=(1, 2)))) if a.group.order else 0.0
 
 
@@ -253,15 +239,6 @@ def _translated(data: np.ndarray, group: GroupTable, n: int, x: int) -> np.ndarr
     return data[np.ix_(flat, flat)]
 
 
-def translation_equivariance_residual(a: MatFun, x: int) -> float:
-    """||R(x) C R(x)^-1 - C||_F for the convolution matrix C of a.
-
-    Structurally zero: conjugation permutes blocks to a(gx (hx)^-1) = a(g h^-1).
-    """
-    op = conv_matrix(a)
-    return float(np.linalg.norm(_translated(op.data, a.group, a.n, x) - op.data))
-
-
 def translation_commutant_residual(op: ConvMatrix) -> float:
     """Upper bound on max_x ||R(x) T R(x)^-1 - T||_F over all group elements x.
 
@@ -277,7 +254,7 @@ def translation_commutant_residual(op: ConvMatrix) -> float:
     return diameter * float(np.max(residuals, initial=0.0))
 
 
-def extract_kernel(op: ConvMatrix, equivariance_tol: float = 1e-8) -> MatFun:
+def extract_kernel(op: ConvMatrix) -> MatFun:
     """Recover the matrix function whose convolution matrix is op.
 
     Requires op to commute with every right translation (checked on a
@@ -289,7 +266,7 @@ def extract_kernel(op: ConvMatrix, equivariance_tol: float = 1e-8) -> MatFun:
     """
     worst = translation_commutant_residual(op)
     scale = max(float(np.linalg.norm(op.data)), 1e-300)
-    if not worst <= equivariance_tol * scale:
+    if not worst <= _EQUIVARIANCE_TOL * scale:
         raise EquivarianceError(
             f"matrix does not commute with right translations: residual {worst:.3e}"
         )

@@ -127,7 +127,9 @@ def check_tensor_nonneg(
     must agree and be nonnegative.  The direct route never forms the
     Kronecker product: u is the row-major flattening of the d1 x d2
     matrix U = sum_i u1_i u2_i^T, and (A x B) u flattens A U B^T, so the
-    sum is vdot(U, sum_g A_g U B_g^T).
+    sum is vdot(U, sum_g A_g U B_g^T).  The residuals are relative to
+    ||phi1|| ||phi2|| of the two coefficient functions, so the verdict does
+    not depend on the scale of the vectors.
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
@@ -143,7 +145,7 @@ def check_tensor_nonneg(
     phi2 = matrix_coeff_fun(p2, a2)
     via_pairing = inner(phi1, conjugate(phi2))
 
-    scale = max(l2_norm(phi1) * l2_norm(phi2), 1.0)
+    scale = max(l2_norm(phi1) * l2_norm(phi2), 1e-300)
     agreement = abs(direct - via_pairing) / scale
     negativity = max(0.0, -direct.real) / scale
     imaginary = abs(direct.imag) / scale

@@ -37,6 +37,9 @@ _BLOCK_MIN_SIDE = 64
 _RUN_COST = 2000.0
 # Rounding allowed between the block loop's residual and its recomputation.
 _RECHECK_SLACK = 1e-6
+# Step cap of the iterative root wherever a caller gives none: sqrt_iterative,
+# check_theorem_a (and so the suite) and the CLI's --max-iter.
+_MAX_ITER = 200_000
 
 __all__ = [
     "SqrtResult",
@@ -129,7 +132,7 @@ def _square_gap(psi: MatFun, phi: MatFun) -> float:
 
 def sqrt_iterative(
     phi: MatFun,
-    max_iter: int = 500,
+    max_iter: int = _MAX_ITER,
     tol: float = 1e-8,
     pd_tol: float = DEFAULT_PD_TOL,
     record_iterates: bool = False,
@@ -143,7 +146,7 @@ def sqrt_iterative(
     polynomial sequence with p_k(0) = 0 converging to sqrt(t) on [0, 1],
     so the iterates are positive definite, increase in the PD ordering,
     and their squares stay dominated by phi~.  Convergence slows near
-    spectral values close to zero, hence the generous default cap.
+    spectral values close to zero, hence the generous default cap _MAX_ITER.
 
     The loop runs on u_k = X_k / 2 against phi~ / 4, where a step is
     u_{k+1} = u_k + (phi~/4 - u_k * u_k) and psi = 2 sqrt(s) u_k.  Every

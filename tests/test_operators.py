@@ -26,7 +26,6 @@ from godement import (
     hermitian_symmetry_residual,
     is_positive_definite,
     l2_norm,
-    operator_norm,
     parse_group_spec,
     pd_order_leq,
     random_matfun,
@@ -38,11 +37,10 @@ from godement import (
     star,
     subtract,
     translation_commutant_residual,
-    translation_equivariance_residual,
     truncation_sequence,
 )
 from godement.fourier import fourier_basis
-from godement.groups import _closure, _generating_set
+from godement.groups import _generating_set, _word_plan
 from godement.theorems import SuiteConfig, _trial_c
 from conftest import phi_21, random_pd
 
@@ -67,7 +65,7 @@ class TestConvMatrix:
         L = conv_matrix(a)
         for x in s3.elements():
             for y in s3.elements():
-                assert np.array_equal(L.block(x, y), a.values[s3.mul(x, s3.invert(y))])
+                assert np.array_equal(L.data[2 * x:2 * x + 2, 2 * y:2 * y + 2], a.values[s3.mul(x, s3.invert(y))])
 
     def test_homomorphism(self, sample_groups):
         for grp in sample_groups:
@@ -167,8 +165,10 @@ class TestHermitianSymmetry:
 
 class TestRightTranslation:
     def test_identity_element_exact(self, s3):
-        a = random_matfun(s3, 2, seed=11)
-        assert translation_equivariance_residual(a, s3.identity) == 0.0
+        L = conv_matrix(random_matfun(s3, 2, seed=11)).data
+        r = right_translation_matrix(s3, 2, s3.identity).data
+        assert np.array_equal(r, np.eye(12))
+        assert np.linalg.norm(r @ L @ r.conj().T - L) == 0.0
 
     def test_unitary_and_inverse(self, d4):
         for x in d4.elements():
@@ -189,8 +189,8 @@ class TestRightTranslation:
 
     def test_equivariance_for_every_element(self, s3):
         a = random_matfun(s3, 2, seed=12)
-        for x in s3.elements():
-            assert translation_equivariance_residual(a, x) <= 1e-12
+        # the bound covers every element (TestCommutantOnGenerators)
+        assert translation_commutant_residual(conv_matrix(a)) <= 1e-12
 
     def test_matrix_conjugation_agrees_with_fast_path(self, d3):
         a = random_matfun(d3, 2, seed=13)
@@ -318,7 +318,6 @@ class TestSpectralDecomposition:
             assert list(sd.eigenvalues) == sorted(sd.eigenvalues)
             recon = (u * sd.eigenvalues) @ u.conj().T
             assert np.linalg.norm(recon - L.data) <= 1e-10 * np.linalg.norm(L.data)
-            assert sd.residual <= 1e-10 * np.linalg.norm(L.data)
 
     def test_rejects_non_hermitian(self, z2):
         phi = MatFun(z2, 1, np.array([[[1.0]], [[1j]]]))
@@ -343,12 +342,12 @@ class TestOperatorNorm:
     def test_matches_top_eigenvalue_for_pd(self, d3):
         phi = random_pd(d3, 2, seed=22)
         top = float(np.linalg.eigvalsh(conv_matrix(phi).data)[-1])
-        assert operator_norm(phi) == pytest.approx(top)
+        assert np.linalg.norm(conv_matrix(phi).data, 2) == pytest.approx(top)
 
     def test_moderation_bound_on_action(self, d3):
         # finite operator norm bounds the convolution action in L2
         phi = random_pd(d3, 2, seed=23)
-        bound = operator_norm(phi)
+        bound = np.linalg.norm(conv_matrix(phi).data, 2)
         for seed in range(5):
             u = random_vecfun(d3, 2, seed=seed)
             out = convolve_vec(phi, u)
@@ -360,7 +359,7 @@ class TestOperatorNorm:
         for i in range(2):
             for j in range(2):
                 entry = MatFun(d3, 1, phi.values[:, i:i + 1, j:j + 1])
-                assert np.isfinite(operator_norm(entry))
+                assert np.isfinite(np.linalg.norm(conv_matrix(entry).data, 2))
 
 
 def old_verdict(data: np.ndarray, tol: float = 1e-9) -> str:
@@ -548,11 +547,12 @@ class TestCommutantOnGenerators:
     def test_average_over_all_but_last_generator_rejected(self, spec):
         grp = parse_group_spec(spec)
         gens, _ = _generating_set(grp)
-        members, _ = _closure(grp, np.concatenate([gens[:-1], grp.inv[gens[:-1]]]))
+        levels = _word_plan(grp, np.concatenate([gens[:-1], grp.inv[gens[:-1]]]))
+        members = sorted([grp.identity, *(int(h) for fresh, _, _ in levels for h in fresh)])
         rg = np.random.default_rng(36)
         size = grp.order
         data = rg.standard_normal((size, size)) + 1j * rg.standard_normal((size, size))
-        translates = [right_translation_matrix(grp, 1, int(h)).data for h in np.flatnonzero(members)]
+        translates = [right_translation_matrix(grp, 1, h).data for h in members]
         averaged = sum(r @ data @ r.conj().T for r in translates) / len(translates)
         # commutes with every generator but the last, so only the last one catches it
         for x in gens[:-1]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from godement import (
+    UnitaryRep,
     build_cyclic,
     check_tensor_nonneg,
     conjugate,
@@ -153,6 +154,18 @@ class TestTensorNonneg:
         reg = regular_rep(d3)
         with pytest.raises(ValueError, match="counts differ"):
             check_tensor_nonneg(reg, random_vectors(2, 6, 1), reg, random_vectors(3, 6, 2))
+
+    @pytest.mark.parametrize("c", [1e-30, 1e-3, 1.0, 1e30])
+    def test_verdict_does_not_depend_on_scale(self, s3, c):
+        # -I and I at every element: unitary, not a homomorphism, which the
+        # check does not verify, so their tensor sum is negative at any scale
+        eye = np.broadcast_to(np.eye(2, dtype=complex), (s3.order, 2, 2))
+        minus, plus = UnitaryRep(s3, 2, -eye), UnitaryRep(s3, 2, eye)
+        u1, u2 = random_vectors(2, 2, seed=0), random_vectors(2, 2, seed=1)
+        report = check_tensor_nonneg(minus, c * u1, plus, c * u2)
+        assert not report.passed and report.details["direct_sum"][0] < 0.0
+        reg = regular_rep(s3)
+        assert check_tensor_nonneg(reg, c * random_vectors(2, 6, 2), reg, c * random_vectors(2, 6, 3)).passed
 
 
 class TestJson:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from godement import (
     hermitian_symmetry_residual,
     is_positive_definite,
     l2_norm,
-    operator_norm,
     parse_group_spec,
     pd_order_leq,
     poly_apply,
@@ -29,6 +29,7 @@ from godement import (
     truncation_sequence,
     zero_matfun,
 )
+from godement.cli import build_parser
 from godement.fourier import fourier_basis
 from godement.matfun import _conv_kernel
 from conftest import phi_21, random_pd
@@ -179,10 +180,10 @@ class TestSqrtIterative:
     def test_iterates_properties(self, z6):
         phi = random_pd(z6, 1, seed=9)
         result = sqrt_iterative(phi, max_iter=5000, tol=1e-9, record_iterates=True)
-        normalized = scale(1.0 / operator_norm(phi), phi)
+        normalized = scale(1.0 / np.linalg.norm(conv_matrix(phi).data, 2), phi)
         iterates = result.iterates
         assert iterates
-        sqrt_s = np.sqrt(operator_norm(phi))
+        sqrt_s = np.sqrt(np.linalg.norm(conv_matrix(phi).data, 2))
         for k, psi_k in enumerate(iterates[:25]):
             x_k = scale(1.0 / sqrt_s, psi_k)
             assert is_positive_definite(x_k).ok
@@ -207,6 +208,19 @@ class TestSqrtIterative:
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
         with pytest.raises(NotPositiveDefiniteError):
             sqrt_iterative(phi)
+
+    @pytest.mark.parametrize("spec, seed", [("q8", 14), ("s3", 9), ("s3", 18)])
+    def test_default_cap_is_the_suites(self, spec, seed):
+        # the three default-grid inputs (seeds 0-24, n = 1, 2) that need more
+        # than 500 steps converge at the defaults, which share the suite's cap
+        result = sqrt_iterative(random_pd(parse_group_spec(spec), 2, seed))
+        assert result.iterations > 500 and result.residual <= 1e-8
+
+    def test_one_cap_for_every_caller(self):
+        cap = godement.roots._MAX_ITER
+        assert inspect.signature(sqrt_iterative).parameters["max_iter"].default == cap
+        assert inspect.signature(check_theorem_a).parameters["max_iter"].default == cap
+        assert build_parser().parse_args(["sqrt", "phi.json"]).max_iter == cap
 
     def test_nonfinite_step_raises_at_once(self, d4, monkeypatch):
         calls = []
@@ -388,7 +402,7 @@ class TestPolyApply:
         # q_k(t) = t (1 - (1-t)^k) has zero constant and linear coefficients,
         # stays in [0, t] on [0, 1], and q_k -> t uniformly.
         phi = random_pd(d3, 1, seed=19)
-        phi = scale(1.0 / operator_norm(phi), phi)
+        phi = scale(1.0 / np.linalg.norm(conv_matrix(phi).data, 2), phi)
         import math
 
         # expanded monomial coefficients are only stable for modest k
