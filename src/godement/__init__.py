@@ -34,7 +34,6 @@ from .matfun import (
     convolve_vec,
     delta_identity,
     inner,
-    l1_norm,
     l2_norm,
     make_pd,
     matfun_from_json,
@@ -76,9 +75,7 @@ from .reps import (
 )
 from .roots import (
     ConvergenceError,
-    PolySpec,
     SqrtResult,
-    poly_apply,
     sqrt_iterative,
     sqrt_spectral,
     truncation_sequence,

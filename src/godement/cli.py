@@ -18,7 +18,7 @@ from .groups import canonical_spec, group_to_json, parse_group_spec
 from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from .operators import NotPositiveDefiniteError, is_positive_definite, spectral_truncate
 from .reps import check_tensor_nonneg, regular_rep, tensor_product
-from .roots import _MAX_ITER, ConvergenceError, sqrt_iterative, sqrt_spectral
+from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
 from .theorems import SuiteConfig, derive_seed, run_suite
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _cmd_sqrt(args) -> int:
         if args.method == "spectral":
             result = sqrt_spectral(phi, tol=args.tol)
         else:
-            result = sqrt_iterative(phi, max_iter=args.max_iter, tol=args.tol)
+            result = sqrt_iterative(phi, tol=args.tol)
     except NotPositiveDefiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--method", choices=("spectral", "iterative"), default="spectral")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=_MAX_ITER)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sqrt)
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _generating_set, _word_plan
+from .groups import GroupTable, _generating_set, _generator_words
 from .matfun import MatFun, _adjoint, _power_of_two_unit
 
 __all__ = ["FourierBasis", "FourierSpectrum", "fourier_basis", "fourier_spectrum", "count_leq"]
@@ -216,8 +216,7 @@ def _build_basis(group: GroupTable, h: np.ndarray) -> FourierBasis:
     gens, _ = _generating_set(group)
     on_gens = q.T @ q[group.mult[group.inv[gens]]]  # q^T L(s) q, as (L(s) q)[x] = q[s^-1 x]
     ranges = _invariant_ranges(on_gens, bounds)
-    letters = np.concatenate([gens, group.inv[gens]])
-    plan = _word_plan(group, letters)
+    plan = _generator_words(group)  # letters: gens, then their inverses
     classes = []
     for m in sorted({hi - lo for lo, hi in ranges}):
         chosen = [(lo, hi) for lo, hi in ranges if hi - lo == m]

@@ -118,7 +118,7 @@ def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
     found = cache.get("generators")
     if found is None:
         gens: list[int] = []
-        seen, diameter = np.arange(t.order) == t.identity, 0
+        seen, levels = np.arange(t.order) == t.identity, []
         for x in range(t.order):
             if not seen[x]:
                 gens.append(x)
@@ -126,11 +126,20 @@ def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
                 levels = _word_plan(t, np.concatenate([letters, t.inv[letters]]))
                 for fresh, _, _ in levels:
                     seen[fresh] = True
-                diameter = len(levels)
         generators = np.array(gens, dtype=np.intp)
-        generators.flags.writeable = False
-        found = cache.setdefault("generators", (generators, diameter))
+        for array in (generators, *(a for level in levels for a in level)):
+            array.flags.writeable = False
+        # the last search is the one on all generators and their inverses
+        cache.setdefault("words", tuple(levels))
+        found = cache.setdefault("generators", (generators, len(levels)))
     return found
+
+
+def _generator_words(t: GroupTable) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """_word_plan of t on the letters (generators, their inverses) of
+    _generating_set, kept from its last search."""
+    _generating_set(t)
+    return t._generators_cache["words"]
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ __all__ = [
     "scale",
     "conjugate",
     "l2_norm",
-    "l1_norm",
     "delta_identity",
     "zero_matfun",
     "random_matfun",
@@ -223,10 +222,6 @@ def l2_norm(a: MatFun) -> float:
     on a divided by the power of two near its largest entry.
     """
     return _l2(a.values)
-
-
-def l1_norm(a: MatFun) -> float:
-    return float(np.sum(np.abs(a.values)))
 
 
 def delta_identity(group: GroupTable, n: int) -> MatFun:

@@ -37,7 +37,7 @@ from .operators import (
     hermitian_symmetry_residual,
     is_positive_definite,
 )
-from .roots import _MAX_ITER, ConvergenceError, _iterative_root, _spectral_root
+from .roots import ConvergenceError, _iterative_root, _spectral_root
 
 __all__ = [
     "TheoremReport",
@@ -113,7 +113,6 @@ def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict[str, MatFun
 def check_theorem_a(
     phi: MatFun,
     tol: float = 1e-8,
-    max_iter: int = _MAX_ITER,
     iter_tol: float = 1e-9,
     agreement_tol: float = 1e-6,
 ) -> TheoremReport:
@@ -140,7 +139,7 @@ def check_theorem_a(
 
     try:
         spectral = _spectral_root(phi, spectrum, tol, DEFAULT_PD_TOL)
-        iterative = _iterative_root(phi, spectrum, max_iter, iter_tol, False)
+        iterative = _iterative_root(phi, spectrum, iter_tol, DEFAULT_PD_TOL)
     except (ConvergenceError, ValueError) as exc:
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
@@ -324,7 +323,7 @@ def _orthogonal_pair(theta: MatFun, spectrum: FourierSpectrum, split_t: float) -
 class SuiteConfig:
     """What to run: group specs, dimensions, trial counts, seed, and the
     tolerance of Theorem A's spectral root.  The pair checks run at their own
-    default tol, and Theorem A's iterative root at its default step cap."""
+    default tol."""
 
     groups: tuple[str, ...] = ("cyclic:6", "dihedral:4", "quaternion:8", "symmetric:3")
     dims: tuple[int, ...] = (1, 2)

@@ -27,3 +27,14 @@ def test_package_imports_only_exported_names():
             for alias in node.names:
                 assert hasattr(module, alias.name), f"godement.{node.module} has no {alias.name}"
                 assert alias.name in module.__all__, f"{alias.name} is not in godement.{node.module}.__all__"
+
+
+# removed public names: each was reached only by tests
+RETIRED = {"roots": ("poly_apply", "PolySpec"), "matfun": ("l1_norm",)}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_names_stay_out_of_the_api(name):
+    module = importlib.import_module(f"godement.{name}")
+    for sym in RETIRED[name]:
+        assert not hasattr(module, sym) and not hasattr(godement, sym), f"godement.{name}.{sym}"

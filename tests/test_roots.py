@@ -1,5 +1,5 @@
-import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from godement import (
     ConvergenceError,
     MatFun,
     NotPositiveDefiniteError,
-    PolySpec,
+    add,
     build_orthogonal_pd_pair,
-    build_symmetric,
     check_theorem_a,
     conv_matrix,
     convolve,
@@ -21,7 +20,6 @@ from godement import (
     l2_norm,
     parse_group_spec,
     pd_order_leq,
-    poly_apply,
     scale,
     sqrt_iterative,
     sqrt_spectral,
@@ -30,8 +28,6 @@ from godement import (
     zero_matfun,
 )
 from godement.cli import build_parser
-from godement.fourier import fourier_basis
-from godement.matfun import _conv_kernel
 from conftest import phi_21, random_pd
 
 SQRT3 = np.sqrt(3.0)
@@ -40,30 +36,35 @@ STANDARD_SPECS = ("trivial", "z2", "z6", "z24", "klein", "d3", "d4", "d12", "q8"
                   "s3", "s4", "z2xz3", "z3xq8", "z2xd6")
 
 
-def reference_iterative(phi: MatFun, max_iter: int, tol: float, iterates: list | None = None):
-    """The monotone iteration step by step on X_k, with the convolution
-    kernel and np.linalg.norm: the oracle of both step routes in roots.
-    Returns (psi values, iterations, monotone trace), and appends the
-    values of every iterate sqrt(s) X_k to iterates when given."""
+def reference_newton_schulz(phi: MatFun, tol: float, iterates: list | None = None):
+    """The coupled Newton-Schulz iteration step by step on the dense
+    convolution matrix A = C_phi / s, with np.linalg: the oracle of
+    sqrt_iterative.  Returns (psi values, steps, monotone trace), and appends
+    every iterate Y_k (k >= 1) as a matrix to iterates when given."""
+    grp, n, e = phi.group, phi.n, phi.group.identity
     s = is_positive_definite(phi).operator_norm
-    sqrt_s = float(np.sqrt(s))
-    target = (1.0 / s) * phi.values
-    denom = float(np.linalg.norm(target))
-    x = np.zeros_like(target)
+    a = conv_matrix(phi).data / s
+    eye = np.eye(a.shape[0])
+    y, z = a, eye
     trace = []
-    for k in range(1, max_iter + 1):
-        gap = target - _conv_kernel(phi.group, x, x)
-        if float(np.linalg.norm(gap)) / denom <= tol:
-            return sqrt_s * x, k - 1, np.array(trace)
-        x = x + 0.5 * gap
-        trace.append(sqrt_s * float(np.linalg.norm(x)))
+    for k in range(100):
+        if np.linalg.norm(y @ y - a) <= tol * np.linalg.norm(a):
+            # the block column at the identity holds the function: C[x, e] = psi(x)
+            return np.sqrt(s) * y[:, e * n:(e + 1) * n].reshape(grp.order, n, n), k, np.array(trace)
+        t = (3.0 * eye - z @ y) / 2.0
+        y, z = y @ t, t @ z
+        # ||C_f||_F^2 = |G| ||f||_2^2
+        trace.append(np.sqrt(s) * np.linalg.norm(y) / np.sqrt(grp.order))
         if iterates is not None:
-            iterates.append(sqrt_s * x)
-    raise AssertionError(f"reference loop did not converge within {max_iter} steps")
+            iterates.append(y)
+    raise AssertionError("reference loop did not converge within 100 steps")
 
 
-def on_blocks(phi: MatFun) -> bool:
-    return phi.group.order * phi.n >= godement.roots._BLOCK_MIN_SIDE
+def predicted_steps(phi: MatFun, tol: float) -> int:
+    """ceil(log_{9/4}(1 / l) + log2 ln(1 / tol)), l = max(lambda_min / s, 1e-9)."""
+    cert = is_positive_definite(phi)
+    lam = max(cert.min_eigenvalue / cert.operator_norm, 1e-9)
+    return math.ceil(math.log(1.0 / lam) / math.log(9.0 / 4.0) + math.log2(math.log(1.0 / tol)))
 
 
 def rel(a: np.ndarray, b: np.ndarray) -> float:
@@ -148,28 +149,25 @@ class TestSqrtSpectral:
 
 class TestSqrtIterative:
     def test_delta_converges_to_itself(self, z6):
-        delta = delta_identity(z6, 2)
-        result = sqrt_iterative(delta, max_iter=100, tol=1e-10)
-        assert l2_norm(subtract(result.psi, delta)) <= 1e-9
-        # the single spectral point follows p_k(1) -> 1 from below
-        p, expected = 0.0, []
-        for _ in range(result.iterations):
-            p = p + 0.5 * (1.0 - p * p)
-            expected.append(p * np.sqrt(2 * 2))  # sqrt(n) * sqrt(n)... norm of p*delta_(n=2)
-        trace = list(result.monotone_trace)[: len(expected)]
-        assert np.allclose(trace, [e / np.sqrt(2) for e in expected], atol=1e-12)
+        # Y_0 = phi~ is already the root: no step is taken
+        for c in (1.0, 4.0):
+            result = sqrt_iterative(scale(c, delta_identity(z6, 2)), tol=1e-10)
+            assert l2_norm(subtract(result.psi, scale(np.sqrt(c), delta_identity(z6, 2)))) <= 1e-12
+            assert result.iterations == 0 and result.monotone_trace == ()
 
     def test_z2_matches_spectral_quickly(self, z2):
         phi = phi_21(z2)
         spectral = sqrt_spectral(phi)
-        result = sqrt_iterative(phi, max_iter=60, tol=1e-9)
-        assert result.iterations <= 60
+        result = sqrt_iterative(phi, tol=1e-9)
+        # eigenvalues {1, 3}: lambda_min / s = 1/3
+        assert result.iterations <= predicted_steps(phi, 1e-9) == 6
         assert l2_norm(subtract(result.psi, spectral.psi)) <= 1e-8
 
     def test_monotone_trace_and_bound(self, d4):
         phi = random_pd(d4, 2, seed=8)
-        result = sqrt_iterative(phi, max_iter=100_000, tol=1e-9)
+        result = sqrt_iterative(phi, tol=1e-9)
         trace = np.asarray(result.monotone_trace)
+        assert len(trace) == result.iterations
         assert np.all(np.diff(trace) >= -1e-12 * trace.max())
         bound = float(np.trace(phi.values[d4.identity]).real)
         assert np.all(trace**2 <= bound + 1e-8)
@@ -178,31 +176,43 @@ class TestSqrtIterative:
         assert np.all(np.diff(head) > 0)
 
     def test_iterates_properties(self, z6):
+        # on the reference iterates Y_k: PD, Y_k^2 <= phi~, increasing in the PD order
         phi = random_pd(z6, 1, seed=9)
-        result = sqrt_iterative(phi, max_iter=5000, tol=1e-9, record_iterates=True)
-        normalized = scale(1.0 / np.linalg.norm(conv_matrix(phi).data, 2), phi)
-        iterates = result.iterates
-        assert iterates
-        sqrt_s = np.sqrt(np.linalg.norm(conv_matrix(phi).data, 2))
-        for k, psi_k in enumerate(iterates[:25]):
-            x_k = scale(1.0 / sqrt_s, psi_k)
-            assert is_positive_definite(x_k).ok
-            assert pd_order_leq(convolve(x_k, x_k), normalized)
+        iterates: list[np.ndarray] = []
+        reference_newton_schulz(phi, tol=1e-9, iterates=iterates)
+        assert len(iterates) >= 5
+        a = conv_matrix(phi).data / np.linalg.norm(conv_matrix(phi).data, 2)
+        floor = -1e-12
+
+        def least(m):
+            return np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]
+
+        for k, y in enumerate(iterates):
+            assert least(y) >= floor
+            assert least(a - y @ y) >= floor
             if k + 1 < len(iterates):
-                x_next = scale(1.0 / sqrt_s, iterates[k + 1])
-                assert pd_order_leq(x_k, x_next)
+                assert least(iterates[k + 1] - y) >= floor
 
     def test_method_agreement_random(self, sample_groups):
         for grp in sample_groups:
             phi = random_pd(grp, 2, seed=10)
             spectral = sqrt_spectral(phi)
-            iterative = sqrt_iterative(phi, max_iter=200_000, tol=1e-9)
+            iterative = sqrt_iterative(phi, tol=1e-9)
             assert l2_norm(subtract(spectral.psi, iterative.psi)) <= 1e-6 * l2_norm(phi)
 
     def test_non_convergence_raises(self, d4):
+        # a tol below rounding is never met: the loop stops at its cap, the
+        # predicted count plus the margin, and says both counts
         phi = random_pd(d4, 2, seed=11)
-        with pytest.raises(ConvergenceError):
-            sqrt_iterative(phi, max_iter=3, tol=1e-12)
+        predicted = predicted_steps(phi, 1e-20)
+        cap = predicted + godement.roots._CAP_MARGIN
+        with pytest.raises(ConvergenceError, match=f"after {cap} steps, {predicted} predicted"):
+            sqrt_iterative(phi, tol=1e-20)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, d4, tol):
+        with pytest.raises(ValueError, match="tol"):
+            sqrt_iterative(random_pd(d4, 2, seed=11), tol=tol)
 
     def test_rejects_non_pd(self, z2):
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
@@ -211,16 +221,21 @@ class TestSqrtIterative:
 
     @pytest.mark.parametrize("spec, seed", [("q8", 14), ("s3", 9), ("s3", 18)])
     def test_default_cap_is_the_suites(self, spec, seed):
-        # the three default-grid inputs (seeds 0-24, n = 1, 2) that need more
-        # than 500 steps converge at the defaults, which share the suite's cap
-        result = sqrt_iterative(random_pd(parse_group_spec(spec), 2, seed))
-        assert result.iterations > 500 and result.residual <= 1e-8
+        # the three default-grid inputs (seeds 0-24, n = 1, 2) that took the
+        # monotone step more than 500 steps: sqrt_iterative and Theorem A run
+        # the same loop with the same derived cap
+        phi = random_pd(parse_group_spec(spec), 2, seed)
+        result = sqrt_iterative(phi, tol=1e-9)
+        report = check_theorem_a(phi)
+        assert report.passed and report.details["iterations"] == result.iterations
+        assert result.iterations <= predicted_steps(phi, 1e-9)
 
     def test_one_cap_for_every_caller(self):
-        cap = godement.roots._MAX_ITER
-        assert inspect.signature(sqrt_iterative).parameters["max_iter"].default == cap
-        assert inspect.signature(check_theorem_a).parameters["max_iter"].default == cap
-        assert build_parser().parse_args(["sqrt", "phi.json"]).max_iter == cap
+        # the cap is derived from the spectrum; no caller can set one
+        assert "max_iter" not in inspect.signature(sqrt_iterative).parameters
+        assert "max_iter" not in inspect.signature(check_theorem_a).parameters
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sqrt", "phi.json", "--max-iter", "5"])
 
     def test_nonfinite_step_raises_at_once(self, d4, monkeypatch):
         calls = []
@@ -237,84 +252,61 @@ class TestSqrtIterative:
                 return out
 
         monkeypatch.setattr(godement.roots, "np", NanProducts())
-        with pytest.raises(ConvergenceError, match="non-finite residual at step 1"):
-            sqrt_iterative(random_pd(d4, 2, seed=12), max_iter=1000)
+        with pytest.raises(ConvergenceError, match="non-finite residual after 0 steps"):
+            sqrt_iterative(random_pd(d4, 2, seed=12))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("s5",))
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("s5", "z2xs4", "z2xs5"))
     def test_matches_reference_loop(self, spec):
         grp = parse_group_spec(spec)
-        for n in (1, 2, 3):
+        for n in (1, 2) if spec.startswith("z2xs") else (1, 2, 3):
             phi = random_pd(grp, n, seed=40 + n)
-            psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9)
-            result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9)
-            # the dense route does the reference's arithmetic up to powers of
-            # two; the block route rounds in another basis
-            psi_tol, trace_tol = (1e-13, 1e-13) if on_blocks(phi) else (1e-15, 1e-14)
-            assert result.iterations == iterations
-            assert np.linalg.norm(result.psi.values - psi) <= psi_tol * np.linalg.norm(psi)
-            assert len(result.monotone_trace) == len(trace)
-            assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= trace_tol * trace)
+            psi, iterations, trace = reference_newton_schulz(phi, tol=1e-9)
+            result = sqrt_iterative(phi, tol=1e-9)
+            assert result.iterations == iterations, (spec, n)
+            assert rel(result.psi.values, psi) <= 1e-12, (spec, n)
+            assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= 1e-12 * trace), (spec, n)
 
-    def test_recorded_iterates_match_reference_loop(self, s3):
-        phi = random_pd(s3, 2, seed=7)
-        psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9)
-        result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9, record_iterates=True)
-        assert len(result.iterates) == iterations
-        norms = np.array([l2_norm(x) for x in result.iterates])
-        assert np.all(np.abs(norms - trace) <= 1e-14 * trace)
-        assert np.linalg.norm(result.iterates[-1].values - psi) <= 1e-15 * np.linalg.norm(psi)
+    @pytest.mark.parametrize("spec", ["z6", "d4", "q8", "s3"])
+    def test_steps_within_prediction(self, spec):
+        # the cells of the default suite grid
+        grp = parse_group_spec(spec)
+        for n in (1, 2):
+            for seed in range(25):
+                phi = random_pd(grp, n, seed)
+                for tol in (1e-8, 1e-9):
+                    result = sqrt_iterative(phi, tol=tol)
+                    assert result.iterations <= predicted_steps(phi, tol), (n, seed, tol)
+                    assert result.residual <= tol
+
+    @pytest.mark.parametrize("spec", ["s3", "q8", "s4"])
+    def test_rank_deficient_and_near_singular_inputs_converge(self, spec):
+        # a spectral cut has a kernel, where Z grows by 3/2 a step; adding
+        # 1e-8 of the rest makes it near singular instead
+        grp = parse_group_spec(spec)
+        theta = random_pd(grp, 2, seed=90)
+        ev = np.linalg.eigvalsh(conv_matrix(theta).data)
+        low, high = build_orthogonal_pd_pair(theta, float((ev[0] + ev[-1]) / 2))
+        for phi in (low, high, add(high, scale(1e-8, low))):
+            result = sqrt_iterative(phi, tol=1e-9)
+            assert result.residual <= 1e-9 and conv_residual(result.psi, phi) <= 1e-9
+            assert result.iterations <= predicted_steps(phi, 1e-9)
+        for cut in (low, high):
+            gap = l2_norm(subtract(sqrt_iterative(cut, tol=1e-9).psi, sqrt_spectral(cut).psi))
+            assert gap <= 1e-8 * np.sqrt(l2_norm(cut))
 
     def test_zero_function(self, z2):
         result = sqrt_iterative(zero_matfun(z2, 2))
         assert l2_norm(result.psi) == 0.0
         assert result.iterations == 0
 
-    @pytest.mark.parametrize("spec, n", [("s4", 3), ("z2xs4", 2), ("s5", 1), ("s5", 2), ("s5", 3),
-                                         ("z2xs5", 1), ("z2xs5", 2)])
-    def test_block_route_matches_reference_loop(self, spec, n, monkeypatch):
-        def no_dense(*args):
-            raise AssertionError("dense route taken")
-
-        monkeypatch.setattr(godement.roots, "_dense_steps", no_dense)
-        phi = random_pd(parse_group_spec(spec), n, seed=60 + n)
-        expected: list[np.ndarray] = []
-        psi, iterations, trace = reference_iterative(phi, max_iter=200_000, tol=1e-9, iterates=expected)
-        result = sqrt_iterative(phi, max_iter=200_000, tol=1e-9, record_iterates=True)
-        assert result.iterations == iterations == len(result.iterates)
-        assert rel(result.psi.values, psi) <= 1e-13
-        assert np.all(np.abs(np.asarray(result.monotone_trace) - trace) <= 1e-13 * trace)
-        assert max(rel(got.values, want) for got, want in zip(result.iterates, expected)) <= 1e-13
-        assert np.array_equal(result.iterates[-1].values, result.psi.values)
-        assert result.residual <= 1e-9 and conv_residual(result.psi, phi) <= 1e-9 * (1 + 1e-6)
-
-    @pytest.mark.parametrize("spec", ["z6", "d4", "q8", "s3"])
-    def test_small_operators_take_dense_route(self, spec, monkeypatch):
-        # the cells of the default suite grid: blocks of side <= 8 lose to one gather
-        def no_blocks(*args):
-            raise AssertionError("block route taken")
-
-        monkeypatch.setattr(godement.roots, "_block_steps", no_blocks)
-        for n in (1, 2):
-            phi = random_pd(parse_group_spec(spec), n, seed=70 + n)
-            assert not on_blocks(phi)
-            assert sqrt_iterative(phi, tol=1e-9).residual <= 1e-9
-            assert check_theorem_a(phi).passed
-
-    def test_block_root_checked_on_the_kernel(self, monkeypatch):
-        # a basis whose inverse maps blocks back wrongly still certifies phi and
-        # converges on the blocks; only the convolution kernel sees the error
-        grp = build_symmetric(4)  # fresh: the corrupted basis must not reach the shared table
-        phi = random_pd(grp, 3, seed=80)
-        assert on_blocks(phi)
-        basis = fourier_basis(grp)
-        inverse = basis.inverse.copy()
-        inverse[:, -1] *= 1.0 + 1e-6
-        monkeypatch.setitem(grp._fourier_cache, "basis", dataclasses.replace(basis, inverse=inverse))
-        with pytest.raises(ConvergenceError, match="convolution kernel"):
-            sqrt_iterative(phi, tol=1e-9)
-        monkeypatch.setitem(grp._fourier_cache, "basis", basis)
-        assert sqrt_iterative(phi, tol=1e-9).residual <= 1e-9
+    def test_projection_with_exact_zero_eigenvalue(self, z2):
+        # eigenvalues {0, 1} exactly: at pd_tol = 0 nothing lifts lambda_min
+        # off zero, and a projection is its own root
+        phi = MatFun(z2, 1, np.array([[[0.5]], [[0.5]]], dtype=complex))
+        result = sqrt_iterative(phi, pd_tol=0.0)
+        assert result.iterations == 0
+        assert np.array_equal(result.psi.values, phi.values)
 
 
 class TestTruncationSequence:
@@ -363,59 +355,3 @@ class TestTruncationSequence:
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
         with pytest.raises(NotPositiveDefiniteError):
             truncation_sequence(phi, [1.0])
-
-
-class TestPolyApply:
-    def test_identity_poly(self, d3):
-        phi = random_pd(d3, 2, seed=16)
-        out = poly_apply(phi, PolySpec((0.0, 1.0)))
-        assert l2_norm(subtract(out, phi)) == 0.0
-
-    def test_square_poly(self, d3):
-        phi = random_pd(d3, 2, seed=17)
-        out = poly_apply(phi, PolySpec((0.0, 0.0, 1.0)))
-        assert l2_norm(subtract(out, convolve(phi, phi))) <= 1e-12 * l2_norm(out)
-
-    def test_z2_square_example(self, z2):
-        out = poly_apply(phi_21(z2), PolySpec((0.0, 0.0, 1.0)))
-        assert np.allclose(out.values.ravel(), [5.0, 4.0])
-
-    def test_nonzero_constant_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
-            PolySpec((1.0, 1.0))
-        with pytest.raises(ValueError, match="constant"):
-            PolySpec(())
-
-    def test_operator_functional_calculus(self, q8):
-        phi = random_pd(q8, 2, seed=18)
-        coeffs = (0.0, 1.5, -0.25, 0.0, 0.125)
-        out = poly_apply(phi, PolySpec(coeffs))
-        L = conv_matrix(phi).data
-        expected = np.zeros_like(L)
-        power = L.copy()
-        for c in coeffs[1:]:
-            expected += c * power
-            power = power @ L
-        assert np.linalg.norm(conv_matrix(out).data - expected) <= 1e-10 * np.linalg.norm(expected)
-
-    def test_quadratic_divisible_family_approaches_identity_map(self, d3):
-        # q_k(t) = t (1 - (1-t)^k) has zero constant and linear coefficients,
-        # stays in [0, t] on [0, 1], and q_k -> t uniformly.
-        phi = random_pd(d3, 1, seed=19)
-        phi = scale(1.0 / np.linalg.norm(conv_matrix(phi).data, 2), phi)
-        import math
-
-        # expanded monomial coefficients are only stable for modest k
-        errors = []
-        for k in (2, 4, 8, 16):
-            coeffs = np.zeros(k + 2)
-            for j in range(k + 1):
-                coeffs[j + 1] -= math.comb(k, j) * (-1.0) ** j
-            coeffs[1] += 1.0
-            assert coeffs[0] == 0.0 and abs(coeffs[1]) < 1e-12
-            q_phi = poly_apply(phi, PolySpec(tuple(coeffs)))
-            assert is_positive_definite(q_phi, tol=1e-8).ok
-            assert pd_order_leq(q_phi, phi, tol=1e-8)
-            errors.append(l2_norm(subtract(q_phi, phi)))
-        assert errors == sorted(errors, reverse=True)
-        assert errors[-1] <= 0.5 * errors[0]

@@ -117,7 +117,7 @@ class TestTheoremA:
         # the public roots certify phi themselves, once each
         seen.clear()
         sqrt_spectral(phi)
-        sqrt_iterative(phi, max_iter=200_000, tol=1e-9)
+        sqrt_iterative(phi, tol=1e-9)
         assert len(seen) == 2 and seen[0] is phi and seen[1] is phi
 
     @pytest.mark.parametrize("c", [1.0, 1e-150])
@@ -146,9 +146,9 @@ class TestTheoremA:
     def test_trace_bound_is_relative(self, z2, c, monkeypatch):
         real = godement.theorems._iterative_root
 
-        def overshooting(phi, spectrum, max_iter, tol, record_iterates):
+        def overshooting(phi, spectrum, tol, pd_tol):
             # one more trace value with v^2 = Tr phi(e) (1 + 1e-9)
-            result = real(phi, spectrum, max_iter, tol, record_iterates)
+            result = real(phi, spectrum, tol, pd_tol)
             top = np.sqrt(np.trace(phi.values[phi.group.identity]).real * (1.0 + 1e-9))
             return dataclasses.replace(result, monotone_trace=result.monotone_trace + (top,))
 
@@ -191,7 +191,7 @@ class TestArrayLevelQuantities:
             report = check_theorem_a(phi)
             spectrum = godement.fourier.fourier_spectrum(phi)
             spectral = godement.roots._spectral_root(phi, spectrum, 1e-8, DEFAULT_PD_TOL)
-            iterative = godement.roots._iterative_root(phi, spectrum, 200_000, 1e-9, False)
+            iterative = godement.roots._iterative_root(phi, spectrum, 1e-9, DEFAULT_PD_TOL)
             assert report.details["agreement"] == l2_norm(subtract(spectral.psi, iterative.psi)), (spec, n)
             residual = l2_norm(subtract(convolve(spectral.psi, spectral.psi), phi)) / l2_norm(phi)
             assert report.details["spectral_residual"] == residual, (spec, n)
