@@ -49,12 +49,13 @@ for mu_t copies of type t.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import GroupTable, _generating_set, _generator_words
-from .matfun import MatFun, _adjoint, _power_of_two_unit
+from .matfun import MatFun, _adjoint, _frobenius, _power_of_two_unit
 
 __all__ = ["FourierBasis", "FourierSpectrum", "fourier_basis", "fourier_spectrum", "count_leq"]
 
@@ -322,7 +323,7 @@ def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     unit = _power_of_two_unit(a.values)
     scaled = a.values / unit
     adjoint = _adjoint(group, scaled)
-    gap = float(np.sqrt(group.order) * np.linalg.norm(scaled - adjoint)) * unit
+    gap = math.sqrt(group.order) * _frobenius(scaled - adjoint) * unit  # entries below 4: no overflow
     herm = (scaled + adjoint) / 2.0
     blocks = []
     for b in basis.blocks(herm):

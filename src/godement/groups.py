@@ -35,9 +35,10 @@ class GroupTable:
     metadata only.  Instances are immutable and safe to share across
     threads.  Summation against the table realizes integration with
     counting measure (every element has mass 1).  Each instance keeps
-    private caches of the convolution gather index per matrix dimension
-    (see matfun), of its generating set (see _generating_set) and of its
-    Fourier basis (see fourier), which live and die with the table.  The
+    private caches of the convolution and adjoint gather indices per
+    matrix dimension (see matfun), of its generating set (see
+    _generating_set) and of its Fourier basis (see fourier), which live
+    and die with the table.  The
     tables parse_group_spec returns live for the whole process, one per
     canonical spec; the builders and group_from_json make a new table on
     every call.

@@ -12,6 +12,7 @@ block route is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +146,20 @@ def _hermitian_split(data: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (scaled + adjoint) / 2.0, float(np.linalg.norm(scaled - adjoint)), unit
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless tol is positive and finite: the one check of
+    every root and suite tolerance, made before any work."""
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
+
+
 def _verdict(min_eig: float, gap: float, scale: float, tol: float) -> str:
     """The one PD verdict: Hermitian within tol * scale, and no eigenvalue
-    below -tol * scale.  Written so that a NaN anywhere never passes."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    below -tol * scale.  Written so that a NaN anywhere never passes; a tol
+    that is negative, infinite or NaN raises ValueError, since an infinite
+    one would pass every input and a NaN one fail every input."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
     if not gap <= tol * scale:
         return "not_hermitian"
     if min_eig >= -tol * scale:
@@ -284,8 +294,10 @@ def spectral_truncate(a: MatFun, t: float, tol: float = DEFAULT_PD_TOL) -> MatFu
     certificate's tolerance) and P_t projects onto its eigenvectors with
     eigenvalue <= t.  a_t is again positive definite and grows with t in
     the positive definite ordering.  One Fourier spectrum certifies a and
-    gives the cut.
+    gives the cut.  t must be finite.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"threshold must be finite, got {t!r}")
     return _certified_spectrum(a, tol).cut(t)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fourier import FourierSpectrum
 from .matfun import MatFun, _conv_index, _conv_kernel, _l2, l2_norm, matfun_to_json, zero_matfun
-from .operators import DEFAULT_PD_TOL, _certified_spectrum
+from .operators import DEFAULT_PD_TOL, _certified_spectrum, _check_tol
 
 # Steps the iterative root may take beyond its predicted count: rounding at
 # the last step, and eigenvalues below pd_tol that the prediction does not
@@ -74,8 +74,9 @@ def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL
     certificate rejects is a hard error; the certificate and the root
     come from one spectrum.  The residual ||psi*psi - phi|| / ||phi|| is
     then checked independently with the convolution kernel, and a
-    residual that is not finite fails.
+    residual that is not finite fails.  tol must be positive and finite.
     """
+    _check_tol(tol)
     return _spectral_root(phi, _certified_spectrum(phi, pd_tol), tol, pd_tol)
 
 
@@ -117,6 +118,7 @@ def sqrt_iterative(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TO
     ConvergenceError, as does a residual that is not finite.  tol must be
     positive and finite.
     """
+    _check_tol(tol)
     return _iterative_root(phi, _certified_spectrum(phi, pd_tol, vectors=False), tol, pd_tol)
 
 
@@ -132,9 +134,7 @@ def _predicted_steps(lam: float, tol: float) -> int:
 
 def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, pd_tol: float) -> SqrtResult:
     """sqrt_iterative from a spectrum of phi already certified at pd_tol,
-    which gives s and the smallest eigenvalue."""
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    which gives s and the smallest eigenvalue, and a tol _check_tol passed."""
     s = spectrum.operator_norm
     if s == 0.0:
         return SqrtResult(psi=zero_matfun(phi.group, phi.n), method="iterative", residual=0.0,
@@ -180,8 +180,10 @@ def truncation_sequence(phi: MatFun, thresholds: list[float], pd_tol: float = DE
     All cuts share one Fourier spectrum, which also certifies phi, so
     their convolution operators commute exactly and the sequence
     increases toward phi in the PD ordering as the thresholds pass the
-    top eigenvalue.
+    top eigenvalue.  Every threshold must be finite.
     """
+    if not all(math.isfinite(t) for t in thresholds):
+        raise ValueError(f"thresholds must be finite, got {list(thresholds)!r}")
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be ascending")
     spectrum = _certified_spectrum(phi, pd_tol)

@@ -19,14 +19,14 @@ import numpy as np
 from .groups import GroupTable, parse_group_spec
 from .matfun import (
     MatFun,
+    _adjoint,
+    _complex_normals,
     _conv_kernel,
     _l2,
     _power_of_two_unit,
     inner,
     l2_norm,
-    make_pd,
     matfun_to_json,
-    random_matfun,
     subtract,
 )
 from .fourier import FourierSpectrum, fourier_spectrum
@@ -34,6 +34,7 @@ from .operators import (
     DEFAULT_PD_TOL,
     _certificate,
     _certified_spectrum,
+    _check_tol,
     hermitian_symmetry_residual,
     is_positive_definite,
 )
@@ -124,8 +125,12 @@ def check_theorem_a(
     One Fourier spectrum of phi certifies it and serves both roots.  The
     star gap is relative to ||psi||, and the trace bound
     ||psi_k||^2 <= Tr phi(e) is relative to Tr phi(e), so neither depends
-    on the scale of phi.
+    on the scale of phi.  Every tolerance must be positive and finite; a
+    bad one raises ValueError before any work, not a failed theorem.
     """
+    _check_tol(tol)
+    _check_tol(iter_tol, "iter_tol")
+    _check_tol(agreement_tol, "agreement_tol")
     group, n = phi.group, phi.n
     scale_phi = l2_norm(phi)
     report = TheoremReport("A", 1, group.name, n, 0.0, True)
@@ -140,7 +145,7 @@ def check_theorem_a(
     try:
         spectral = _spectral_root(phi, spectrum, tol, DEFAULT_PD_TOL)
         iterative = _iterative_root(phi, spectrum, iter_tol, DEFAULT_PD_TOL)
-    except (ConvergenceError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:  # ValueError: a root with non-finite entries
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
         report.details["failure"] = str(exc)
@@ -335,20 +340,22 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        _check_tol(self.tol)
         if any(n < 1 for n in self.dims):
             raise ValueError("dimensions must be >= 1")
 
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit stream seed from heterogeneous parts."""
-    text = ":".join(str(p) for p in parts)
+    text = ":".join(map(str, parts))
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
 def _random_pd(group: GroupTable, n: int, seed: int) -> MatFun:
-    return make_pd(random_matfun(group, n, seed))
+    """make_pd(random_matfun(group, n, seed)), bit for bit, drawn and convolved
+    on raw arrays so that only the result is built and validated as a MatFun."""
+    f = _complex_normals(seed, (group.order, n, n))[0]
+    return MatFun(group, n, _conv_kernel(group, _adjoint(group, f), f))
 
 
 def _split_point(eigenvalues: np.ndarray) -> float:

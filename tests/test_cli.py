@@ -167,6 +167,32 @@ class TestSqrt:
         assert run_cli("sqrt", str(path)) == 2
 
 
+class TestInvalidTolerances:
+    """A tolerance or threshold no check can use is an input error (exit 2), not a verdict."""
+
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_certify(self, tmp_path, s3, capsys, tol):
+        # random_matfun is neither Hermitian nor PD: --tol inf used to certify it
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(matfun_to_json(random_matfun(s3, 2, 3))))
+        assert run_cli("certify", str(path), "--tol", tol) == 2
+        assert "tol must be nonnegative and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["spectral", "iterative"])
+    @pytest.mark.parametrize("tol", ["nan", "0", "inf"])
+    def test_sqrt(self, tmp_path, z2, capsys, method, tol):
+        assert run_cli("sqrt", write_phi21(tmp_path, z2), "--method", method, "--tol", tol) == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+    def test_suite(self, capsys):
+        assert run_cli("suite", "--groups", "z2", "--trials", "1", "--tol", "inf") == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+
+    def test_truncate(self, tmp_path, z2, capsys):
+        assert run_cli("truncate", write_phi21(tmp_path, z2), "-t", "nan") == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+
+
 class TestTruncate:
     def test_worked_example(self, tmp_path, z2, capsys):
         assert run_cli("truncate", write_phi21(tmp_path, z2), "--threshold", "2.0") == 0

@@ -131,6 +131,22 @@ def test_scale_invariant(spec):
                 assert rel_err(sqrt_spectral(scale(c, phi)).psi.values / np.sqrt(c), root) <= 1e-12, c
 
 
+@pytest.mark.parametrize("spec", ("z1", "z6", "d4", "q8", "s3", "s4", "z2xd6", "custom"))
+def test_hermitian_gap_is_the_numpy_norm_expression(spec):
+    # suite output depends on the gap rounding as it did through numpy.linalg.norm
+    grp = group_of(spec)
+    for n in (1, 2, 3):
+        for a in inputs(grp, n, seed=2):
+            for c in (1e-200, 1.0, 3.0, 1e200):
+                values = scale(c, a).values
+                peak = float(np.max(np.abs(values)))
+                unit = float(np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)) if peak else 1.0
+                scaled = values / unit
+                adjoint = np.conj(scaled[grp.inv]).transpose(0, 2, 1)
+                want = float(np.sqrt(grp.order) * np.linalg.norm(scaled - adjoint)) * unit
+                assert fourier_spectrum(scale(c, a), vectors=False).hermitian_gap == want, (n, c)
+
+
 @pytest.mark.parametrize("spec", ("d4", "q8", "s4", "z2xd6", "z3xq8", "custom") + LARGE)
 def test_basis_blocks_a_representation(spec):
     grp = group_of(spec)

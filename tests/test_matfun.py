@@ -33,7 +33,7 @@ from godement import (
     zero_matfun,
 )
 from godement.cli import main
-from godement.matfun import _conv_index, _plain_norm
+from godement.matfun import _adjoint, _complex_normals, _conv_index, _frobenius, _plain_norm, _power_of_two_unit
 from godement.theorems import derive_seed
 from conftest import phi_21, random_pd, relabeled_s3
 
@@ -166,6 +166,17 @@ class TestKernel:
 
 
 class TestStar:
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom",))
+    def test_adjoint_is_the_indexing_expression_bitwise(self, spec):
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
+        for n in (1, 2, 3):
+            a = random_matfun(grp, n, seed=derive_seed("adjoint", spec, n)).values
+            for values in (a, a.transpose(0, 2, 1)):  # a non-contiguous input gathers the same entries
+                got = _adjoint(grp, values)
+                want = np.conj(values[grp.inv]).transpose(0, 2, 1)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (spec, n)
+
     def test_delta_fixed(self, d4):
         delta = delta_identity(d4, 2)
         assert rel_close(star(delta), delta)
@@ -244,6 +255,20 @@ class TestLinearOps:
         arrays += [random_matfun(s3, n, seed=n).values for n in (1, 3, 4)]
         for values in arrays:
             assert _plain_norm(values) == float(np.linalg.norm(values))
+            assert _frobenius(values) == float(np.linalg.norm(values))
+
+    @pytest.mark.parametrize("peak", [0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.0, np.nextafter(2.0, 0.0),
+                                      np.finfo(np.float64).max, np.inf, np.nan])
+    def test_power_of_two_unit_is_the_numpy_expression(self, peak):
+        def numpy_unit(values):
+            peak = float(np.max(np.abs(values), initial=0.0))
+            return float(np.ldexp(1.0, int(np.frexp(peak)[1]) - 1)) if 0.0 < peak < np.inf else 1.0
+
+        values = np.array([[[0.25]], [[-peak]], [[1j * peak / 2]]], dtype=complex)
+        for arr in (values, values.real.copy(), values[1:2]):
+            got = _power_of_two_unit(arr)
+            assert type(got) is float
+            assert got == numpy_unit(arr), arr
 
     def test_l2_of_nan_is_nan(self):
         # MatFun refuses NaN, so the input is a stand-in with the one attribute read
@@ -318,6 +343,18 @@ STREAM_SEEDS = (0, 1, 2**63 + 5, 2**64 - 1, -3, derive_seed(2024, "A", "S3", 2, 
 
 
 class TestStream:
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 5])
+    def test_draws_are_the_complex_division_bitwise(self, seed):
+        # one standard_normal((2, *shape)) per shape, divided as (re + 1j im) / sqrt(2);
+        # two shapes in one call, as rep-demo draws them, and one long draw
+        shapes = ((2, 36), (2, 36), (6, 2, 2), (40_000,))
+        rg = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+        for got, shape in zip(_complex_normals(seed, *shapes), shapes):
+            re, im = rg.standard_normal((2, *shape))
+            want = (re + 1j * im) / np.sqrt(2.0)
+            assert got.dtype == np.complex128 and got.shape == shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (seed, shape)
+
     def test_draws_match_a_fresh_generator(self, s3):
         for seed in STREAM_SEEDS:
             for n in (1, 2, 3):

@@ -122,6 +122,14 @@ class TestCertification:
         with pytest.raises(ValueError):
             is_positive_definite(phi_21(z2), tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_tol_that_is_not_finite_rejected(self, z2, tol):
+        # an infinite tol would certify a non-Hermitian input, and a NaN one reject every input
+        a = MatFun(z2, 1, np.array([[[1.0]], [[2.0j]]]))
+        for f in (phi_21(z2), a):
+            with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+                is_positive_definite(f, tol=tol)
+
 
 class TestGramCheck:
     def test_delta(self, d3):
@@ -244,6 +252,11 @@ class TestExtractKernel:
 
 
 class TestSpectralTruncate:
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_threshold_that_is_not_finite(self, d3, t):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            spectral_truncate(random_pd(d3, 2, seed=16), t)
+
     def test_above_spectrum_is_identity_map(self, d3):
         phi = random_pd(d3, 2, seed=16)
         top = float(np.linalg.eigvalsh(conv_matrix(phi).data)[-1])

@@ -112,6 +112,13 @@ class TestSqrtSpectral:
         with pytest.raises(NotPositiveDefiniteError):
             sqrt_spectral(phi)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_tol_that_is_not_positive_and_finite(self, d4, monkeypatch, tol):
+        # a NaN tol exited 1 from the CLI and an infinite one passed any residual
+        monkeypatch.setattr(godement.roots, "_certified_spectrum", lambda *a, **k: pytest.fail("work was done"))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            sqrt_spectral(random_pd(d4, 2, seed=11), tol=tol)
+
     def test_zero_function(self, z2):
         result = sqrt_spectral(zero_matfun(z2, 2))
         assert l2_norm(result.psi) == 0.0
@@ -210,8 +217,9 @@ class TestSqrtIterative:
             sqrt_iterative(phi, tol=1e-20)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
-    def test_rejects_tol_that_is_not_positive_and_finite(self, d4, tol):
-        with pytest.raises(ValueError, match="tol"):
+    def test_rejects_tol_that_is_not_positive_and_finite(self, d4, monkeypatch, tol):
+        monkeypatch.setattr(godement.roots, "_certified_spectrum", lambda *a, **k: pytest.fail("work was done"))
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             sqrt_iterative(random_pd(d4, 2, seed=11), tol=tol)
 
     def test_rejects_non_pd(self, z2):
@@ -376,6 +384,11 @@ class TestTruncationSequence:
                 ni, nj = l2_norm(cuts[i]), l2_norm(cuts[j])
                 assert nj**2 >= ni**2 - 1e-9 * nj**2
                 assert l2_norm(subtract(cuts[j], cuts[i])) ** 2 <= nj**2 - ni**2 + 1e-9 * nj**2
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_threshold_that_is_not_finite(self, z6, bad):
+        with pytest.raises(ValueError, match="thresholds must be finite"):
+            truncation_sequence(random_pd(z6, 1, seed=15), [1.0, bad])
 
     def test_rejects_unsorted(self, z6):
         with pytest.raises(ValueError, match="ascending"):

@@ -25,10 +25,12 @@ from godement import (
     delta_identity,
     inner,
     l2_norm,
+    make_pd,
     matfun_from_json,
     matfun_to_json,
     matrix_coeff_fun,
     parse_group_spec,
+    random_matfun,
     regular_rep,
     run_suite,
     scale,
@@ -158,6 +160,25 @@ class TestTheoremA:
         assert not report.passed
         assert report.details["failure"] == "trace_bound"
 
+    @pytest.mark.parametrize("name", ["tol", "iter_tol", "agreement_tol"])
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_bad_tolerance_raises_before_any_work(self, s3, monkeypatch, name, bad):
+        # an invalid argument is the caller's error, not a failed theorem with phi as its counterexample
+        monkeypatch.setattr(godement.theorems, "fourier_spectrum", lambda *a, **k: pytest.fail("work was done"))
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            check_theorem_a(random_pd(s3, 2, seed=1), **{name: bad})
+
+    def test_non_finite_root_fails_with_counterexample(self, s3, monkeypatch):
+        # a root whose entries overflow is refused by MatFun: a failed theorem, not an input error
+        def overflowing(phi, spectrum, tol, pd_tol):
+            return MatFun(phi.group, phi.n, np.full(phi.values.shape, np.inf))
+
+        monkeypatch.setattr(godement.theorems, "_spectral_root", overflowing)
+        report = check_theorem_a(random_pd(s3, 2, seed=1))
+        assert not report.passed
+        assert "phi" in report.counterexample
+        assert "finite" in report.details["failure"]
+
     def test_non_pd_input_fails_with_counterexample(self, z2):
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
         report = check_theorem_a(phi)
@@ -177,6 +198,15 @@ def loop_trace_checks(trace, phi_trace):
 
 # one spec per family and product shape
 ARRAY_LEVEL_SPECS = ("z2", "z6", "klein", "d3", "d4", "q8", "s3", "s4", "z2xz3", "z2xd6")
+
+
+@pytest.mark.parametrize("spec", ARRAY_LEVEL_SPECS + ("s5",))
+def test_random_pd_is_make_pd_of_random_matfun_bitwise(spec):
+    grp = parse_group_spec(spec)
+    for n in (1, 2, 3):
+        seed = derive_seed(2024, "A", grp.name, n, 0)
+        got = godement.theorems._random_pd(grp, n, seed)
+        assert got.values.tobytes() == make_pd(random_matfun(grp, n, seed)).values.tobytes(), (spec, n)
 
 
 class TestArrayLevelQuantities:
@@ -488,8 +518,9 @@ class TestRunSuite:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(trials=0))
-        with pytest.raises(ValueError):
-            run_suite(SuiteConfig(tol=0.0))
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                run_suite(SuiteConfig(tol=tol))
 
     def test_trial_rows_opt_in(self):
         config = SuiteConfig(groups=("cyclic:2",), dims=(1,), trials=3, seed=5, name="rows")
@@ -503,6 +534,12 @@ class TestRunSuite:
                 assert isinstance(row["iterations"], int) and row["iterations"] > 0
             else:
                 assert row["iterations"] is None
+
+    def test_replays_with_the_matfun_draw(self, monkeypatch):
+        # recorded seeds replay: the suite's raw-array draw is make_pd(random_matfun(...))
+        fast = json.dumps(run_suite(SuiteConfig(trials=5, seed=206)), sort_keys=True)
+        monkeypatch.setattr(godement.theorems, "_random_pd", lambda g, n, seed: make_pd(random_matfun(g, n, seed)))
+        assert json.dumps(run_suite(SuiteConfig(trials=5, seed=206)), sort_keys=True) == fast
 
     def test_passing_trials_serialize_nothing(self, monkeypatch):
         calls = []
