@@ -156,7 +156,7 @@ def _cmd_rep_demo(args) -> int:
     reg = regular_rep(group)
     rep = tensor_product(reg, reg) if args.tensor else reg
     u1, u2 = _complex_normals(derive_seed(args.seed, "rep-demo"), (args.n, rep.dim), (args.n, rep.dim))
-    report = check_tensor_nonneg(rep, u1, rep, u2, tol=args.tol)
+    report = check_tensor_nonneg(rep, u1, rep, u2)
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
 
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="s3")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--tensor", action="store_true", help="use regular x regular instead of regular")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_rep_demo)

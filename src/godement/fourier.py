@@ -298,7 +298,11 @@ class FourierSpectrum:
 
     def apply(self, f) -> MatFun:
         """The function whose convolution operator is f(H), for f acting
-        elementwise on eigenvalue arrays."""
+        elementwise on eigenvalue arrays.  f must take one value, up to
+        rounding, on each cluster of count_leq: the solver splits a
+        degenerate eigenvalue at rounding level, and an f that separates
+        it (a step inside a q8 cluster) gives a function that is not
+        Hermitian.  cut and the square root respect this."""
         parts = [(vectors * f(values)[:, None, :]) @ vectors.conj().swapaxes(1, 2) for values, vectors in self.blocks]
         return MatFun(self.group, self.n, self.basis.kernel(parts))
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, _generating_set
 from .matfun import MatFun, conjugate, inner, l2_norm
-from .theorems import TheoremReport
+from .theorems import _PAIR_TOL, TheoremReport
 
 __all__ = [
     "UnitaryRep",
@@ -78,18 +78,24 @@ def tensor_product(p1: UnitaryRep, p2: UnitaryRep) -> UnitaryRep:
 
 
 def unitarity_residual(rep: UnitaryRep) -> float:
-    eye = np.eye(rep.dim)
-    prods = np.einsum("gij,gkj->gik", rep.matrices, np.conj(rep.matrices))
-    return float(np.max(np.linalg.norm(prods - eye, axis=(1, 2))))
+    """max_g ||M(g) M(g)^H - I||_F."""
+    prods = rep.matrices @ rep.matrices.conj().transpose(0, 2, 1)
+    return float(np.max(np.linalg.norm(prods - np.eye(rep.dim), axis=(1, 2))))
 
 
 def homomorphism_residual(rep: UnitaryRep) -> float:
-    worst = 0.0
-    for a in range(rep.group.order):
-        prods = rep.matrices[a] @ rep.matrices  # (|G|, d, d), index b
-        target = rep.matrices[rep.group.mult[a]]
-        worst = max(worst, float(np.max(np.linalg.norm(prods - target, axis=(1, 2)))))
-    return worst
+    """Upper bound on max_{a,b} ||M(a) M(b) - M(a b)||_F for a unitary rep,
+    zero iff it is a homomorphism.  With R(a) = max_b ||M(a) M(b) - M(a b)||_F,
+    unitary M has R(e) = ||M(e) - I||_F, R(s^-1) <= 2 R(s) + R(e) and
+    R(l a) <= R(a) + 2 R(l), so along words in generators and inverses
+    (operators.translation_commutant_residual) R(a) <= (6 D + 1) max(R(e), R(s)).
+    """
+    group, mats = rep.group, rep.matrices
+    gens, diameter = _generating_set(group)
+    rho = float(np.linalg.norm(mats[group.identity] - np.eye(rep.dim)))
+    for s in gens:
+        rho = max(rho, float(np.max(np.linalg.norm(mats[s] @ mats - mats[group.mult[s]], axis=(1, 2)))))
+    return (6 * diameter + 1) * rho
 
 
 def matrix_coeff_fun(rep: UnitaryRep, vectors: list[np.ndarray] | np.ndarray) -> MatFun:
@@ -116,7 +122,6 @@ def check_tensor_nonneg(
     u1s: list[np.ndarray] | np.ndarray,
     p2: UnitaryRep,
     u2s: list[np.ndarray] | np.ndarray,
-    tol: float = 1e-10,
 ) -> TheoremReport:
     """Averaged diagonal coefficient of a tensor product is nonnegative.
 
@@ -129,10 +134,16 @@ def check_tensor_nonneg(
     matrix U = sum_i u1_i u2_i^T, and (A x B) u flattens A U B^T, so the
     sum is vdot(U, sum_g A_g U B_g^T).  The residuals are relative to
     ||phi1|| ||phi2|| of the two coefficient functions, so the verdict does
-    not depend on the scale of the vectors.
+    not depend on the scale of the vectors, and judged at _PAIR_TOL.  A p1
+    or p2 that is not a unitary representation raises ValueError before
+    any work: the claim holds only for representations.
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
+    for rep in (p1,) if p1 is p2 else (p1, p2):
+        for measure in (unitarity_residual, homomorphism_residual):  # the second assumes the first
+            if not (value := measure(rep)) <= _PAIR_TOL:
+                raise ValueError(f"not a unitary representation: {measure.__name__} {value:.3e}")
     a1 = np.asarray(u1s, dtype=np.complex128)
     a2 = np.asarray(u2s, dtype=np.complex128)
     if a1.shape[0] != a2.shape[0]:
@@ -150,19 +161,12 @@ def check_tensor_nonneg(
     negativity = max(0.0, -direct.real) / scale
     imaginary = abs(direct.imag) / scale
     residual = max(agreement, negativity, imaginary)
-    report = TheoremReport(
-        "B", 1, p1.group.name, int(a1.shape[0]), residual / tol, residual <= tol
-    )
-    report.details = {
-        "route": "tensor_product",
-        "direct_sum": [direct.real, direct.imag],
-        "via_pairing": [via_pairing.real, via_pairing.imag],
-    }
+    report = TheoremReport("B", 1, p1.group.name, int(a1.shape[0]), residual / _PAIR_TOL, residual <= _PAIR_TOL)
+    report.details = {"route": "tensor_product", "direct_sum": [direct.real, direct.imag],
+                      "via_pairing": [via_pairing.real, via_pairing.imag]}
     if not report.passed:
-        report.counterexample = {
-            "u1s": [[z.real, z.imag] for v in a1 for z in v],
-            "u2s": [[z.real, z.imag] for v in a2 for z in v],
-        }
+        report.counterexample = {"u1s": [[z.real, z.imag] for v in a1 for z in v],
+                                 "u2s": [[z.real, z.imag] for v in a2 for z in v]}
     return report
 
 

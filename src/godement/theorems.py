@@ -12,6 +12,7 @@ run_suite aggregates randomized trials deterministically per seed.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,12 +112,7 @@ def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict[str, MatFun
         )
 
 
-def check_theorem_a(
-    phi: MatFun,
-    tol: float = 1e-8,
-    iter_tol: float = 1e-9,
-    agreement_tol: float = 1e-6,
-) -> TheoremReport:
+def check_theorem_a(phi: MatFun, tol: float = 1e-8, iter_tol: float = 1e-9) -> TheoremReport:
     """Verify the square-root factorization of one positive definite phi.
 
     Runs both root constructions and checks: psi * psi reproduces phi,
@@ -125,14 +121,13 @@ def check_theorem_a(
     One Fourier spectrum of phi certifies it and serves both roots.  The
     star gap is relative to ||psi||, and the trace bound
     ||psi_k||^2 <= Tr phi(e) is relative to Tr phi(e), so neither depends
-    on the scale of phi.  Every tolerance must be positive and finite; a
-    bad one raises ValueError before any work, not a failed theorem.
+    on the scale of phi, and the roots must agree within the bound their
+    residuals give.  tol and iter_tol must be positive and finite; a bad one
+    raises ValueError before any work, not a failed theorem.
     """
     _check_tol(tol)
     _check_tol(iter_tol, "iter_tol")
-    _check_tol(agreement_tol, "agreement_tol")
     group, n = phi.group, phi.n
-    scale_phi = l2_norm(phi)
     report = TheoremReport("A", 1, group.name, n, 0.0, True)
     spectrum = fourier_spectrum(phi)
     cert = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, DEFAULT_PD_TOL)
@@ -153,11 +148,16 @@ def check_theorem_a(
 
     # iterative convergence itself is enforced by ConvergenceError above
     agreement = _l2(spectral.psi.values - iterative.psi.values)
+    # psi - X = (phi - X * X)(psi + X)^-1 for the PD root psi and a PSD X that
+    # commutes with phi, as both roots do; below DEFAULT_PD_TOL s an eigenvalue
+    # is rounding to both.  s = 0 only for the zero function, whose roots are 0.
+    floor = max(float(spectrum.eigenvalues[0]), DEFAULT_PD_TOL * spectrum.operator_norm)
+    bound = (spectral.residual + iterative.residual) * (l2_norm(phi) / math.sqrt(floor)) if floor > 0.0 else 0.0
     residuals = {
         "spectral_residual": spectral.residual / tol,
         "star_gap": hermitian_symmetry_residual(spectral.psi) / max(1e-300, 1e-10 * l2_norm(spectral.psi)),
         "psi_not_pd": 0.0 if is_positive_definite(spectral.psi).ok else np.inf,
-        "method_agreement": agreement / max(1e-300, agreement_tol * scale_phi),
+        "method_agreement": agreement / bound if bound > 0.0 else (0.0 if agreement == 0.0 else np.inf),
     }
     phi_trace = float(np.trace(phi.values[group.identity]).real)
     monotone_ok, bound_ok = _trace_checks(iterative.monotone_trace or (), phi_trace)
@@ -192,6 +192,9 @@ def _trace_checks(trace, phi_trace: float) -> tuple[bool, bool]:
 # Norms in this range multiply, in inner products and convolutions of a
 # pair, without overflow and with underflow far below rounding.
 _PAIR_RANGE = (2.0**-250, 2.0**250)
+# The tolerance of every pair check (Theorems B and C, the trace lemma and
+# reps.check_tensor_nonneg) on its residuals relative to ||phi|| ||psi||.
+_PAIR_TOL = 1e-10
 
 
 def _in_range(a: MatFun) -> tuple[MatFun, float, float]:
@@ -209,24 +212,34 @@ def _in_range(a: MatFun) -> tuple[MatFun, float, float]:
     return a, l2_norm(a), unit
 
 
-def check_theorem_b(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremReport:
-    """Verify that the inner product of two PD functions is real nonnegative.
-
-    The residual is relative to ||phi|| ||psi|| and is computed on phi and
-    psi brought into range (_in_range), so it holds at any scale; the
-    reported inner product is scaled back.
-    """
+def _pair_check(theorem: str, phi: MatFun, psi: MatFun, measure) -> TheoremReport:
+    """The report of measure(phi_u, psi_u, scale, unit) -> (worst residual,
+    passed, details) on phi and psi brought into range (_in_range), with
+    scale = ||phi|| ||psi|| and unit the factor that scales a value bilinear
+    in the pair back.  A failed check has both inputs as counterexample."""
     (phi_u, phi_norm, phi_unit), (psi_u, psi_norm, psi_unit) = _in_range(phi), _in_range(psi)
     scale = max(phi_norm * psi_norm, 1e-300)
-    value = inner(phi_u, psi_u)
-    deficit = 0.0 if value.real >= 0.0 else -value.real  # NaN when the real part is NaN
-    residual = _worst(abs(value.imag), deficit) / scale
-    report = TheoremReport("B", 1, phi.group.name, phi.n, residual / max(tol, 1e-300), residual <= tol)
-    value = value * phi_unit * psi_unit
-    report.details = {"inner_real": value.real, "inner_imag": value.imag}
-    if not report.passed:
+    worst, passed, details = measure(phi_u, psi_u, scale, phi_unit * psi_unit)
+    report = TheoremReport(theorem, 1, phi.group.name, phi.n, worst, passed, details=details)
+    if not passed:
         report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
     return report
+
+
+def check_theorem_b(phi: MatFun, psi: MatFun) -> TheoremReport:
+    """Verify that the inner product of two PD functions is real nonnegative.
+
+    The residual is relative to ||phi|| ||psi|| (_pair_check), so it holds
+    at any scale; the reported inner product is scaled back.
+    """
+    def measure(phi_u, psi_u, scale, unit):
+        value = inner(phi_u, psi_u)
+        deficit = 0.0 if value.real >= 0.0 else -value.real  # NaN when the real part is NaN
+        residual = _worst(abs(value.imag), deficit) / scale
+        value *= unit
+        return residual / _PAIR_TOL, residual <= _PAIR_TOL, {"inner_real": value.real, "inner_imag": value.imag}
+
+    return _pair_check("B", phi, psi, measure)
 
 
 def classify_magnitude(value: float, tol: float) -> str:
@@ -238,68 +251,48 @@ def classify_magnitude(value: float, tol: float) -> str:
     return "indeterminate"
 
 
-def check_theorem_c(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremReport:
+def check_theorem_c(phi: MatFun, psi: MatFun) -> TheoremReport:
     """Verify the biconditional: inner product zero iff convolution zero.
 
     Both scaled magnitudes are reported.  A trial fails when one side
     classifies as zero and the other as nonzero, or when a magnitude is
     not finite (NaN would otherwise land in the indeterminate band);
-    magnitudes inside the band (tol, 100 tol) are flagged indeterminate,
-    not failed.  Both are relative to ||phi|| ||psi|| and computed on phi
-    and psi brought into range (_in_range), so they hold at any scale.
+    magnitudes inside the band (_PAIR_TOL, 100 _PAIR_TOL) are flagged
+    indeterminate, not failed.  Both are relative to ||phi|| ||psi||
+    (_pair_check), so they hold at any scale.
     """
-    (phi_u, phi_norm, _), (psi_u, psi_norm, _) = _in_range(phi), _in_range(psi)
-    scale = max(phi_norm * psi_norm, 1e-300)
-    inner_mag = abs(inner(phi_u, psi_u)) / scale
-    conv_mag = _l2(_conv_kernel(phi.group, phi_u.values, psi_u.values)) / scale
-    side_a = classify_magnitude(inner_mag, tol)
-    side_b = classify_magnitude(conv_mag, tol)
-    finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
-    indeterminate = finite and "indeterminate" in (side_a, side_b)
-    contradiction = finite and not indeterminate and side_a != side_b
-    passed = finite and not contradiction
-    report = TheoremReport(
-        "C",
-        1,
-        phi.group.name,
-        phi.n,
-        _worst(inner_mag, conv_mag) if not passed else 0.0,
-        passed,
-    )
-    report.details = {
-        "inner_scaled": inner_mag,
-        "conv_scaled": conv_mag,
-        "inner_class": side_a,
-        "conv_class": side_b,
-        "indeterminate_trials": 1 if indeterminate else 0,
-    }
-    if not finite:
-        report.details["failure"] = f"non-finite magnitude: inner {inner_mag!r}, convolution {conv_mag!r}"
-    if not passed:
-        report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
-    return report
+    def measure(phi_u, psi_u, scale, unit):
+        inner_mag = abs(inner(phi_u, psi_u)) / scale
+        conv_mag = _l2(_conv_kernel(phi.group, phi_u.values, psi_u.values)) / scale
+        side_a = classify_magnitude(inner_mag, _PAIR_TOL)
+        side_b = classify_magnitude(conv_mag, _PAIR_TOL)
+        finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
+        indeterminate = finite and "indeterminate" in (side_a, side_b)
+        passed = finite and (indeterminate or side_a == side_b)
+        details = {"inner_scaled": inner_mag, "conv_scaled": conv_mag, "inner_class": side_a,
+                   "conv_class": side_b, "indeterminate_trials": 1 if indeterminate else 0}
+        if not finite:
+            details["failure"] = f"non-finite magnitude: inner {inner_mag!r}, convolution {conv_mag!r}"
+        return _worst(inner_mag, conv_mag) if not passed else 0.0, passed, details
+
+    return _pair_check("C", phi, psi, measure)
 
 
-def check_inner_trace(phi: MatFun, psi: MatFun, tol: float = 1e-10) -> TheoremReport:
+def check_inner_trace(phi: MatFun, psi: MatFun) -> TheoremReport:
     """Verify <phi, psi> = Tr((phi * psi)(e)) for positive definite pairs.
 
-    The residual is relative to ||phi|| ||psi|| and is computed on phi and
-    psi brought into range (_in_range), so it holds at any scale; the
-    reported values are scaled back.
+    The residual is relative to ||phi|| ||psi|| (_pair_check), so it holds
+    at any scale; the reported values are scaled back.
     """
-    (phi_u, phi_norm, phi_unit), (psi_u, psi_norm, psi_unit) = _in_range(phi), _in_range(psi)
-    scale = max(phi_norm * psi_norm, 1e-300)
-    lhs = inner(phi_u, psi_u)
-    rhs = complex(np.trace(_conv_kernel(phi.group, phi_u.values, psi_u.values)[phi.group.identity]))
-    residual = abs(lhs - rhs) / scale
-    report = TheoremReport(
-        "lemma_2_1", 1, phi.group.name, phi.n, residual / max(tol, 1e-300), residual <= tol
-    )
-    lhs, rhs = lhs * phi_unit * psi_unit, rhs * phi_unit * psi_unit
-    report.details = {"inner": [lhs.real, lhs.imag], "trace_at_identity": [rhs.real, rhs.imag]}
-    if not report.passed:
-        report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
-    return report
+    def measure(phi_u, psi_u, scale, unit):
+        lhs = inner(phi_u, psi_u)
+        rhs = complex(np.trace(_conv_kernel(phi.group, phi_u.values, psi_u.values)[phi.group.identity]))
+        residual = abs(lhs - rhs) / scale
+        lhs, rhs = lhs * unit, rhs * unit
+        details = {"inner": [lhs.real, lhs.imag], "trace_at_identity": [rhs.real, rhs.imag]}
+        return residual / _PAIR_TOL, residual <= _PAIR_TOL, details
+
+    return _pair_check("lemma_2_1", phi, psi, measure)
 
 
 def build_orthogonal_pd_pair(theta: MatFun, split_t: float) -> tuple[MatFun, MatFun]:
@@ -327,8 +320,7 @@ def _orthogonal_pair(theta: MatFun, spectrum: FourierSpectrum, split_t: float) -
 @dataclass(frozen=True)
 class SuiteConfig:
     """What to run: group specs, dimensions, trial counts, seed, and the
-    tolerance of Theorem A's spectral root.  The pair checks run at their own
-    default tol."""
+    tolerance of Theorem A's spectral root.  The pair checks run at _PAIR_TOL."""
 
     groups: tuple[str, ...] = ("cyclic:6", "dihedral:4", "quaternion:8", "symmetric:3")
     dims: tuple[int, ...] = (1, 2)

@@ -281,7 +281,7 @@ def test_criterion_8_tensor_nonnegativity():
         for label, p1, p2 in reps:
             u1 = vectors(p1.dim, derive_seed(ACCEPTANCE_SEED, "t7-u1", label, p1.dim, k))
             u2 = vectors(p2.dim, derive_seed(ACCEPTANCE_SEED, "t7-u2", label, p2.dim, k))
-            report = check_tensor_nonneg(p1, u1, p2, u2, tol=1e-10)
+            report = check_tensor_nonneg(p1, u1, p2, u2)
             assert report.passed, report.details
             direct = report.details["direct_sum"]
             assert direct[0] >= -1e-10

@@ -192,6 +192,14 @@ class TestInvalidTolerances:
         assert run_cli("truncate", write_phi21(tmp_path, z2), "-t", "nan") == 2
         assert "threshold must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "1e-10"])
+    def test_rep_demo_has_no_tol(self, capsys, tol):
+        # the pair checks judge at one constant, so argparse refuses the flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rep-demo", "--tol", tol)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
 
 class TestTruncate:
     def test_worked_example(self, tmp_path, z2, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import godement.reps
 from godement import (
     UnitaryRep,
     build_cyclic,
@@ -157,15 +158,64 @@ class TestTensorNonneg:
 
     @pytest.mark.parametrize("c", [1e-30, 1e-3, 1.0, 1e30])
     def test_verdict_does_not_depend_on_scale(self, s3, c):
-        # -I and I at every element: unitary, not a homomorphism, which the
-        # check does not verify, so their tensor sum is negative at any scale
+        reg = regular_rep(s3)
+        square = tensor_product(reg, reg)
+        base = check_tensor_nonneg(reg, random_vectors(2, 6, 2), square, random_vectors(2, 36, 3))
+        report = check_tensor_nonneg(reg, c * random_vectors(2, 6, 2), square, c * random_vectors(2, 36, 3))
+        assert base.passed and report.passed
+        # the residuals are relative to ||phi1|| ||phi2||, which scales as c^4 with the sums
+        direct = complex(*report.details["direct_sum"])
+        assert direct == pytest.approx(c**4 * complex(*base.details["direct_sum"]), rel=1e-12)
+        assert report.worst_residual <= 1e-2
+
+    def test_non_representations_are_refused_before_any_work(self, s3, monkeypatch):
+        # -I at every element is unitary but no homomorphism, and its tensor
+        # sum with I is negative; a non-unitary homomorphism is refused too
+        monkeypatch.setattr(godement.reps, "matrix_coeff_fun", lambda *a: pytest.fail("work was done"))
         eye = np.broadcast_to(np.eye(2, dtype=complex), (s3.order, 2, 2))
         minus, plus = UnitaryRep(s3, 2, -eye), UnitaryRep(s3, 2, eye)
         u1, u2 = random_vectors(2, 2, seed=0), random_vectors(2, 2, seed=1)
-        report = check_tensor_nonneg(minus, c * u1, plus, c * u2)
-        assert not report.passed and report.details["direct_sum"][0] < 0.0
-        reg = regular_rep(s3)
-        assert check_tensor_nonneg(reg, c * random_vectors(2, 6, 2), reg, c * random_vectors(2, 6, 3)).passed
+        for p1, p2 in ((minus, plus), (plus, minus)):
+            with pytest.raises(ValueError, match="not a unitary representation: homomorphism_residual"):
+                check_tensor_nonneg(p1, u1, p2, u2)
+        z2 = build_cyclic(2)
+        flip = np.array([[1.0, 1.0], [0.0, -1.0]])  # flip @ flip = I
+        skew = UnitaryRep(z2, 2, np.stack([np.eye(2), flip]))
+        assert homomorphism_residual(skew) == 0.0
+        with pytest.raises(ValueError, match="not a unitary representation: unitarity_residual"):
+            check_tensor_nonneg(skew, u1, skew, u2)
+
+    def test_a_rep_passed_twice_is_checked_once(self, s3, monkeypatch):
+        calls = []
+        real = godement.reps.unitarity_residual
+        monkeypatch.setattr(godement.reps, "unitarity_residual", lambda rep: calls.append(rep) or real(rep))
+        reg, other = regular_rep(s3), regular_rep(s3)
+        check_tensor_nonneg(reg, random_vectors(2, 6, 4), reg, random_vectors(2, 6, 5))
+        assert calls == [reg]
+        check_tensor_nonneg(reg, random_vectors(2, 6, 4), other, random_vectors(2, 6, 5))
+        assert calls == [reg, reg, other]
+
+
+def all_pairs_homomorphism_residual(rep: UnitaryRep) -> float:
+    """max over all pairs (a, b) of ||M(a) M(b) - M(a b)||_F: the reference."""
+    mats, mult = rep.matrices, rep.group.mult
+    return max(float(np.linalg.norm(mats[a] @ mats[b] - mats[mult[a, b]]))
+               for a in range(rep.group.order) for b in range(rep.group.order))
+
+
+@pytest.mark.parametrize("spec", ["z2", "z6", "d3", "q8", "s3", "d4"])
+def test_homomorphism_residual_bounds_every_pair(spec):
+    grp = parse_group_spec(spec)
+    reg = regular_rep(grp)
+    rng = np.random.default_rng(7)
+    swapped = reg.matrices.copy()
+    a, b = rng.choice(grp.order, 2, replace=False)
+    swapped[[a, b]] = swapped[[b, a]]  # permutation matrices, so still unitary
+    for rep in (reg, tensor_product(reg, trivial_rep(grp)), UnitaryRep(grp, grp.order, swapped),
+                UnitaryRep(grp, grp.order, -reg.matrices)):
+        exact = all_pairs_homomorphism_residual(rep)
+        bound = homomorphism_residual(rep)
+        assert exact <= bound and (bound == 0.0) == (exact == 0.0), (spec, exact, bound)
 
 
 class TestJson:

@@ -1,8 +1,11 @@
 import dataclasses
+import inspect
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import godement.fourier
 import godement.operators
@@ -17,6 +20,7 @@ from godement import (
     add,
     build_orthogonal_pd_pair,
     check_inner_trace,
+    check_tensor_nonneg,
     check_theorem_a,
     check_theorem_b,
     check_theorem_c,
@@ -37,7 +41,9 @@ from godement import (
     sqrt_iterative,
     sqrt_spectral,
     subtract,
+    zero_matfun,
 )
+from godement.cli import main
 from godement.operators import DEFAULT_PD_TOL
 from godement.theorems import _in_range, _merge, classify_magnitude, derive_seed
 from conftest import phi_21, random_pd
@@ -45,31 +51,53 @@ from conftest import phi_21, random_pd
 
 class TestTheoremA:
     def test_delta(self, z6):
-        report = check_theorem_a(delta_identity(z6, 2))
+        phi = delta_identity(z6, 2)
+        report = check_theorem_a(phi)
         assert report.passed
         assert report.theorem == "A"
-        # worst_residual is a residual-to-tolerance ratio; well under 1 here
-        assert report.worst_residual <= 1e-2
+        # delta is its own root: the iteration starts on it, and both roots are exact to rounding
+        assert report.details["iterations"] == 0 and report.details["iterative_residual"] == 0.0
+        assert report.details["spectral_residual"] <= 1e-14 * l2_norm(phi)
+        assert report.details["agreement"] <= 1e-14 * l2_norm(phi)
+        # worst_residual is a residual-to-tolerance ratio; the agreement bound
+        # comes from the same rounding as the gap, so it reads about 0.5, not 0
+        assert report.worst_residual < 1.0
+
+    def test_zero_function(self, z6):
+        # s = 0: both roots are exactly 0 and so is the agreement bound
+        report = check_theorem_a(zero_matfun(z6, 2))
+        assert report.passed, report.details
+        assert report.worst_residual == 0.0 and report.details["agreement"] == 0.0
 
     @staticmethod
-    def near_singular(s3):
-        """A valid PD input with lambda_min / ||H|| = 3e-10: the top half of the
-        spectrum of a random theta plus 1e-8 times the bottom half."""
-        theta = random_pd(s3, 2, seed=11)
+    def near_singular(s3, delta=1e-8, n=2, seed=11):
+        """A valid PD input with lambda_min / ||H|| = 3e-10 at the defaults: the
+        top half of the spectrum of a random theta plus delta times the bottom half."""
+        theta = random_pd(s3, n, seed=seed)
         ev = godement.fourier.fourier_spectrum(theta, vectors=False).eigenvalues
         low, high = build_orthogonal_pd_pair(theta, (ev[0] + ev[-1]) / 2)
-        return add(high, scale(1e-8, low))
+        return add(high, scale(delta, low))
 
     def test_near_singular_input_is_certified_pd(self, s3):
         cert = godement.operators.is_positive_definite(self.near_singular(s3))
         assert cert.ok and 0.0 < cert.min_eigenvalue < 1e-9 * cert.operator_norm
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="method_agreement compares a gap that scales like sqrt(phi) with 1e-6 ||phi|| "
-                              "and fails valid near-singular input (ROADMAP item 2)")
-    def test_near_singular_input_passes(self, s3):
-        report = check_theorem_a(self.near_singular(s3))
+    @pytest.mark.parametrize("delta", [1e-2, 1e-5, 1e-8, 1e-10, 0.0])
+    def test_near_singular_input_passes(self, s3, delta):
+        # the roots differ by 5.4e-5 ||phi|| at delta = 1e-8, which a bound
+        # proportional to ||phi|| failed; the derived bound scales with it
+        report = check_theorem_a(self.near_singular(s3, delta))
         assert report.passed, report.details
+        assert report.worst_residual < 1.0
+
+    def test_unconverged_eigenvalue_just_above_the_floor_passes(self, s3):
+        # the iteration stops after 5 steps with an eigenvalue at 1.3e-9 s barely
+        # moved: there the gap is sqrt(lambda) and the bound lambda / sqrt(1e-9 s),
+        # so the ratio reads sqrt(1e-9 s / lambda) = 0.88, below 1 for any lambda
+        # above the floor, where the spectral root does not cut
+        report = check_theorem_a(self.near_singular(s3, 1e-8, n=1, seed=100))
+        assert report.passed, report.details
+        assert report.details["iterations"] == 5 and 0.8 < report.worst_residual < 1.0
 
     def test_z2_worked_example(self, z2):
         report = check_theorem_a(phi_21(z2))
@@ -128,18 +156,19 @@ class TestTheoremA:
 
         def with_star_gap(phi, spectrum, tol, pd_tol):
             # i eps at the identity gives a star gap of 2 eps = 5e-10 ||psi||: five
-            # times the tolerance, but small enough that psi stays PD
+            # times the tolerance, but small enough that psi stays PD; the
+            # residual is that of the perturbed root, which keeps it within the
+            # agreement bound
             result = real(phi, spectrum, tol, pd_tol)
             values = result.psi.values.copy()
             values[phi.group.identity] += 0.5j * 5e-10 * l2_norm(result.psi)
-            return dataclasses.replace(result, psi=MatFun(phi.group, phi.n, values))
+            psi = MatFun(phi.group, phi.n, values)
+            return dataclasses.replace(result, psi=psi, residual=godement.roots._square_gap(psi, phi) / l2_norm(phi))
 
         phi = scale(c, phi_21(z2))
-        # method_agreement compares a gap that scales like sqrt(phi) with
-        # agreement_tol * ||phi||, so at 1e-150 it would fail first on its own
-        assert check_theorem_a(phi, agreement_tol=1e300).passed
+        assert check_theorem_a(phi).passed
         monkeypatch.setattr(godement.theorems, "_spectral_root", with_star_gap)
-        report = check_theorem_a(phi, agreement_tol=1e300)
+        report = check_theorem_a(phi)
         assert not report.passed
         assert report.details["failure"] == "star_gap"
         assert report.worst_residual == pytest.approx(5.0)
@@ -156,11 +185,11 @@ class TestTheoremA:
 
         phi = scale(c, phi_21(z2))
         monkeypatch.setattr(godement.theorems, "_iterative_root", overshooting)
-        report = check_theorem_a(phi, agreement_tol=1e300)
+        report = check_theorem_a(phi)
         assert not report.passed
         assert report.details["failure"] == "trace_bound"
 
-    @pytest.mark.parametrize("name", ["tol", "iter_tol", "agreement_tol"])
+    @pytest.mark.parametrize("name", ["tol", "iter_tol"])
     @pytest.mark.parametrize("bad", [0.0, -1e-9, float("nan"), float("inf")])
     def test_bad_tolerance_raises_before_any_work(self, s3, monkeypatch, name, bad):
         # an invalid argument is the caller's error, not a failed theorem with phi as its counterexample
@@ -186,6 +215,25 @@ class TestTheoremA:
         assert report.counterexample is not None
         assert "phi" in report.counterexample
         assert "not positive definite" in report.details["failure"]
+
+    def test_each_tolerance_is_used(self, s3):
+        # a tolerance no root can meet fails the theorem through the root it governs
+        phi = random_pd(s3, 2, seed=1)
+        assert "spectral square root residual" in check_theorem_a(phi, tol=1e-300).details["failure"]
+        assert "no convergence" in check_theorem_a(phi, iter_tol=1e-300).details["failure"]
+
+
+@pytest.mark.parametrize("check, params", [
+    (check_theorem_a, ["phi", "tol", "iter_tol"]),
+    (check_theorem_b, ["phi", "psi"]),
+    (check_theorem_c, ["phi", "psi"]),
+    (check_inner_trace, ["phi", "psi"]),
+    (check_tensor_nonneg, ["p1", "u1s", "p2", "u2s"]),
+])
+def test_checks_take_only_the_tolerances_they_use(check, params):
+    # Theorem A's agreement bound is derived and the pair checks judge at
+    # _PAIR_TOL; the two root tolerances left are each used (test_each_tolerance_is_used)
+    assert list(inspect.signature(check).parameters) == params
 
 
 def loop_trace_checks(trace, phi_trace):
@@ -482,6 +530,50 @@ class TestPairChecksAtAnyScale:
             for other in (c, 1.0 / c):
                 report = check_inner_trace(scale(c, phi), scale(other, psi))
                 assert report.passed and report.worst_residual <= 1e-2, (c, other)
+
+
+# the suite's groups and s4, whose Fourier blocks have two sizes besides 1
+SCALE_SPECS = ("z6", "d4", "q8", "s3", "s4")
+
+
+@given(spec=st.sampled_from(SCALE_SPECS), n=st.integers(1, 3), k=st.integers(-100, 100),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_verdicts_do_not_depend_on_scale(tmp_path_factory, spec, n, k, seed):
+    # every check, and certify on a file, gives phi and 10^k phi the same
+    # verdict, on inputs that pass and on inputs that fail
+    grp, c = parse_group_spec(spec), 10.0 ** k
+    phi, psi = random_pd(grp, n, seed), random_pd(grp, n, seed + 1)
+    ev = godement.fourier.fourier_spectrum(phi, vectors=False).eigenvalues
+    low, high = build_orthogonal_pd_pair(phi, float((ev[0] + ev[-1]) / 2))
+    indefinite = subtract(low, high)  # Hermitian, with eigenvalues of both signs
+
+    def verdicts(f):  # f(a) is a at the scale under test
+        return {
+            "A": check_theorem_a(f(phi)).passed,
+            "A indefinite": check_theorem_a(f(indefinite)).passed,
+            "B": check_theorem_b(f(phi), psi).passed,
+            "B negative": check_theorem_b(f(phi), scale(-1.0, psi)).passed,
+            "C orthogonal": check_theorem_c(f(low), high).details["inner_class"],
+            "C overlapping": check_theorem_c(f(phi), psi).details["conv_class"],
+            "lemma": check_inner_trace(f(phi), psi).passed,
+            "PD": godement.operators.is_positive_definite(f(phi)).verdict,
+            "PD indefinite": godement.operators.is_positive_definite(f(indefinite)).verdict,
+            "certify": certify(f(phi)),
+            "certify indefinite": certify(f(indefinite)),
+        }
+
+    path = tmp_path_factory.getbasetemp() / "scale-property.json"
+
+    def certify(a):
+        path.write_text(json.dumps(matfun_to_json(a)))
+        return main(["certify", str(path), "--out", str(path.with_suffix(".out.json"))])
+
+    base = verdicts(lambda a: a)
+    assert base == {"A": True, "A indefinite": False, "B": True, "B negative": False, "C orthogonal": "zero",
+                    "C overlapping": "nonzero", "lemma": True, "PD": "positive_definite",
+                    "PD indefinite": "not_positive_definite", "certify": 0, "certify indefinite": 1}
+    assert verdicts(lambda a: scale(c, a)) == base, c
 
 
 class TestRunSuite:
