@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from .groups import canonical_spec, group_to_json, parse_group_spec
 from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
-from .operators import NotPositiveDefiniteError, is_positive_definite, spectral_truncate
+from .operators import is_positive_definite, spectral_truncate
 from .reps import check_tensor_nonneg, regular_rep, tensor_product
 from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
 from .theorems import SuiteConfig, derive_seed, run_suite
@@ -24,10 +24,6 @@ from .theorems import SuiteConfig, derive_seed, run_suite
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
-
-
-class InputError(Exception):
-    pass
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -44,23 +40,17 @@ def _load_matfun(path: str, group_flag: str | None):
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "group_id" not in obj:
-        raise InputError(f"{path} does not contain a MatFun object")
-    if group_flag is not None:
-        try:
-            if canonical_spec(group_flag) != canonical_spec(str(obj["group_id"])):
-                raise InputError(
-                    f"group mismatch: file says {obj['group_id']!r}, flag says {group_flag!r}"
-                )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        raise ValueError(f"{path} does not contain a MatFun object")
+    if group_flag is not None and canonical_spec(group_flag) != canonical_spec(str(obj["group_id"])):
+        raise ValueError(f"group mismatch: file says {obj['group_id']!r}, flag says {group_flag!r}")
     try:
         return matfun_from_json(obj)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_gen_group(args) -> int:
@@ -85,29 +75,15 @@ def _cmd_certify(args) -> int:
 
 def _cmd_sqrt(args) -> int:
     phi = _load_matfun(args.file, args.group)
-    try:
-        if args.method == "spectral":
-            result = sqrt_spectral(phi, tol=args.tol)
-        else:
-            result = sqrt_iterative(phi, tol=args.tol)
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAILURE
+    root = sqrt_spectral if args.method == "spectral" else sqrt_iterative
+    result = root(phi, tol=args.tol)
     _emit(result.to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_truncate(args) -> int:
     phi = _load_matfun(args.file, args.group)
-    try:
-        cut = spectral_truncate(phi, args.threshold)
-    except NotPositiveDefiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    _emit(matfun_to_json(cut), args.out)
+    _emit(matfun_to_json(spectral_truncate(phi, args.threshold)), args.out)
     return EXIT_OK
 
 
@@ -126,7 +102,7 @@ def _cmd_suite(args) -> int:
     groups = tuple(s.strip() for s in args.groups.split(",") if s.strip())
     dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
     if not groups and not args.allow_empty:
-        raise InputError("no groups given (pass --allow-empty for an empty run)")
+        raise ValueError("no groups given (pass --allow-empty for an empty run)")
     for spec in groups:
         canonical_spec(spec)  # fail fast on typos
     config = SuiteConfig(
@@ -234,15 +210,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Every error maps to its exit code here: a
+    ValueError (NotPositiveDefiniteError and json.JSONDecodeError among them)
+    is an input error, and a ConvergenceError a property failure."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PROPERTY_FAILURE
 
 
 if __name__ == "__main__":

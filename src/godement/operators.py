@@ -87,9 +87,9 @@ class SpectralDecomposition:
     hermitian_gap: float
     operator_norm: float
 
-    def certificate(self, tol: float = DEFAULT_PD_TOL) -> "PDCertificate":
-        """The PD verdict of C at tol, as is_positive_definite gives it."""
-        return _certificate(self.eigenvalues, self.hermitian_gap, tol)
+    def certificate(self) -> "PDCertificate":
+        """The PD verdict of C, as is_positive_definite gives it by default."""
+        return _certificate(self.eigenvalues, self.hermitian_gap)
 
     def projector_leq(self, t: float) -> np.ndarray:
         """Orthogonal projector onto eigenvectors with eigenvalue <= t,
@@ -167,35 +167,32 @@ def _verdict(min_eig: float, gap: float, scale: float, tol: float) -> str:
     return "not_positive_definite"
 
 
-def _certificate(eigenvalues: np.ndarray, gap: float, tol: float) -> PDCertificate:
+def _certificate(eigenvalues: np.ndarray, gap: float, tol: float = DEFAULT_PD_TOL) -> PDCertificate:
     min_eig = float(eigenvalues[0])
     norm = max(abs(min_eig), abs(float(eigenvalues[-1])))
     return PDCertificate(_verdict(min_eig, gap, norm, tol), min_eig, gap, norm)
 
 
-def decompose(op: ConvMatrix, hermitian_tol: float = 1e-8) -> SpectralDecomposition:
-    """Eigendecomposition of the Hermitian part of op (ascending eigenvalues).
+def decompose(op: ConvMatrix) -> SpectralDecomposition:
+    """Eigendecomposition of the Hermitian part H of op (ascending eigenvalues).
 
     The one eigensolve of a spectral call: the result also carries the
     Hermitian gap and ||H||_2, from which certificate() gives the PD
-    verdict.  Raises ValueError when the gap exceeds hermitian_tol *
-    ||H||_2, a relative test, so scaling op keeps the verdict.
+    verdict, not_hermitian included.  Any op decomposes; whether H stands
+    for op is that verdict's to say.
     """
     herm, gap, unit = _hermitian_split(op.data)
     eigenvalues, eigenvectors = np.linalg.eigh(herm)
     eigenvalues = eigenvalues * unit
-    gap *= unit
     norm = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
-    if not gap <= hermitian_tol * max(norm, 1e-300):
-        raise ValueError(f"matrix is not Hermitian: residual {gap:.3e} at norm {norm:.3e}")
-    return SpectralDecomposition(eigenvalues, eigenvectors, herm * unit, gap, norm)
+    return SpectralDecomposition(eigenvalues, eigenvectors, herm * unit, gap * unit, norm)
 
 
-def _certified_spectrum(a: MatFun, tol: float, vectors: bool = True) -> FourierSpectrum:
+def _certified_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     """The Fourier block spectrum of a, which also certifies it: raises
-    NotPositiveDefiniteError unless a is positive definite at tol."""
+    NotPositiveDefiniteError unless a is positive definite at DEFAULT_PD_TOL."""
     spectrum = fourier_spectrum(a, vectors=vectors)
-    verdict = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, tol).verdict
+    verdict = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap).verdict
     if verdict != "positive_definite":
         raise NotPositiveDefiniteError(f"input is not positive definite: {verdict}")
     return spectrum
@@ -215,16 +212,16 @@ def is_positive_definite(a: MatFun, tol: float = DEFAULT_PD_TOL) -> PDCertificat
     return _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, tol)
 
 
-def gram_pd_check(a: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
+def gram_pd_check(a: MatFun) -> bool:
     """Pointwise Gram test: the block matrix M(i, j) = a(i^-1 j) must be PSD.
 
     Independent of conv_matrix; the two certifications must agree on
-    every input at the same tolerance, and share the verdict routine.
+    every input at DEFAULT_PD_TOL, and share the verdict routine.
     """
     g = a.group
     idx = g.mult[g.inv]  # idx[i, j] = i^-1 * j
     herm, gap, _ = _hermitian_split(_blocks_to_matrix(a.values, idx, g.order, a.n))
-    return _certificate(np.linalg.eigvalsh(herm), gap, tol).ok
+    return _certificate(np.linalg.eigvalsh(herm), gap).ok
 
 
 def hermitian_symmetry_residual(a: MatFun) -> float:
@@ -286,30 +283,30 @@ def extract_kernel(op: ConvMatrix) -> MatFun:
     return MatFun(g, n, col.reshape(g.order, n, n))
 
 
-def spectral_truncate(a: MatFun, t: float, tol: float = DEFAULT_PD_TOL) -> MatFun:
+def spectral_truncate(a: MatFun, t: float) -> MatFun:
     """Spectral cut of a positive definite function at threshold t.
 
     The result a_t has convolution matrix P_t H, where H is the Hermitian
-    part of the convolution matrix of a (equal to it within the
-    certificate's tolerance) and P_t projects onto its eigenvectors with
-    eigenvalue <= t.  a_t is again positive definite and grows with t in
+    part of the convolution matrix of a (equal to it within DEFAULT_PD_TOL,
+    the certificate's tolerance) and P_t projects onto its eigenvectors
+    with eigenvalue <= t.  a_t is again positive definite and grows with t in
     the positive definite ordering.  One Fourier spectrum certifies a and
     gives the cut.  t must be finite.
     """
     if not math.isfinite(t):
         raise ValueError(f"threshold must be finite, got {t!r}")
-    return _certified_spectrum(a, tol).cut(t)
+    return _certified_spectrum(a).cut(t)
 
 
-def pd_order_leq(a: MatFun, b: MatFun, tol: float = DEFAULT_PD_TOL) -> bool:
-    """True iff b - a is positive definite (the PD cone ordering).
+def pd_order_leq(a: MatFun, b: MatFun) -> bool:
+    """True iff b - a is positive definite (the PD cone ordering) at DEFAULT_PD_TOL.
 
     The reference size of the verdict is the larger operand's operator
     norm as is_positive_definite measures it, not that of the difference
     itself: when a and b agree to rounding, the difference is pure noise
     and must still count as comparable.
     """
-    scale = max(is_positive_definite(a, tol).operator_norm, is_positive_definite(b, tol).operator_norm)
+    scale = max(is_positive_definite(a).operator_norm, is_positive_definite(b).operator_norm)
     spectrum = fourier_spectrum(subtract(b, a), vectors=False)
     min_eig = float(spectrum.eigenvalues[0])
-    return _verdict(min_eig, spectrum.hermitian_gap, scale, tol) == "positive_definite"
+    return _verdict(min_eig, spectrum.hermitian_gap, scale, DEFAULT_PD_TOL) == "positive_definite"

@@ -31,7 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class UnitaryRep:
-    """One unitary d x d matrix per group element, multiplicative on the table."""
+    """One unitary d x d matrix per group element, multiplicative on the table.
+
+    Construction raises ValueError unless unitarity_residual and then
+    homomorphism_residual (which assumes the first) are within _PAIR_TOL,
+    so every UnitaryRep is a representation, as matrix_coeff_fun and
+    check_tensor_nonneg need.
+    """
 
     group: GroupTable
     dim: int
@@ -45,6 +51,9 @@ class UnitaryRep:
             )
         mats.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
+        for measure in (unitarity_residual, homomorphism_residual):
+            if not (value := measure(self)) <= _PAIR_TOL:
+                raise ValueError(f"not a unitary representation: {measure.__name__} {value:.3e}")
 
     def at(self, g: int) -> np.ndarray:
         return self.matrices[g]
@@ -134,16 +143,12 @@ def check_tensor_nonneg(
     matrix U = sum_i u1_i u2_i^T, and (A x B) u flattens A U B^T, so the
     sum is vdot(U, sum_g A_g U B_g^T).  The residuals are relative to
     ||phi1|| ||phi2|| of the two coefficient functions, so the verdict does
-    not depend on the scale of the vectors, and judged at _PAIR_TOL.  A p1
-    or p2 that is not a unitary representation raises ValueError before
-    any work: the claim holds only for representations.
+    not depend on the scale of the vectors, and judged at _PAIR_TOL.  The
+    claim holds only for representations, which UnitaryRep checks when it
+    is built.
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
-    for rep in (p1,) if p1 is p2 else (p1, p2):
-        for measure in (unitarity_residual, homomorphism_residual):  # the second assumes the first
-            if not (value := measure(rep)) <= _PAIR_TOL:
-                raise ValueError(f"not a unitary representation: {measure.__name__} {value:.3e}")
     a1 = np.asarray(u1s, dtype=np.complex128)
     a2 = np.asarray(u2s, dtype=np.complex128)
     if a1.shape[0] != a2.shape[0]:

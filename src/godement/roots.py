@@ -19,8 +19,8 @@ from .matfun import MatFun, _conv_index, _conv_kernel, _l2, l2_norm, matfun_to_j
 from .operators import DEFAULT_PD_TOL, _certified_spectrum, _check_tol
 
 # Steps the iterative root may take beyond its predicted count: rounding at
-# the last step, and eigenvalues below pd_tol that the prediction does not
-# see (each step multiplies their w by up to 9/4).
+# the last step, and eigenvalues below DEFAULT_PD_TOL s that the prediction
+# does not see (each step multiplies their w by up to 9/4).
 _CAP_MARGIN = 8
 
 __all__ = [
@@ -62,12 +62,12 @@ class SqrtResult:
         return out
 
 
-def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL) -> SqrtResult:
+def sqrt_spectral(phi: MatFun, tol: float = 1e-8) -> SqrtResult:
     """Square root by spectral calculus on the convolution operator.
 
     The operator is taken block by block in the Fourier basis of the
     group, and the root goes back to a function through its block column
-    at the identity.  Eigenvalues at or below pd_tol * ||op||, the
+    at the identity.  Eigenvalues at or below DEFAULT_PD_TOL * ||op||, the
     resolution of the PD certificate, are set to zero before taking the
     scalar square root: below it an eigenvalue is rounding noise, and
     the square root would amplify it to sqrt(noise).  An input the
@@ -77,12 +77,12 @@ def sqrt_spectral(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL
     residual that is not finite fails.  tol must be positive and finite.
     """
     _check_tol(tol)
-    return _spectral_root(phi, _certified_spectrum(phi, pd_tol), tol, pd_tol)
+    return _spectral_root(phi, _certified_spectrum(phi), tol)
 
 
-def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, pd_tol: float) -> SqrtResult:
-    """sqrt_spectral from a spectrum of phi, with eigenvectors, already certified at pd_tol."""
-    floor = pd_tol * spectrum.operator_norm
+def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtResult:
+    """sqrt_spectral from a spectrum of phi, with eigenvectors, already certified."""
+    floor = DEFAULT_PD_TOL * spectrum.operator_norm
     psi = spectrum.apply(lambda ev: np.sqrt(np.where(ev <= floor, 0.0, ev)))
     denom = l2_norm(phi)
     residual = _square_gap(psi, phi) / denom if denom > 0 else 0.0
@@ -96,7 +96,7 @@ def _square_gap(psi: MatFun, phi: MatFun) -> float:
     return _l2(_conv_kernel(psi.group, psi.values, psi.values) - phi.values)
 
 
-def sqrt_iterative(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TOL) -> SqrtResult:
+def sqrt_iterative(phi: MatFun, tol: float = 1e-8) -> SqrtResult:
     """Square root by the coupled Newton-Schulz iteration in the convolution algebra.
 
     With s the operator norm of phi and phi~ = phi / s, start from
@@ -113,34 +113,31 @@ def sqrt_iterative(phi: MatFun, tol: float = 1e-8, pd_tol: float = DEFAULT_PD_TO
     monotone_trace lists ||psi_k||_2 after each step.
 
     The step count is at most ceil(log_{9/4}(1 / l) + log2 ln(1 / tol)) with
-    l = max(lambda_min / s, pd_tol), the scalar recursion's bound on the
-    smallest eigenvalue; a root that needs _CAP_MARGIN steps more raises
+    l = max(lambda_min / s, DEFAULT_PD_TOL), the scalar recursion's bound on
+    the smallest eigenvalue; a root that needs _CAP_MARGIN steps more raises
     ConvergenceError, as does a residual that is not finite.  tol must be
     positive and finite.
     """
     _check_tol(tol)
-    return _iterative_root(phi, _certified_spectrum(phi, pd_tol, vectors=False), tol, pd_tol)
+    return _iterative_root(phi, _certified_spectrum(phi, vectors=False), tol)
 
 
 def _predicted_steps(lam: float, tol: float) -> int:
     """Newton-Schulz steps that bring every eigenvalue of phi~ at or above
     lam to a relative residual tol: about log_{9/4}(1 / lam) steps while
-    w = z y grows by up to 9/4, then log2 ln(1 / tol) while 1 - w squares.
-    lam is taken as at least 2^-52, below which it is rounding (a pd_tol of
-    0 lets a zero eigenvalue through)."""
-    lam = max(lam, 2.0**-52)
+    w = z y grows by up to 9/4, then log2 ln(1 / tol) while 1 - w squares."""
     return math.ceil(math.log(1.0 / lam, 9.0 / 4.0) + math.log2(max(math.log(1.0 / tol), 1.0)))
 
 
-def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, pd_tol: float) -> SqrtResult:
-    """sqrt_iterative from a spectrum of phi already certified at pd_tol,
+def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtResult:
+    """sqrt_iterative from a spectrum of phi already certified,
     which gives s and the smallest eigenvalue, and a tol _check_tol passed."""
     s = spectrum.operator_norm
     if s == 0.0:
         return SqrtResult(psi=zero_matfun(phi.group, phi.n), method="iterative", residual=0.0,
                           iterations=0, monotone_trace=())
     group, n = phi.group, phi.n
-    predicted = _predicted_steps(max(float(spectrum.eigenvalues[0]) / s, pd_tol), tol)
+    predicted = _predicted_steps(max(float(spectrum.eigenvalues[0]) / s, DEFAULT_PD_TOL), tol)
     cap = predicted + _CAP_MARGIN
     # functions as columns (|G| n, n); a product gathers the convolution
     # matrix of its left factor (see matfun._conv_kernel)
@@ -174,7 +171,7 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, pd_tol: 
                            f"{predicted} predicted")
 
 
-def truncation_sequence(phi: MatFun, thresholds: list[float], pd_tol: float = DEFAULT_PD_TOL) -> list[MatFun]:
+def truncation_sequence(phi: MatFun, thresholds: list[float]) -> list[MatFun]:
     """Spectral cuts of phi at an ascending list of thresholds.
 
     All cuts share one Fourier spectrum, which also certifies phi, so
@@ -186,5 +183,5 @@ def truncation_sequence(phi: MatFun, thresholds: list[float], pd_tol: float = DE
         raise ValueError(f"thresholds must be finite, got {list(thresholds)!r}")
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be ascending")
-    spectrum = _certified_spectrum(phi, pd_tol)
+    spectrum = _certified_spectrum(phi)
     return [spectrum.cut(t) for t in thresholds]

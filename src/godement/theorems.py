@@ -130,7 +130,7 @@ def check_theorem_a(phi: MatFun, tol: float = 1e-8, iter_tol: float = 1e-9) -> T
     group, n = phi.group, phi.n
     report = TheoremReport("A", 1, group.name, n, 0.0, True)
     spectrum = fourier_spectrum(phi)
-    cert = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, DEFAULT_PD_TOL)
+    cert = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap)
     if not cert.ok:
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
@@ -138,8 +138,8 @@ def check_theorem_a(phi: MatFun, tol: float = 1e-8, iter_tol: float = 1e-9) -> T
         return report
 
     try:
-        spectral = _spectral_root(phi, spectrum, tol, DEFAULT_PD_TOL)
-        iterative = _iterative_root(phi, spectrum, iter_tol, DEFAULT_PD_TOL)
+        spectral = _spectral_root(phi, spectrum, tol)
+        iterative = _iterative_root(phi, spectrum, iter_tol)
     except (ConvergenceError, ValueError) as exc:  # ValueError: a root with non-finite entries
         report.passed = False
         report.counterexample = {"phi": matfun_to_json(phi)}
@@ -304,7 +304,7 @@ def build_orthogonal_pd_pair(theta: MatFun, split_t: float) -> tuple[MatFun, Mat
     product, and the pieces sum back to theta.  Raises
     NotPositiveDefiniteError unless theta is positive definite.
     """
-    return _orthogonal_pair(theta, _certified_spectrum(theta, DEFAULT_PD_TOL), split_t)
+    return _orthogonal_pair(theta, _certified_spectrum(theta), split_t)
 
 
 def _orthogonal_pair(theta: MatFun, spectrum: FourierSpectrum, split_t: float) -> tuple[MatFun, MatFun]:
@@ -369,7 +369,7 @@ def _trial_b(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
 def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     theta = _random_pd(group, n, derive_seed(seed, "theta"))
     # one spectrum gives the split point, checks it, and makes the cut
-    spectrum = _certified_spectrum(theta, DEFAULT_PD_TOL)
+    spectrum = _certified_spectrum(theta)
     low, high = _orthogonal_pair(theta, spectrum, _split_point(spectrum.eigenvalues))
     orth = check_theorem_c(low, high)
     phi = _random_pd(group, n, derive_seed(seed, "phi"))

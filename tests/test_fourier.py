@@ -58,14 +58,14 @@ def dense_spectrum(a):
 
 
 def dense_root(a, pd_tol=1e-9):
-    sd = decompose(conv_matrix(a), hermitian_tol=np.inf)
+    sd = decompose(conv_matrix(a))
     ev = np.where(sd.eigenvalues <= pd_tol * sd.operator_norm, 0.0, sd.eigenvalues)
     op = (sd.eigenvectors * np.sqrt(ev)) @ sd.eigenvectors.conj().T
     return extract_kernel(ConvMatrix(a.group, a.n, op)).values
 
 
 def dense_cut(a, t):
-    sd = decompose(conv_matrix(a), hermitian_tol=np.inf)
+    sd = decompose(conv_matrix(a))
     e, n = a.group.identity, a.n
     column = (sd.projector_leq(t) @ sd.hermitian)[:, e * n:(e + 1) * n]
     return column.reshape(a.group.order, n, n)
@@ -88,7 +88,7 @@ def test_spectrum_and_verdict_match_dense(spec):
             assert np.max(np.abs(spectrum.eigenvalues - ev)) <= 1e-12 * np.max(np.abs(ev))
             assert spectrum.hermitian_gap == pytest.approx(gap, rel=1e-12, abs=1e-300)
             verdict = is_positive_definite(a).verdict
-            assert verdict == decompose(conv_matrix(a), hermitian_tol=np.inf).certificate().verdict
+            assert verdict == decompose(conv_matrix(a)).certificate().verdict
             assert gram_pd_check(a) == (verdict == "positive_definite")
             verdicts.add(verdict)
         if grp.order > 1:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -168,32 +170,35 @@ class TestTensorNonneg:
         assert direct == pytest.approx(c**4 * complex(*base.details["direct_sum"]), rel=1e-12)
         assert report.worst_residual <= 1e-2
 
-    def test_non_representations_are_refused_before_any_work(self, s3, monkeypatch):
-        # -I at every element is unitary but no homomorphism, and its tensor
-        # sum with I is negative; a non-unitary homomorphism is refused too
-        monkeypatch.setattr(godement.reps, "matrix_coeff_fun", lambda *a: pytest.fail("work was done"))
+    def test_non_representations_are_refused_before_any_work(self, s3):
+        # -I at every element is unitary but no homomorphism (its tensor sum
+        # with I is negative, and matrix_coeff_fun of it is not PD), and so is
+        # a regular rep with two rows of matrices swapped; a non-unitary
+        # homomorphism is refused too.  None of them can be built, so no check
+        # or coefficient function ever sees one.
         eye = np.broadcast_to(np.eye(2, dtype=complex), (s3.order, 2, 2))
-        minus, plus = UnitaryRep(s3, 2, -eye), UnitaryRep(s3, 2, eye)
-        u1, u2 = random_vectors(2, 2, seed=0), random_vectors(2, 2, seed=1)
-        for p1, p2 in ((minus, plus), (plus, minus)):
+        swapped = regular_rep(s3).matrices.copy()
+        swapped[[1, 2]] = swapped[[2, 1]]
+        for dim, mats in ((2, -eye), (s3.order, swapped)):
             with pytest.raises(ValueError, match="not a unitary representation: homomorphism_residual"):
-                check_tensor_nonneg(p1, u1, p2, u2)
+                UnitaryRep(s3, dim, mats)
         z2 = build_cyclic(2)
         flip = np.array([[1.0, 1.0], [0.0, -1.0]])  # flip @ flip = I
-        skew = UnitaryRep(z2, 2, np.stack([np.eye(2), flip]))
-        assert homomorphism_residual(skew) == 0.0
+        mats = np.stack([np.eye(2), flip])
+        assert homomorphism_residual(SimpleNamespace(group=z2, dim=2, matrices=mats)) == 0.0
         with pytest.raises(ValueError, match="not a unitary representation: unitarity_residual"):
-            check_tensor_nonneg(skew, u1, skew, u2)
+            UnitaryRep(z2, 2, mats)
 
     def test_a_rep_passed_twice_is_checked_once(self, s3, monkeypatch):
+        # checked once, at construction: check_tensor_nonneg measures nothing
         calls = []
         real = godement.reps.unitarity_residual
         monkeypatch.setattr(godement.reps, "unitarity_residual", lambda rep: calls.append(rep) or real(rep))
         reg, other = regular_rep(s3), regular_rep(s3)
+        assert calls == [reg, other]
         check_tensor_nonneg(reg, random_vectors(2, 6, 4), reg, random_vectors(2, 6, 5))
-        assert calls == [reg]
         check_tensor_nonneg(reg, random_vectors(2, 6, 4), other, random_vectors(2, 6, 5))
-        assert calls == [reg, reg, other]
+        assert calls == [reg, other]
 
 
 def all_pairs_homomorphism_residual(rep: UnitaryRep) -> float:
@@ -211,8 +216,10 @@ def test_homomorphism_residual_bounds_every_pair(spec):
     swapped = reg.matrices.copy()
     a, b = rng.choice(grp.order, 2, replace=False)
     swapped[[a, b]] = swapped[[b, a]]  # permutation matrices, so still unitary
-    for rep in (reg, tensor_product(reg, trivial_rep(grp)), UnitaryRep(grp, grp.order, swapped),
-                UnitaryRep(grp, grp.order, -reg.matrices)):
+    # UnitaryRep refuses the last two, so they go in as plain namespaces
+    for rep in (reg, tensor_product(reg, trivial_rep(grp)),
+                SimpleNamespace(group=grp, dim=grp.order, matrices=swapped),
+                SimpleNamespace(group=grp, dim=grp.order, matrices=-reg.matrices)):
         exact = all_pairs_homomorphism_residual(rep)
         bound = homomorphism_residual(rep)
         assert exact <= bound and (bound == 0.0) == (exact == 0.0), (spec, exact, bound)

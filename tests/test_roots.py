@@ -339,10 +339,11 @@ class TestSqrtIterative:
         assert result.iterations == 0
 
     def test_projection_with_exact_zero_eigenvalue(self, z2):
-        # eigenvalues {0, 1} exactly: at pd_tol = 0 nothing lifts lambda_min
-        # off zero, and a projection is its own root
+        # eigenvalues {0, 1} exactly: a projection is its own root, so its
+        # residual is 0 at step 0, whatever floor the prediction puts under
+        # lambda_min = 0
         phi = MatFun(z2, 1, np.array([[[0.5]], [[0.5]]], dtype=complex))
-        result = sqrt_iterative(phi, pd_tol=0.0)
+        result = sqrt_iterative(phi)
         assert result.iterations == 0
         assert np.array_equal(result.psi.values, phi.values)
 

@@ -14,6 +14,7 @@ import godement.theorems
 
 from godement import (
     MatFun,
+    SpectralDecomposition,
     SpectrumSplitError,
     SuiteConfig,
     TheoremReport,
@@ -26,25 +27,30 @@ from godement import (
     check_theorem_c,
     conv_matrix,
     convolve,
+    decompose,
     delta_identity,
+    gram_pd_check,
     inner,
+    is_positive_definite,
     l2_norm,
     make_pd,
     matfun_from_json,
     matfun_to_json,
     matrix_coeff_fun,
     parse_group_spec,
+    pd_order_leq,
     random_matfun,
     regular_rep,
     run_suite,
     scale,
+    spectral_truncate,
     sqrt_iterative,
     sqrt_spectral,
     subtract,
+    truncation_sequence,
     zero_matfun,
 )
 from godement.cli import main
-from godement.operators import DEFAULT_PD_TOL
 from godement.theorems import _in_range, _merge, classify_magnitude, derive_seed
 from conftest import phi_21, random_pd
 
@@ -154,12 +160,12 @@ class TestTheoremA:
     def test_star_gap_is_relative(self, z2, c, monkeypatch):
         real = godement.theorems._spectral_root
 
-        def with_star_gap(phi, spectrum, tol, pd_tol):
+        def with_star_gap(phi, spectrum, tol):
             # i eps at the identity gives a star gap of 2 eps = 5e-10 ||psi||: five
             # times the tolerance, but small enough that psi stays PD; the
             # residual is that of the perturbed root, which keeps it within the
             # agreement bound
-            result = real(phi, spectrum, tol, pd_tol)
+            result = real(phi, spectrum, tol)
             values = result.psi.values.copy()
             values[phi.group.identity] += 0.5j * 5e-10 * l2_norm(result.psi)
             psi = MatFun(phi.group, phi.n, values)
@@ -177,9 +183,9 @@ class TestTheoremA:
     def test_trace_bound_is_relative(self, z2, c, monkeypatch):
         real = godement.theorems._iterative_root
 
-        def overshooting(phi, spectrum, tol, pd_tol):
+        def overshooting(phi, spectrum, tol):
             # one more trace value with v^2 = Tr phi(e) (1 + 1e-9)
-            result = real(phi, spectrum, tol, pd_tol)
+            result = real(phi, spectrum, tol)
             top = np.sqrt(np.trace(phi.values[phi.group.identity]).real * (1.0 + 1e-9))
             return dataclasses.replace(result, monotone_trace=result.monotone_trace + (top,))
 
@@ -199,7 +205,7 @@ class TestTheoremA:
 
     def test_non_finite_root_fails_with_counterexample(self, s3, monkeypatch):
         # a root whose entries overflow is refused by MatFun: a failed theorem, not an input error
-        def overflowing(phi, spectrum, tol, pd_tol):
+        def overflowing(phi, spectrum, tol):
             return MatFun(phi.group, phi.n, np.full(phi.values.shape, np.inf))
 
         monkeypatch.setattr(godement.theorems, "_spectral_root", overflowing)
@@ -229,10 +235,21 @@ class TestTheoremA:
     (check_theorem_c, ["phi", "psi"]),
     (check_inner_trace, ["phi", "psi"]),
     (check_tensor_nonneg, ["p1", "u1s", "p2", "u2s"]),
+    (sqrt_spectral, ["phi", "tol"]),
+    (sqrt_iterative, ["phi", "tol"]),
+    (truncation_sequence, ["phi", "thresholds"]),
+    (spectral_truncate, ["a", "t"]),
+    (gram_pd_check, ["a"]),
+    (pd_order_leq, ["a", "b"]),
+    (decompose, ["op"]),
+    (SpectralDecomposition.certificate, ["self"]),
+    (is_positive_definite, ["a", "tol"]),
 ])
 def test_checks_take_only_the_tolerances_they_use(check, params):
     # Theorem A's agreement bound is derived and the pair checks judge at
-    # _PAIR_TOL; the two root tolerances left are each used (test_each_tolerance_is_used)
+    # _PAIR_TOL; the two root tolerances left are each used (test_each_tolerance_is_used).
+    # Below the tolerances a caller sets (certify --tol, sqrt --tol) every PD
+    # verdict is at DEFAULT_PD_TOL.
     assert list(inspect.signature(check).parameters) == params
 
 
@@ -268,8 +285,8 @@ class TestArrayLevelQuantities:
             phi = random_pd(grp, n, seed=derive_seed("A", spec, n))
             report = check_theorem_a(phi)
             spectrum = godement.fourier.fourier_spectrum(phi)
-            spectral = godement.roots._spectral_root(phi, spectrum, 1e-8, DEFAULT_PD_TOL)
-            iterative = godement.roots._iterative_root(phi, spectrum, 1e-9, DEFAULT_PD_TOL)
+            spectral = godement.roots._spectral_root(phi, spectrum, 1e-8)
+            iterative = godement.roots._iterative_root(phi, spectrum, 1e-9)
             assert report.details["agreement"] == l2_norm(subtract(spectral.psi, iterative.psi)), (spec, n)
             residual = l2_norm(subtract(convolve(spectral.psi, spectral.psi), phi)) / l2_norm(phi)
             assert report.details["spectral_residual"] == residual, (spec, n)
