@@ -8,6 +8,7 @@ inner product is <a, b> = sum_g Tr(a(g) conj(b(g))^T).
 
 from __future__ import annotations
 
+import base64
 import math
 import threading
 from dataclasses import dataclass
@@ -316,25 +317,66 @@ def _is_standard_spec(name: str) -> bool:
     return True
 
 
+# values_b64 holds the (|G|, n, n) values as little-endian complex128 in C order.
+_WIRE_DTYPE = np.dtype("<c16")
+
+
 def matfun_to_json(a: MatFun) -> dict:
-    """JSON object of a; a group whose name is not a standard spec is embedded
-    as its table (group_to_json), so that the object loads again."""
-    values = np.stack([a.values.real, a.values.imag], axis=-1)
-    obj = {"group_id": a.group.name, "n": a.n, "values": values.tolist()}
+    """JSON object of a: group_id, n and values_b64, the RFC 4648 base64
+    (standard alphabet, padded) of the values as _WIRE_DTYPE bytes.  A group
+    whose name is not a standard spec is embedded as its table
+    (group_to_json), so that the object loads again."""
+    data = np.ascontiguousarray(a.values, dtype=_WIRE_DTYPE)
+    obj = {"group_id": a.group.name, "n": a.n, "values_b64": base64.b64encode(data).decode("ascii")}
     if not _is_standard_spec(a.group.name):
         obj["group"] = group_to_json(a.group)
     return obj
 
 
+def _malformed(detail: object) -> ValueError:
+    return ValueError(f"malformed MatFun JSON: {detail}")
+
+
+def _json_values(obj: dict, order: int, n: int) -> np.ndarray:
+    """The (order, n, n) complex128 values of obj, bit for bit, from
+    values_b64 or from the nested [re, im] pairs in values that earlier
+    versions wrote; exactly one of the two keys must be present."""
+    if ("values_b64" in obj) == ("values" in obj):
+        raise _malformed("expected exactly one of values_b64 and values")
+    if "values" in obj:
+        try:
+            raw = np.ascontiguousarray(obj["values"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise _malformed(exc) from exc
+        if raw.shape != (order, n, n, 2):
+            raise _malformed(f"values have shape {raw.shape}, expected ({order}, {n}, {n}, 2)")
+        return raw.view(np.complex128)[..., 0]
+    text = obj["values_b64"]
+    if not isinstance(text, str):
+        raise _malformed(f"values_b64 must be a string, not {type(text).__name__}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise _malformed(f"values_b64 is not base64: {exc}") from exc
+    expected = order * n * n * _WIRE_DTYPE.itemsize
+    if len(data) != expected:
+        raise _malformed(f"values_b64 holds {len(data)} bytes, expected {expected} "
+                         f"for ({order}, {n}, {n}) complex128")
+    return np.frombuffer(data, dtype=_WIRE_DTYPE).reshape(order, n, n)
+
+
 def matfun_from_json(obj: dict, group: GroupTable | None = None) -> MatFun:
     """Rebuild a MatFun; unless given, the group is the embedded table,
-    which must satisfy the group axioms, or else the spec in group_id."""
+    which must satisfy the group axioms, or else the spec in group_id.
+    Values that do not fit the group and n, or are not finite, raise
+    ValueError("malformed MatFun JSON: ...")."""
     try:
         group_id = str(obj["group_id"])
         n = int(obj["n"])
-        raw = np.asarray(obj["values"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed MatFun JSON: {exc}") from exc
+        raise _malformed(exc) from exc
+    if n < 1:
+        raise _malformed(f"n must be positive, got {n}")
     if group is None and "group" in obj:
         group = group_from_json(obj["group"], name=group_id)
         violations = validate_group(group).violations
@@ -342,7 +384,8 @@ def matfun_from_json(obj: dict, group: GroupTable | None = None) -> MatFun:
             raise ValueError(f"embedded group table is not a group: {violations[0]}")
     elif group is None:
         group = parse_group_spec(group_id)
-    if raw.shape != (group.order, n, n, 2):
-        raise ValueError(f"MatFun JSON values have shape {raw.shape}, expected "
-                         f"({group.order}, {n}, {n}, 2)")
-    return MatFun(group, n, raw[..., 0] + 1j * raw[..., 1])
+    values = _json_values(obj, group.order, n)
+    try:
+        return MatFun(group, n, values)
+    except ValueError as exc:  # entries that are not finite
+        raise _malformed(exc) from exc

@@ -75,11 +75,24 @@ def trivial_rep(group: GroupTable) -> UnitaryRep:
     return UnitaryRep(group, 1, np.ones((group.order, 1, 1), dtype=np.complex128))
 
 
+# Largest tensor product, in bytes of its complex128 matrices, that tensor_product
+# forms: s4 regular x regular (127 MB) fits, s5 (371 GiB) does not.
+_MAX_TENSOR_BYTES = 2 * 2**30
+
+
 def tensor_product(p1: UnitaryRep, p2: UnitaryRep) -> UnitaryRep:
-    """Elementwise Kronecker product; basis pairs (i, j) in row-major order i*d2 + j."""
+    """Elementwise Kronecker product; basis pairs (i, j) in row-major order i*d2 + j.
+
+    Raises ValueError, before allocating, when the |G| (d1 d2)^2 complex128
+    matrices would exceed _MAX_TENSOR_BYTES.
+    """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
     dim = p1.dim * p2.dim
+    size = p1.group.order * dim * dim * 16
+    if size > _MAX_TENSOR_BYTES:
+        raise ValueError(f"tensor product of dimension {dim} on {p1.group.order} elements needs "
+                         f"{size / 2**30:.1f} GiB, over the {_MAX_TENSOR_BYTES / 2**30:.0f} GiB limit")
     mats = np.einsum("gik,gjl->gijkl", p1.matrices, p2.matrices).reshape(
         p1.group.order, dim, dim
     )

@@ -9,6 +9,7 @@ from godement import (
     build_quaternion,
     build_symmetric,
     make_pd,
+    matfun_to_json,
     random_matfun,
     validate_group,
 )
@@ -68,3 +69,13 @@ def relabeled_s3() -> GroupTable:
                        identity=int(perm[s3.identity]), labels=tuple("abcdef"))
     assert validate_group(table).ok and table.identity != 0
     return table
+
+
+def legacy_json(phi: MatFun) -> dict:
+    """phi in the MatFun JSON layout of earlier versions: values as nested
+    [re, im] pairs of shape (|G|, n, n, 2), written by Python's float repr.
+    The reference the base64 layout is checked against."""
+    obj = matfun_to_json(phi)
+    del obj["values_b64"]
+    obj["values"] = np.stack([phi.values.real, phi.values.imag], axis=-1).tolist()
+    return obj

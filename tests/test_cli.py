@@ -11,7 +11,7 @@ import pytest
 import godement
 from godement import l2_norm, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from godement.cli import main
-from conftest import phi_21, relabeled_s3
+from conftest import legacy_json, phi_21, relabeled_s3
 
 
 def run_cli(*argv) -> int:
@@ -62,7 +62,8 @@ class TestSampleCertify:
         assert a.read_text() == b.read_text()
 
     def test_not_pd_exits_nonzero(self, tmp_path, z2, capsys):
-        obj = matfun_to_json(phi_21(z2))
+        # a file in the legacy nested layout, edited in place, read end to end
+        obj = legacy_json(phi_21(z2))
         obj["values"][0][0][0] = [1.0, 0.0]
         obj["values"][1][0][0] = [2.0, 0.0]
         path = tmp_path / "bad.json"
@@ -159,7 +160,8 @@ class TestSqrt:
         assert result["monotone_trace"] == sorted(result["monotone_trace"])
 
     def test_non_pd_input(self, tmp_path, z2):
-        obj = matfun_to_json(phi_21(z2))
+        # a file in the legacy nested layout, edited in place, read end to end
+        obj = legacy_json(phi_21(z2))
         obj["values"][0][0][0] = [1.0, 0.0]
         obj["values"][1][0][0] = [2.0, 0.0]
         path = tmp_path / "bad.json"
@@ -263,3 +265,9 @@ class TestRepDemo:
 
     def test_tensor(self, capsys):
         assert run_cli("rep-demo", "--group", "d3", "--n", "2", "--tensor") == 0
+
+    def test_tensor_too_large_is_input_error(self, capsys):
+        # s5 regular x regular would take 371 GiB; the refusal comes before any allocation
+        assert run_cli("rep-demo", "--group", "s5", "--tensor") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "over the 2 GiB limit" in captured.err

@@ -1,3 +1,4 @@
+import base64
 import json
 import sys
 import threading
@@ -35,7 +36,7 @@ from godement import (
 from godement.cli import main
 from godement.matfun import _adjoint, _complex_normals, _conv_index, _frobenius, _plain_norm, _power_of_two_unit
 from godement.theorems import derive_seed
-from conftest import phi_21, random_pd, relabeled_s3
+from conftest import legacy_json, phi_21, random_pd, relabeled_s3
 
 REL = 1e-10
 
@@ -492,14 +493,34 @@ class TestJson:
         obj = json.loads(json.dumps(matfun_to_json(phi)))
         again = matfun_from_json(obj)
         assert again.group.name == d4.name
-        assert np.allclose(again.values, phi.values)
+        assert np.array_equal(again.values, phi.values)
 
     def test_schema_layout(self, z2):
         phi = phi_21(z2)
         obj = matfun_to_json(phi)
-        assert set(obj) == {"group_id", "n", "values"}
-        assert obj["group_id"] == "cyclic:2"
-        assert obj["values"][0][0][0] == [2.0, 0.0]
+        assert set(obj) == {"group_id", "n", "values_b64"}
+        assert obj["group_id"] == "cyclic:2" and obj["n"] == 1
+        data = base64.b64decode(obj["values_b64"], validate=True)
+        assert data == phi.values.astype("<c16").tobytes() == np.array([2, 1], dtype="<c16").tobytes()
+        assert len(obj["values_b64"]) == 44 and obj["values_b64"].endswith("=")
+
+    # Entries whose shortest repr or sign a float format can lose: signed
+    # zeros, the smallest subnormal, the largest magnitudes, a tiny imaginary part.
+    EDGE_ENTRIES = [-0.0, 5e-324, 1e308, -1e308, 1e-300j, complex(-0.0, -0.0), complex(0.0, -0.0)]
+
+    @pytest.mark.parametrize("spec", ["z2", "d4", "s3", "s5", "custom"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_both_layouts_load_bitwise(self, spec, n):
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
+        values = random_matfun(grp, n, seed=76).values.copy()
+        edge = np.array(self.EDGE_ENTRIES[: values.size], dtype=complex)
+        values.reshape(-1)[: edge.size] = edge
+        phi = MatFun(grp, n, values)
+        for obj in (matfun_to_json(phi), legacy_json(phi)):
+            for loaded in (obj, json.loads(json.dumps(obj))):
+                again = matfun_from_json(loaded)
+                assert again.group.same_table(grp) and again.n == n
+                assert again.values.tobytes() == phi.values.tobytes()
 
     def test_explicit_group_override(self, z2):
         obj = matfun_to_json(phi_21(z2))
@@ -539,3 +560,68 @@ class TestJson:
             matfun_from_json({"n": 1})
         with pytest.raises(ValueError):
             matfun_from_json({"group_id": "cyclic:2", "n": 1, "values": [[[[1.0, 0.0]]]]})
+
+
+def _b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+_PHI21_B64 = _b64(np.array([2, 1], dtype="<c16").tobytes())
+
+
+class TestMalformedValues:
+    """A values_b64 that does not decode to |G| n^2 finite complex128 entries,
+    or a file with both layouts or neither, is an input error, never a verdict."""
+
+    CASES = {
+        "url_safe_alphabet": _PHI21_B64[:-2] + "-=",
+        "character_outside_alphabet": "@" + _PHI21_B64[1:],
+        "non_ascii": "\u00e9" + _PHI21_B64[1:],
+        "embedded_newline": _PHI21_B64[:20] + "\n" + _PHI21_B64[20:],
+        "padding_missing": _PHI21_B64.rstrip("="),
+        "padding_in_the_middle": _PHI21_B64[:4] + "=" + _PHI21_B64[5:],
+        "number": 12,
+        "null": None,
+        "list": [_PHI21_B64],
+        "bytes": _PHI21_B64.encode("ascii"),
+        "sixteen_bytes_short": _b64(np.array([2], dtype="<c16").tobytes()),
+        "sixteen_bytes_long": _b64(np.array([2, 1, 0], dtype="<c16").tobytes()),
+        "empty": "",
+        "nan": _b64(np.array([2, complex(np.nan, 0)], dtype="<c16").tobytes()),
+        "inf": _b64(np.array([2, complex(0, np.inf)], dtype="<c16").tobytes()),
+        "negative_inf": _b64(np.array([-np.inf, 1], dtype="<c16").tobytes()),
+    }
+
+    def test_well_formed_reference_loads(self, z2):
+        # the cases below are edits of this object
+        obj = {"group_id": "cyclic:2", "n": 1, "values_b64": _PHI21_B64}
+        assert np.array_equal(matfun_from_json(obj).values, phi_21(z2).values)
+
+    @staticmethod
+    def assert_refused(obj, tmp_path, capsys, match):
+        with pytest.raises(ValueError, match=match):
+            matfun_from_json(obj)
+        if isinstance(obj.get("values_b64"), bytes):
+            return  # no JSON file can hold bytes
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["certify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed MatFun JSON" in captured.err
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_values_b64(self, case, tmp_path, capsys):
+        obj = {"group_id": "cyclic:2", "n": 1, "values_b64": self.CASES[case]}
+        self.assert_refused(obj, tmp_path, capsys, "malformed MatFun JSON")
+
+    @pytest.mark.parametrize("keys", [("values_b64", "values"), ()])
+    def test_exactly_one_layout(self, keys, z2, tmp_path, capsys):
+        both = {"values_b64": _PHI21_B64, "values": legacy_json(phi_21(z2))["values"]}
+        obj = {"group_id": "cyclic:2", "n": 1, **{key: both[key] for key in keys}}
+        self.assert_refused(obj, tmp_path, capsys, "malformed MatFun JSON: expected exactly one of values_b64 and values")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_must_be_positive(self, n, tmp_path, capsys):
+        # n = -1 squares to 1, so these 32 bytes would pass the length check
+        obj = {"group_id": "cyclic:2", "n": n, "values_b64": _PHI21_B64 if n else ""}
+        self.assert_refused(obj, tmp_path, capsys, "malformed MatFun JSON: n must be positive")

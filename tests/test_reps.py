@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,6 +77,27 @@ class TestTensorProduct:
     def test_group_mismatch(self, z2, z6):
         with pytest.raises(ValueError, match="group mismatch"):
             tensor_product(regular_rep(z2), regular_rep(z6))
+
+    def test_oversized_product_is_refused_before_allocating(self):
+        # s5 regular x regular would take 371 GiB
+        reg = regular_rep(parse_group_spec("s5"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the 2 GiB limit"):
+                tensor_product(reg, reg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+
+    def test_size_limit_is_inclusive(self, q8, monkeypatch):
+        reg = regular_rep(q8)
+        size = q8.order * (reg.dim * reg.dim) ** 2 * 16
+        monkeypatch.setattr(godement.reps, "_MAX_TENSOR_BYTES", size)
+        assert tensor_product(reg, reg).dim == 64
+        monkeypatch.setattr(godement.reps, "_MAX_TENSOR_BYTES", size - 1)
+        with pytest.raises(ValueError, match="limit"):
+            tensor_product(reg, reg)
 
 
 class TestMatrixCoeff:
