@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from .groups import canonical_spec, group_to_json, parse_group_spec
 from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from .operators import is_positive_definite, spectral_truncate
-from .reps import check_tensor_nonneg, regular_rep, tensor_product
+from .reps import _check_tensor_size, check_tensor_nonneg, regular_rep, tensor_product
 from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
 from .theorems import SuiteConfig, derive_seed, run_suite
 
@@ -129,6 +129,8 @@ def _cmd_suite(args) -> int:
 
 def _cmd_rep_demo(args) -> int:
     group = parse_group_spec(args.group)
+    if args.tensor:  # refused on its size alone, before the regular representation is built
+        _check_tensor_size(group.order, group.order, group.order)
     reg = regular_rep(group)
     rep = tensor_product(reg, reg) if args.tensor else reg
     u1, u2 = _complex_normals(derive_seed(args.seed, "rep-demo"), (args.n, rep.dim), (args.n, rep.dim))

@@ -368,13 +368,16 @@ def _json_values(obj: dict, order: int, n: int) -> np.ndarray:
 def matfun_from_json(obj: dict, group: GroupTable | None = None) -> MatFun:
     """Rebuild a MatFun; unless given, the group is the embedded table,
     which must satisfy the group axioms, or else the spec in group_id.
-    Values that do not fit the group and n, or are not finite, raise
+    An n that is not a JSON integer >= 1, and values that do not fit the
+    group and n or are not finite, raise
     ValueError("malformed MatFun JSON: ...")."""
     try:
         group_id = str(obj["group_id"])
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = obj["n"]
+    except (KeyError, TypeError) as exc:
         raise _malformed(exc) from exc
+    if type(n) is not int:  # a bool is an int to isinstance; a float or string would be truncated
+        raise _malformed(f"n must be a JSON integer, got {n!r}")
     if n < 1:
         raise _malformed(f"n must be positive, got {n}")
     if group is None and "group" in obj:

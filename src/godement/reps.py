@@ -80,19 +80,27 @@ def trivial_rep(group: GroupTable) -> UnitaryRep:
 _MAX_TENSOR_BYTES = 2 * 2**30
 
 
+def _check_tensor_size(order: int, d1: int, d2: int) -> None:
+    """Raise ValueError when the tensor product of representations of
+    dimensions d1 and d2 on order elements, |G| (d1 d2)^2 complex128
+    entries, would exceed _MAX_TENSOR_BYTES.  It needs no factor, so a
+    caller can refuse before building them."""
+    dim = d1 * d2
+    size = order * dim * dim * 16
+    if size > _MAX_TENSOR_BYTES:
+        raise ValueError(f"tensor product of dimension {dim} on {order} elements needs "
+                         f"{size / 2**30:.1f} GiB, over the {_MAX_TENSOR_BYTES / 2**30:.0f} GiB limit")
+
+
 def tensor_product(p1: UnitaryRep, p2: UnitaryRep) -> UnitaryRep:
     """Elementwise Kronecker product; basis pairs (i, j) in row-major order i*d2 + j.
 
-    Raises ValueError, before allocating, when the |G| (d1 d2)^2 complex128
-    matrices would exceed _MAX_TENSOR_BYTES.
+    Raises ValueError, before allocating, when _check_tensor_size refuses it.
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
+    _check_tensor_size(p1.group.order, p1.dim, p2.dim)
     dim = p1.dim * p2.dim
-    size = p1.group.order * dim * dim * 16
-    if size > _MAX_TENSOR_BYTES:
-        raise ValueError(f"tensor product of dimension {dim} on {p1.group.order} elements needs "
-                         f"{size / 2**30:.1f} GiB, over the {_MAX_TENSOR_BYTES / 2**30:.0f} GiB limit")
     mats = np.einsum("gik,gjl->gijkl", p1.matrices, p2.matrices).reshape(
         p1.group.order, dim, dim
     )

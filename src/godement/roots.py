@@ -3,8 +3,11 @@
 Every positive definite phi has a unique positive definite psi with
 phi = psi * psi (convolution).  Two independent constructions are
 provided: spectral calculus on the Fourier blocks of the convolution
-operator, and the coupled Newton-Schulz iteration carried out entirely
-with convolutions, whose iterates increase toward the root from below.
+operator, and the coupled Newton-Schulz iteration, whose iterates
+increase toward the root from below.  Below an operator side |G| n of
+_BLOCK_MIN_SIDE the iteration steps on the convolution kernel alone;
+from it up, on the stacked Fourier blocks, and each root it returns is
+then rechecked once on the convolution kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSpectrum
+from .fourier import FourierBasis, FourierSpectrum
 from .matfun import MatFun, _conv_index, _conv_kernel, _l2, l2_norm, matfun_to_json, zero_matfun
 from .operators import DEFAULT_PD_TOL, _certified_spectrum, _check_tol
 
@@ -22,6 +25,13 @@ from .operators import DEFAULT_PD_TOL, _certified_spectrum, _check_tol
 # the last step, and eigenvalues below DEFAULT_PD_TOL s that the prediction
 # does not see (each step multiplies their w by up to 9/4).
 _CAP_MARGIN = 8
+# Operators of side |G| n from this size on step on their Fourier blocks:
+# below it the padded block stack costs more than the dense gathers.
+_BLOCK_MIN_SIDE = 64
+# How far above tol the convolution-kernel residual of a block-loop root may
+# lie: the loop measured its own residual through Plancherel, in rounding
+# that differs from the kernel's.
+_RECHECK_SLACK = 1e-6
 
 __all__ = [
     "SqrtResult",
@@ -105,12 +115,16 @@ def sqrt_iterative(phi: MatFun, tol: float = 1e-8) -> SqrtResult:
     iterations for the matrix square root", Numer. Algorithms 15 (1997)
     227-242): Y_k tends to sqrt(phi~) and Z_k to its inverse on the range of
     phi.  Return psi = sqrt(s) Y_k once ||Y_k * Y_k - phi~||_2 <= tol *
-    ||phi~||_2.  Only convolutions are used, so the root is independent of
-    the spectral one.  Each Y_k is a polynomial in phi~; on an eigenvalue
-    lambda of phi~, w = z y goes w <- w (3 - w)^2 / 4 within [w, 1] and y
-    grows by (3 - w) / 2 >= 1, so the iterates are positive definite,
-    increase in the PD ordering and their squares stay dominated by phi~.
-    monotone_trace lists ||psi_k||_2 after each step.
+    ||phi~||_2.  Below an operator side |G| n of 64 the loop uses only
+    convolutions, so the root is independent of the spectral one.  From 64
+    up it steps on the Fourier blocks of phi~, which is faster there, and
+    the root is rechecked once on the convolution kernel: a residual there
+    above tol (1 + 1e-6) raises ConvergenceError.  Each Y_k is a polynomial
+    in phi~; on an eigenvalue lambda of phi~, w = z y goes
+    w <- w (3 - w)^2 / 4 within [w, 1] and y grows by (3 - w) / 2 >= 1, so
+    the iterates are positive definite, increase in the PD ordering and
+    their squares stay dominated by phi~.  monotone_trace lists
+    ||psi_k||_2 after each step.
 
     The step count is at most ceil(log_{9/4}(1 / l) + log2 ln(1 / tol)) with
     l = max(lambda_min / s, DEFAULT_PD_TOL), the scalar recursion's bound on
@@ -139,6 +153,33 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtR
     group, n = phi.group, phi.n
     predicted = _predicted_steps(max(float(spectrum.eigenvalues[0]) / s, DEFAULT_PD_TOL), tol)
     cap = predicted + _CAP_MARGIN
+    on_blocks = group.order * n >= _BLOCK_MIN_SIDE
+    if on_blocks:
+        values, residual, trace = _block_steps(phi, spectrum.basis, s, tol, cap)
+    else:
+        values, residual, trace = _dense_steps(phi, s, tol, cap)
+    if not math.isfinite(residual):
+        raise ConvergenceError(f"non-finite residual after {len(trace)} steps")
+    if not residual <= tol:
+        raise ConvergenceError(f"no convergence to {tol:.1e}: residual {residual:.3e} after {cap} steps, "
+                               f"{predicted} predicted")
+    psi = MatFun(group, n, values)
+    if on_blocks:
+        # the loop saw only blocks; the root is checked once on the convolution kernel
+        check = _square_gap(psi, phi) / l2_norm(phi)
+        if not check <= tol * (1.0 + _RECHECK_SLACK):
+            raise ConvergenceError(f"iterative square root residual {check:.3e} exceeds {tol:.3e} "
+                                   f"on the convolution kernel")
+    return SqrtResult(psi=psi, method="iterative", residual=residual, iterations=len(trace),
+                      monotone_trace=tuple(trace))
+
+
+def _dense_steps(phi: MatFun, s: float, tol: float, cap: int):
+    """The iteration on phi~ = phi / s as functions, each step gathering the
+    convolution matrix of Y.  Returns the values of psi = sqrt(s) Y, the last
+    residual and the trace, after the step that meets tol, the step whose
+    residual is not finite, or the cap."""
+    group, n = phi.group, phi.n
     # functions as columns (|G| n, n); a product gathers the convolution
     # matrix of its left factor (see matfun._conv_kernel)
     index = _conv_index(group, n)
@@ -154,12 +195,7 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtR
         np.dot(c_y, y, out=gap)
         gap -= target
         residual = math.sqrt(np.vdot(gap, gap).real) / denom
-        if not math.isfinite(residual):
-            raise ConvergenceError(f"non-finite residual after {k} steps")
-        if residual <= tol:
-            return SqrtResult(psi=MatFun(group, n, root_scale * y.reshape(phi.values.shape)), method="iterative",
-                              residual=residual, iterations=k, monotone_trace=tuple(trace))
-        if k == cap:
+        if residual <= tol or not math.isfinite(residual) or k == cap:
             break
         np.dot(z.reshape(-1)[index], y, out=t)  # Z * Y
         np.subtract(three_delta, t, out=t)
@@ -167,8 +203,60 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtR
         y = c_y @ t  # Y * T
         z = t.reshape(-1)[index] @ z  # T * Z
         trace.append(root_scale * math.sqrt(np.vdot(y, y).real))
-    raise ConvergenceError(f"no convergence to {tol:.1e}: residual {residual:.3e} after {cap} steps, "
-                           f"{predicted} predicted")
+    return root_scale * y.reshape(phi.values.shape), residual, trace
+
+
+def _block_steps(phi: MatFun, basis: FourierBasis, s: float, tol: float, cap: int):
+    """The iteration of _dense_steps on the Fourier blocks of phi~, one per type.
+
+    Convolution is the product of blocks, B(a * b) = B(a) B(b), so the step
+    is the dense one with the same product order.  All blocks sit in one
+    stack, zero-padded to the largest side; Z_0 = I and 3 I cover only the
+    unpadded corners, so the padding stays exactly zero and a step is four
+    batched matmuls.  Norms follow Plancherel: ||a||_2^2 = sum_t mu_t
+    ||B_t||_F^2 / |G| for mu_t copies of type t.  psi goes back to a
+    function through the basis kernel once.  Returns as _dense_steps does.
+    """
+    parts = basis.blocks(phi.values / s)
+    count, side = sum(b.shape[0] for b in parts), max(b.shape[1] for b in parts)
+    target = np.zeros((count, side, side), dtype=np.complex128)
+    z = np.zeros_like(target)
+    weights = np.empty(count)
+    corners, at = [], 0
+    for b, cls in zip(parts, basis.classes):
+        k, m = b.shape[0], b.shape[1]
+        target[at:at + k, :m, :m] = b
+        z[at:at + k, range(m), range(m)] = 1.0
+        weights[at:at + k] = cls.multiplicities
+        corners.append((slice(at, at + k), slice(0, m)))
+        at += k
+    three = 3.0 * z
+    y, t, square, spare = target.copy(), np.empty_like(target), np.empty_like(target), np.empty_like(target)
+
+    def norm(x: np.ndarray) -> float:
+        """sqrt(sum_t mu_t ||X_t||_F^2) = sqrt(|G|) ||x||_2 for the function x with blocks X."""
+        flat = x.reshape(count, -1).view(np.float64)
+        return math.sqrt(np.dot(weights, np.einsum("ki,ki->k", flat, flat)))
+
+    denom, root_scale = norm(target), math.sqrt(s)
+    trace_scale = root_scale / math.sqrt(phi.group.order)
+    trace: list[float] = []
+    for k in range(cap + 1):
+        np.matmul(y, y, out=square)
+        square -= target
+        residual = norm(square) / denom
+        if residual <= tol or not math.isfinite(residual) or k == cap:
+            break
+        np.matmul(z, y, out=t)  # Z * Y
+        np.subtract(three, t, out=t)
+        t *= 0.5
+        np.matmul(y, t, out=spare)  # Y * T
+        y, spare = spare, y
+        np.matmul(t, z, out=spare)  # T * Z
+        z, spare = spare, z
+        trace.append(trace_scale * norm(y))
+    values = basis.kernel([y[rows, cols, cols] for rows, cols in corners])
+    return root_scale * values, residual, trace
 
 
 def truncation_sequence(phi: MatFun, thresholds: list[float]) -> list[MatFun]:

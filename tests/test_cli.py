@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +268,14 @@ class TestRepDemo:
         assert run_cli("rep-demo", "--group", "d3", "--n", "2", "--tensor") == 0
 
     def test_tensor_too_large_is_input_error(self, capsys):
-        # s5 regular x regular would take 371 GiB; the refusal comes before any allocation
-        assert run_cli("rep-demo", "--group", "s5", "--tensor") == 2
+        # s5 regular x regular would take 371 GiB; the refusal comes before any
+        # allocation, the 28 MB regular representation included
+        tracemalloc.start()
+        try:
+            assert run_cli("rep-demo", "--group", "s5", "--tensor") == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
         captured = capsys.readouterr()
         assert captured.out == "" and "over the 2 GiB limit" in captured.err

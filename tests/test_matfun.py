@@ -625,3 +625,9 @@ class TestMalformedValues:
         # n = -1 squares to 1, so these 32 bytes would pass the length check
         obj = {"group_id": "cyclic:2", "n": n, "values_b64": _PHI21_B64 if n else ""}
         self.assert_refused(obj, tmp_path, capsys, "malformed MatFun JSON: n must be positive")
+
+    @pytest.mark.parametrize("n", [1.9, "1", True])
+    def test_n_must_be_an_integer(self, n, tmp_path, capsys):
+        # int() once read each of these as n = 1
+        obj = {"group_id": "cyclic:2", "n": n, "values_b64": _PHI21_B64}
+        self.assert_refused(obj, tmp_path, capsys, "malformed MatFun JSON: n must be a JSON integer")

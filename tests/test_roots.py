@@ -264,6 +264,54 @@ class TestSqrtIterative:
             sqrt_iterative(random_pd(d4, 2, seed=12))
         assert len(calls) == 1
 
+    def test_nonfinite_block_step_raises_at_once(self, monkeypatch):
+        # side 120 steps on the Fourier blocks, whose products are np.matmul
+        calls = []
+
+        class NanProducts:
+            """numpy as the roots module sees it, except that every batched product is NaN."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, out):
+                calls.append(1)
+                out[...] = np.nan
+                return out
+
+        phi = random_pd(parse_group_spec("s5"), 1, seed=12)
+        monkeypatch.setattr(godement.roots, "np", NanProducts())
+        with pytest.raises(ConvergenceError, match="non-finite residual after 0 steps"):
+            sqrt_iterative(phi)
+        assert len(calls) == 1
+
+    def test_block_loop_non_convergence_raises(self):
+        # the block loop keeps the dense loop's cap and message
+        phi = random_pd(parse_group_spec("s5"), 1, seed=11)
+        predicted = predicted_steps(phi, 1e-20)
+        cap = predicted + godement.roots._CAP_MARGIN
+        with pytest.raises(ConvergenceError, match=rf"residual \S+ after {cap} steps, {predicted} predicted"):
+            sqrt_iterative(phi, tol=1e-20)
+
+    def test_block_root_failing_kernel_recheck_raises(self, monkeypatch):
+        phi = random_pd(parse_group_spec("s5"), 1, seed=13)
+        assert sqrt_iterative(phi, tol=1e-9).residual <= 1e-9
+        gaps = []
+
+        def off_by_a_percent(psi, target):
+            gaps.append(1)
+            return 1e-2 * l2_norm(target)
+
+        monkeypatch.setattr(godement.roots, "_square_gap", off_by_a_percent)
+        with pytest.raises(ConvergenceError, match="1.000e-02 exceeds 1.000e-09 on the convolution kernel"):
+            sqrt_iterative(phi, tol=1e-9)
+        assert gaps == [1]
+
+    def test_dense_root_below_side_64_skips_the_recheck(self, monkeypatch):
+        # the dense loop's residual is already taken on the convolution kernel
+        monkeypatch.setattr(godement.roots, "_square_gap", lambda *a: pytest.fail("rechecked"))
+        assert sqrt_iterative(random_pd(parse_group_spec("z2xs4"), 1, seed=13), tol=1e-9).residual <= 1e-9
+
     @pytest.mark.parametrize("spec", STANDARD_SPECS + ("s5",))
     def test_matches_reference_loop(self, spec):
         grp = parse_group_spec(spec)
@@ -295,8 +343,8 @@ class TestSqrtIterative:
     @pytest.mark.parametrize("spec, n", [("s4", 3), ("z2xs4", 2), ("s5", 1), ("s5", 2), ("s5", 3),
                                          ("z2xs5", 1), ("z2xs5", 2)])
     def test_block_route_matches_reference_loop(self, spec, n):
-        # the large operators, once stepped on their Fourier blocks, run the
-        # one loop on the convolution kernel and check their residual there
+        # from side 64 the loop steps on the stacked Fourier blocks, and each
+        # root it returns is rechecked once on the convolution kernel
         phi = random_pd(parse_group_spec(spec), n, seed=60 + n)
         psi, iterations, trace = reference_newton_schulz(phi, tol=1e-9)
         result = sqrt_iterative(phi, tol=1e-9)
