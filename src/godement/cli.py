@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 
 from .groups import canonical_spec, group_to_json, parse_group_spec
 from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
-from .operators import is_positive_definite, spectral_truncate
+from .operators import DEFAULT_PD_TOL, is_positive_definite, spectral_truncate
 from .reps import _check_tensor_size, check_tensor_nonneg, regular_rep, tensor_product
-from .roots import ConvergenceError, sqrt_iterative, sqrt_spectral
+from .roots import _ROOT_TOL, ConvergenceError, sqrt_iterative, sqrt_spectral
 from .theorems import SuiteConfig, derive_seed, run_suite
 
 EXIT_OK = 0
@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify positive definiteness of a MatFun file")
     p.add_argument("file")
     p.add_argument("--group", help="expected group spec; mismatch with the file is an error")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_PD_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_certify)
 
@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--group")
     p.add_argument("--method", choices=("spectral", "iterative"), default="spectral")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=_ROOT_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_sqrt)
 
@@ -181,12 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_truncate)
 
     p = sub.add_parser("suite", help="run the theorem suites")
-    p.add_argument("--groups", default="z6,d4,q8,s3")
-    p.add_argument("--dims", default="1,2")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--name", default="default")
+    suite = SuiteConfig()
+    p.add_argument("--groups", default=",".join(suite.groups))
+    p.add_argument("--dims", default=",".join(map(str, suite.dims)))
+    p.add_argument("--trials", type=int, default=suite.trials)
+    p.add_argument("--seed", type=int, default=suite.seed)
+    p.add_argument("--tol", type=float, default=suite.tol)
+    p.add_argument("--name", default=suite.name)
     p.add_argument("--allow-empty", action="store_true")
     p.add_argument("--csv", action="store_true", help="flat per-report rows instead of JSON")
     p.add_argument("--out")

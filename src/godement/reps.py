@@ -117,8 +117,8 @@ def homomorphism_residual(rep: UnitaryRep) -> float:
     """Upper bound on max_{a,b} ||M(a) M(b) - M(a b)||_F for a unitary rep,
     zero iff it is a homomorphism.  With R(a) = max_b ||M(a) M(b) - M(a b)||_F,
     unitary M has R(e) = ||M(e) - I||_F, R(s^-1) <= 2 R(s) + R(e) and
-    R(l a) <= R(a) + 2 R(l), so along words in generators and inverses
-    (operators.translation_commutant_residual) R(a) <= (6 D + 1) max(R(e), R(s)).
+    R(l a) <= R(a) + 2 R(l), so along a word of at most D generators or
+    inverses, D the Cayley graph's diameter, R(a) <= (6 D + 1) max(R(e), R(s)).
     """
     group, mats = rep.group, rep.matrices
     gens, diameter = _generating_set(group)

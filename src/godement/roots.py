@@ -4,10 +4,11 @@ Every positive definite phi has a unique positive definite psi with
 phi = psi * psi (convolution).  Two independent constructions are
 provided: spectral calculus on the Fourier blocks of the convolution
 operator, and the coupled Newton-Schulz iteration, whose iterates
-increase toward the root from below.  Below an operator side |G| n of
-_BLOCK_MIN_SIDE the iteration steps on the convolution kernel alone;
-from it up, on the stacked Fourier blocks, and each root it returns is
-then rechecked once on the convolution kernel.
+increase toward the root from below.  The iteration is one loop on
+either of two algebras: below an operator side |G| n of _BLOCK_MIN_SIDE
+its products are convolutions, from it up products of the stacked
+Fourier blocks, and each root found on the blocks is rechecked once on
+the convolution kernel.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ _BLOCK_MIN_SIDE = 64
 # lie: the loop measured its own residual through Plancherel, in rounding
 # that differs from the kernel's.
 _RECHECK_SLACK = 1e-6
+# The default relative residual ||psi * psi - phi||_2 / ||phi||_2 of both roots.
+_ROOT_TOL = 1e-8
 
 __all__ = [
     "SqrtResult",
@@ -62,17 +65,16 @@ class SqrtResult:
     monotone_trace: tuple[float, ...] | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "method": self.method,
             "residual": self.residual,
             "iterations": self.iterations,
             "monotone_trace": list(self.monotone_trace) if self.monotone_trace is not None else None,
             "psi": matfun_to_json(self.psi),
         }
-        return out
 
 
-def sqrt_spectral(phi: MatFun, tol: float = 1e-8) -> SqrtResult:
+def sqrt_spectral(phi: MatFun, tol: float = _ROOT_TOL) -> SqrtResult:
     """Square root by spectral calculus on the convolution operator.
 
     The operator is taken block by block in the Fourier basis of the
@@ -94,19 +96,20 @@ def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtRe
     """sqrt_spectral from a spectrum of phi, with eigenvectors, already certified."""
     floor = DEFAULT_PD_TOL * spectrum.operator_norm
     psi = spectrum.apply(lambda ev: np.sqrt(np.where(ev <= floor, 0.0, ev)))
-    denom = l2_norm(phi)
-    residual = _square_gap(psi, phi) / denom if denom > 0 else 0.0
+    residual = _kernel_residual(psi, phi)
     if not residual <= tol:
         raise ConvergenceError(f"spectral square root residual {residual:.3e} exceeds {tol:.3e}")
     return SqrtResult(psi=psi, method="spectral", residual=residual)
 
 
-def _square_gap(psi: MatFun, phi: MatFun) -> float:
-    """||psi * psi - phi||_2, on the convolution kernel."""
-    return _l2(_conv_kernel(psi.group, psi.values, psi.values) - phi.values)
+def _kernel_residual(psi: MatFun, phi: MatFun) -> float:
+    """||psi * psi - phi||_2 / ||phi||_2 on the convolution kernel, 0 for phi = 0."""
+    denom = l2_norm(phi)
+    gap = _l2(_conv_kernel(psi.group, psi.values, psi.values) - phi.values)
+    return gap / denom if denom > 0 else 0.0
 
 
-def sqrt_iterative(phi: MatFun, tol: float = 1e-8) -> SqrtResult:
+def sqrt_iterative(phi: MatFun, tol: float = _ROOT_TOL) -> SqrtResult:
     """Square root by the coupled Newton-Schulz iteration in the convolution algebra.
 
     With s the operator norm of phi and phi~ = phi / s, start from
@@ -115,11 +118,12 @@ def sqrt_iterative(phi: MatFun, tol: float = 1e-8) -> SqrtResult:
     iterations for the matrix square root", Numer. Algorithms 15 (1997)
     227-242): Y_k tends to sqrt(phi~) and Z_k to its inverse on the range of
     phi.  Return psi = sqrt(s) Y_k once ||Y_k * Y_k - phi~||_2 <= tol *
-    ||phi~||_2.  Below an operator side |G| n of 64 the loop uses only
-    convolutions, so the root is independent of the spectral one.  From 64
-    up it steps on the Fourier blocks of phi~, which is faster there, and
-    the root is rechecked once on the convolution kernel: a residual there
-    above tol (1 + 1e-6) raises ConvergenceError.  Each Y_k is a polynomial
+    ||phi~||_2.  One loop runs these steps in the algebra the operator side
+    |G| n picks: below 64 the products are convolutions, so the root is
+    independent of the spectral one; from 64 up they are products of the
+    Fourier blocks of phi~, which is faster there, and the root is then
+    rechecked once on the convolution kernel: a residual there above
+    tol (1 + 1e-6) raises ConvergenceError.  Each Y_k is a polynomial
     in phi~; on an eigenvalue lambda of phi~, w = z y goes
     w <- w (3 - w)^2 / 4 within [w, 1] and y grows by (3 - w) / 2 >= 1, so
     the iterates are positive definite, increase in the PD ordering and
@@ -166,7 +170,7 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtR
     psi = MatFun(group, n, values)
     if on_blocks:
         # the loop saw only blocks; the root is checked once on the convolution kernel
-        check = _square_gap(psi, phi) / l2_norm(phi)
+        check = _kernel_residual(psi, phi)
         if not check <= tol * (1.0 + _RECHECK_SLACK):
             raise ConvergenceError(f"iterative square root residual {check:.3e} exceeds {tol:.3e} "
                                    f"on the convolution kernel")
@@ -174,89 +178,83 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtR
                       monotone_trace=tuple(trace))
 
 
-def _dense_steps(phi: MatFun, s: float, tol: float, cap: int):
-    """The iteration on phi~ = phi / s as functions, each step gathering the
-    convolution matrix of Y.  Returns the values of psi = sqrt(s) Y, the last
-    residual and the trace, after the step that meets tol, the step whose
-    residual is not finite, or the cap."""
-    group, n = phi.group, phi.n
-    # functions as columns (|G| n, n); a product gathers the convolution
-    # matrix of its left factor (see matfun._conv_kernel)
-    index = _conv_index(group, n)
-    target = phi.values.reshape(-1, n) / s
-    y, z, t = target.copy(), np.zeros_like(target), np.empty_like(target)
-    z[group.identity * n:(group.identity + 1) * n] = np.eye(n)
-    three_delta = 3.0 * z
-    gap = np.empty_like(target)
-    denom, root_scale = math.sqrt(np.vdot(target, target).real), math.sqrt(s)
-    trace: list[float] = []
+def _newton_schulz(target: np.ndarray, unit: np.ndarray, left, product, norm, tol: float, cap: int):
+    """The iteration on phi~ = target in one algebra, from Y_0 = phi~ and
+    Z_0 = unit: a * b is product(left(a), b, out=), and norm is the
+    algebra's 2-norm up to a constant factor.  Returns Y_k, the last
+    residual and the norms of Y_1 .. Y_k, after the step that meets tol, the
+    step whose residual is not finite, or the cap."""
+    three, z, y = 3.0 * unit, unit, target.copy()
+    t, square, spare = np.empty_like(target), np.empty_like(target), np.empty_like(target)
+    denom = norm(target)
+    norms: list[float] = []
     for k in range(cap + 1):
-        c_y = y.reshape(-1)[index]
-        np.dot(c_y, y, out=gap)
-        gap -= target
-        residual = math.sqrt(np.vdot(gap, gap).real) / denom
+        left_y = left(y)
+        product(left_y, y, out=square)
+        square -= target
+        residual = norm(square) / denom
         if residual <= tol or not math.isfinite(residual) or k == cap:
             break
-        np.dot(z.reshape(-1)[index], y, out=t)  # Z * Y
-        np.subtract(three_delta, t, out=t)
+        product(left(z), y, out=t)  # Z * Y
+        np.subtract(three, t, out=t)
         t *= 0.5
-        y = c_y @ t  # Y * T
-        z = t.reshape(-1)[index] @ z  # T * Z
-        trace.append(root_scale * math.sqrt(np.vdot(y, y).real))
-    return root_scale * y.reshape(phi.values.shape), residual, trace
+        product(left_y, t, out=spare)  # Y * T
+        y, spare = spare, y
+        product(left(t), z, out=spare)  # T * Z
+        z, spare = spare, z
+        norms.append(norm(y))
+    return y, residual, norms
+
+
+def _dense_steps(phi: MatFun, s: float, tol: float, cap: int):
+    """The iteration on phi / s as functions, held as (|G| n, n) columns: a
+    product gathers the convolution matrix of its left factor (see
+    matfun._conv_kernel).  Returns the values of psi = sqrt(s) Y, the last
+    residual and the trace."""
+    group, n = phi.group, phi.n
+    index = _conv_index(group, n)
+    target = phi.values.reshape(-1, n) / s
+    unit = np.zeros_like(target)
+    unit[group.identity * n:(group.identity + 1) * n] = np.eye(n)
+    y, residual, norms = _newton_schulz(target, unit, lambda x: x.reshape(-1)[index], np.dot,
+                                        lambda x: math.sqrt(np.vdot(x, x).real), tol, cap)
+    root_scale = math.sqrt(s)
+    return root_scale * y.reshape(phi.values.shape), residual, [root_scale * v for v in norms]
 
 
 def _block_steps(phi: MatFun, basis: FourierBasis, s: float, tol: float, cap: int):
-    """The iteration of _dense_steps on the Fourier blocks of phi~, one per type.
-
-    Convolution is the product of blocks, B(a * b) = B(a) B(b), so the step
-    is the dense one with the same product order.  All blocks sit in one
-    stack, zero-padded to the largest side; Z_0 = I and 3 I cover only the
-    unpadded corners, so the padding stays exactly zero and a step is four
-    batched matmuls.  Norms follow Plancherel: ||a||_2^2 = sum_t mu_t
-    ||B_t||_F^2 / |G| for mu_t copies of type t.  psi goes back to a
+    """The iteration on the Fourier blocks of phi / s, one per type, where
+    convolution is the product of blocks, B(a * b) = B(a) B(b).  All blocks
+    sit in one stack, zero-padded to the largest side; Z_0 = I and 3 I cover
+    only the unpadded corners, so the padding stays exactly zero and a step
+    is four batched matmuls.  Norms follow Plancherel: ||a||_2^2 = sum_t
+    mu_t ||B_t||_F^2 / |G| for mu_t copies of type t.  psi goes back to a
     function through the basis kernel once.  Returns as _dense_steps does.
     """
     parts = basis.blocks(phi.values / s)
     count, side = sum(b.shape[0] for b in parts), max(b.shape[1] for b in parts)
     target = np.zeros((count, side, side), dtype=np.complex128)
-    z = np.zeros_like(target)
+    unit = np.zeros_like(target)
     weights = np.empty(count)
     corners, at = [], 0
     for b, cls in zip(parts, basis.classes):
         k, m = b.shape[0], b.shape[1]
         target[at:at + k, :m, :m] = b
-        z[at:at + k, range(m), range(m)] = 1.0
+        unit[at:at + k, range(m), range(m)] = 1.0
         weights[at:at + k] = cls.multiplicities
         corners.append((slice(at, at + k), slice(0, m)))
         at += k
-    three = 3.0 * z
-    y, t, square, spare = target.copy(), np.empty_like(target), np.empty_like(target), np.empty_like(target)
 
     def norm(x: np.ndarray) -> float:
         """sqrt(sum_t mu_t ||X_t||_F^2) = sqrt(|G|) ||x||_2 for the function x with blocks X."""
         flat = x.reshape(count, -1).view(np.float64)
         return math.sqrt(np.dot(weights, np.einsum("ki,ki->k", flat, flat)))
 
-    denom, root_scale = norm(target), math.sqrt(s)
+    y, residual, norms = _newton_schulz(target, unit, lambda x: x, np.matmul, norm, tol, cap)
+    root_scale = math.sqrt(s)
     trace_scale = root_scale / math.sqrt(phi.group.order)
-    trace: list[float] = []
-    for k in range(cap + 1):
-        np.matmul(y, y, out=square)
-        square -= target
-        residual = norm(square) / denom
-        if residual <= tol or not math.isfinite(residual) or k == cap:
-            break
-        np.matmul(z, y, out=t)  # Z * Y
-        np.subtract(three, t, out=t)
-        t *= 0.5
-        np.matmul(y, t, out=spare)  # Y * T
-        y, spare = spare, y
-        np.matmul(t, z, out=spare)  # T * Z
-        z, spare = spare, z
-        trace.append(trace_scale * norm(y))
     values = basis.kernel([y[rows, cols, cols] for rows, cols in corners])
-    return root_scale * values, residual, trace
+    return root_scale * values, residual, [trace_scale * v for v in norms]
 
 
 def truncation_sequence(phi: MatFun, thresholds: list[float]) -> list[MatFun]:

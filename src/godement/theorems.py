@@ -30,7 +30,7 @@ from .matfun import (
     matfun_to_json,
     subtract,
 )
-from .fourier import FourierSpectrum, fourier_spectrum
+from .fourier import FourierSpectrum, count_leq, fourier_spectrum
 from .operators import (
     DEFAULT_PD_TOL,
     _certificate,
@@ -39,7 +39,7 @@ from .operators import (
     hermitian_symmetry_residual,
     is_positive_definite,
 )
-from .roots import ConvergenceError, _iterative_root, _spectral_root
+from .roots import _ROOT_TOL, ConvergenceError, _iterative_root, _spectral_root
 
 __all__ = [
     "TheoremReport",
@@ -112,7 +112,7 @@ def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict[str, MatFun
         )
 
 
-def check_theorem_a(phi: MatFun, tol: float = 1e-8, iter_tol: float = 1e-9) -> TheoremReport:
+def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9) -> TheoremReport:
     """Verify the square-root factorization of one positive definite phi.
 
     Runs both root constructions and checks: psi * psi reproduces phi,
@@ -310,7 +310,7 @@ def build_orthogonal_pd_pair(theta: MatFun, split_t: float) -> tuple[MatFun, Mat
 def _orthogonal_pair(theta: MatFun, spectrum: FourierSpectrum, split_t: float) -> tuple[MatFun, MatFun]:
     """build_orthogonal_pd_pair from a spectrum of theta already certified."""
     ev = spectrum.eigenvalues
-    below = np.count_nonzero(ev <= split_t)
+    below = count_leq(ev, split_t)  # what the cut keeps, whole clusters included
     if below == 0 or below == ev.size:
         raise SpectrumSplitError(f"split {split_t} leaves {below} of {ev.size} eigenvalues below")
     low = spectrum.cut(split_t)
@@ -326,7 +326,7 @@ class SuiteConfig:
     dims: tuple[int, ...] = (1, 2)
     trials: int = 100
     seed: int = 2024
-    tol: float = 1e-8
+    tol: float = _ROOT_TOL
     name: str = "default"
 
     def validate(self) -> None:

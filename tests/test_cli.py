@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -10,8 +11,20 @@ import numpy as np
 import pytest
 
 import godement
-from godement import l2_norm, make_pd, matfun_from_json, matfun_to_json, random_matfun
-from godement.cli import main
+from godement import (
+    SuiteConfig,
+    check_theorem_a,
+    is_positive_definite,
+    l2_norm,
+    make_pd,
+    matfun_from_json,
+    matfun_to_json,
+    random_matfun,
+    sqrt_iterative,
+    sqrt_spectral,
+)
+from godement.cli import build_parser, main
+from godement.operators import DEFAULT_PD_TOL
 from conftest import legacy_json, phi_21, relabeled_s3
 
 
@@ -255,6 +268,20 @@ class TestSuite:
 
     def test_bad_group_spec(self):
         assert run_cli("suite", "--groups", "zz,,9", "--trials", "1") == 2
+
+    def test_parser_defaults_are_the_librarys(self):
+        parser = build_parser()
+        pd_tol = inspect.signature(is_positive_definite).parameters["tol"].default
+        assert parser.parse_args(["certify", "phi.json"]).tol == pd_tol == DEFAULT_PD_TOL
+        root_tols = {inspect.signature(f).parameters["tol"].default
+                     for f in (sqrt_spectral, sqrt_iterative, check_theorem_a)}
+        for method in ("spectral", "iterative"):
+            assert {parser.parse_args(["sqrt", "phi.json", "--method", method]).tol} == root_tols
+        args, config = parser.parse_args(["suite"]), SuiteConfig()
+        assert tuple(args.groups.split(",")) == config.groups
+        assert tuple(int(d) for d in args.dims.split(",")) == config.dims
+        assert (args.trials, args.seed, args.tol, args.name) == (config.trials, config.seed, config.tol, config.name)
+        assert {config.tol} == root_tols
 
 
 class TestRepDemo:

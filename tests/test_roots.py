@@ -207,13 +207,15 @@ class TestSqrtIterative:
             iterative = sqrt_iterative(phi, tol=1e-9)
             assert l2_norm(subtract(spectral.psi, iterative.psi)) <= 1e-6 * l2_norm(phi)
 
-    def test_non_convergence_raises(self, d4):
+    @pytest.mark.parametrize("spec, n", [("d4", 2), ("s5", 1)], ids=["dense", "blocks"])
+    def test_non_convergence_raises(self, spec, n):
         # a tol below rounding is never met: the loop stops at its cap, the
-        # predicted count plus the margin, and says both counts
-        phi = random_pd(d4, 2, seed=11)
+        # predicted count plus the margin, and says the residual and both
+        # counts, on the convolution kernel (side 16) and the blocks (side 120)
+        phi = random_pd(parse_group_spec(spec), n, seed=11)
         predicted = predicted_steps(phi, 1e-20)
         cap = predicted + godement.roots._CAP_MARGIN
-        with pytest.raises(ConvergenceError, match=f"after {cap} steps, {predicted} predicted"):
+        with pytest.raises(ConvergenceError, match=rf"residual \S+ after {cap} steps, {predicted} predicted"):
             sqrt_iterative(phi, tol=1e-20)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
@@ -245,53 +247,28 @@ class TestSqrtIterative:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sqrt", "phi.json", "--max-iter", "5"])
 
-    def test_nonfinite_step_raises_at_once(self, d4, monkeypatch):
+    @pytest.mark.parametrize("spec, n, product", [("d4", 2, "dot"), ("s5", 1, "matmul")], ids=["dense", "blocks"])
+    def test_nonfinite_step_raises_at_once(self, monkeypatch, spec, n, product):
+        # below side 64 the products are np.dot on gathered convolution
+        # matrices; side 120 steps on the Fourier blocks, whose products are np.matmul
         calls = []
 
-        class NanProducts:
-            """numpy as the roots module sees it, except that every product is NaN."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def dot(self, a, b, out):
-                calls.append(1)
-                out[...] = np.nan
-                return out
-
-        monkeypatch.setattr(godement.roots, "np", NanProducts())
-        with pytest.raises(ConvergenceError, match="non-finite residual after 0 steps"):
-            sqrt_iterative(random_pd(d4, 2, seed=12))
-        assert len(calls) == 1
-
-    def test_nonfinite_block_step_raises_at_once(self, monkeypatch):
-        # side 120 steps on the Fourier blocks, whose products are np.matmul
-        calls = []
+        def nan_product(a, b, out):
+            calls.append(1)
+            out[...] = np.nan
+            return out
 
         class NanProducts:
-            """numpy as the roots module sees it, except that every batched product is NaN."""
+            """numpy as the roots module sees it, except that every product of the route is NaN."""
 
             def __getattr__(self, name):
-                return getattr(np, name)
+                return nan_product if name == product else getattr(np, name)
 
-            def matmul(self, a, b, out):
-                calls.append(1)
-                out[...] = np.nan
-                return out
-
-        phi = random_pd(parse_group_spec("s5"), 1, seed=12)
+        phi = random_pd(parse_group_spec(spec), n, seed=12)
         monkeypatch.setattr(godement.roots, "np", NanProducts())
         with pytest.raises(ConvergenceError, match="non-finite residual after 0 steps"):
             sqrt_iterative(phi)
         assert len(calls) == 1
-
-    def test_block_loop_non_convergence_raises(self):
-        # the block loop keeps the dense loop's cap and message
-        phi = random_pd(parse_group_spec("s5"), 1, seed=11)
-        predicted = predicted_steps(phi, 1e-20)
-        cap = predicted + godement.roots._CAP_MARGIN
-        with pytest.raises(ConvergenceError, match=rf"residual \S+ after {cap} steps, {predicted} predicted"):
-            sqrt_iterative(phi, tol=1e-20)
 
     def test_block_root_failing_kernel_recheck_raises(self, monkeypatch):
         phi = random_pd(parse_group_spec("s5"), 1, seed=13)
@@ -300,16 +277,16 @@ class TestSqrtIterative:
 
         def off_by_a_percent(psi, target):
             gaps.append(1)
-            return 1e-2 * l2_norm(target)
+            return 1e-2
 
-        monkeypatch.setattr(godement.roots, "_square_gap", off_by_a_percent)
+        monkeypatch.setattr(godement.roots, "_kernel_residual", off_by_a_percent)
         with pytest.raises(ConvergenceError, match="1.000e-02 exceeds 1.000e-09 on the convolution kernel"):
             sqrt_iterative(phi, tol=1e-9)
         assert gaps == [1]
 
     def test_dense_root_below_side_64_skips_the_recheck(self, monkeypatch):
-        # the dense loop's residual is already taken on the convolution kernel
-        monkeypatch.setattr(godement.roots, "_square_gap", lambda *a: pytest.fail("rechecked"))
+        # the dense algebra's residual is already taken on the convolution kernel
+        monkeypatch.setattr(godement.roots, "_kernel_residual", lambda *a: pytest.fail("rechecked"))
         assert sqrt_iterative(random_pd(parse_group_spec("z2xs4"), 1, seed=13), tol=1e-9).residual <= 1e-9
 
     @pytest.mark.parametrize("spec", STANDARD_SPECS + ("s5",))

@@ -169,7 +169,7 @@ class TestTheoremA:
             values = result.psi.values.copy()
             values[phi.group.identity] += 0.5j * 5e-10 * l2_norm(result.psi)
             psi = MatFun(phi.group, phi.n, values)
-            return dataclasses.replace(result, psi=psi, residual=godement.roots._square_gap(psi, phi) / l2_norm(phi))
+            return dataclasses.replace(result, psi=psi, residual=godement.roots._kernel_residual(psi, phi))
 
         phi = scale(c, phi_21(z2))
         assert check_theorem_a(phi).passed
@@ -394,6 +394,14 @@ class TestOrthogonalPair:
             build_orthogonal_pd_pair(theta, float(ev[-1]) + 1.0)
         with pytest.raises(SpectrumSplitError):
             build_orthogonal_pd_pair(theta, float(ev[0]) - 1.0)
+
+    def test_split_inside_a_cluster_rejected(self):
+        # on z3 the eigenvalues 1, 1 + 5e-11 and 1 + 1e-10 are one cluster to
+        # the cut, which keeps all three at mid-spectrum: no high piece is left
+        ev = np.array([1.0, 1.0 + 5e-11, 1.0 + 1e-10])
+        theta = MatFun(parse_group_spec("z3"), 1, np.fft.ifft(ev).reshape(3, 1, 1))
+        with pytest.raises(SpectrumSplitError, match="leaves 3 of 3 eigenvalues below"):
+            build_orthogonal_pd_pair(theta, float((ev[0] + ev[-1]) / 2))
 
     def test_conv_operator_kills_root_columns(self, d3):
         # the low piece annihilates every column of the high piece's root
