@@ -14,7 +14,7 @@ import json
 import sys
 from datetime import datetime, timezone
 
-from .groups import canonical_spec, group_to_json, parse_group_spec
+from .groups import _standard_spec, canonical_spec, group_to_json, parse_group_spec
 from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
 from .operators import DEFAULT_PD_TOL, is_positive_definite, spectral_truncate
 from .reps import _check_tensor_size, check_tensor_nonneg, regular_rep, tensor_product
@@ -43,14 +43,13 @@ def _load_matfun(path: str, group_flag: str | None):
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "group_id" not in obj:
-        raise ValueError(f"{path} does not contain a MatFun object")
-    if group_flag is not None and canonical_spec(group_flag) != canonical_spec(str(obj["group_id"])):
-        raise ValueError(f"group mismatch: file says {obj['group_id']!r}, flag says {group_flag!r}")
     try:
-        return matfun_from_json(obj)
+        phi = matfun_from_json(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if group_flag is not None and _standard_spec(phi.group, canonical_spec(group_flag)) is None:
+        raise ValueError(f"group mismatch: {path} is not on the standard table of {group_flag!r}")
+    return phi
 
 
 def _cmd_gen_group(args) -> int:

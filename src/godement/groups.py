@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +288,10 @@ def is_abelian(t: GroupTable) -> bool:
     return bool(np.array_equal(t.mult, t.mult.T))
 
 
+# Entries of one associativity gather in validate_group: 4 MB of indices.
+_ASSOC_BLOCK = 2**19
+
+
 def validate_group(t: GroupTable) -> ValidationReport:
     """Check the group axioms on the table, reporting first witnesses.
 
@@ -324,22 +330,23 @@ def validate_group(t: GroupTable) -> ValidationReport:
     if bad.size:
         violations.append(Violation("left_inverse", (int(bad[0]),)))
 
-    # (a*b)*c vs a*(b*c), full scan, first witnessing triple
-    left = m[m, :]  # left[a, b, c] = m[m[a, b], c]
-    right = m[:, m]  # right[a, b, c] = m[a, m[b, c]]
-    mismatch = np.argwhere(left != right)
-    if mismatch.size:
-        a, b, c = (int(x) for x in mismatch[0])
-        violations.append(Violation("associativity", (a, b, c)))
+    # (a*b)*c vs a*(b*c) in blocks of rows a, each two gathers of at most
+    # _ASSOC_BLOCK entries; the first block with a mismatch holds the first
+    # witnessing triple in (a, b, c) order
+    rows = max(1, _ASSOC_BLOCK // (order * order))
+    for first in range(0, order, rows):
+        block = m[first:first + rows]
+        mismatch = np.argwhere(m[block] != block[:, m])  # m[m[a, b], c] vs m[a, m[b, c]]
+        if mismatch.size:
+            a, b, c = (int(x) for x in mismatch[0])
+            violations.append(Violation("associativity", (first + a, b, c)))
+            break
 
-    for a in range(order):
-        if len(set(int(x) for x in m[a, :])) != order:
-            violations.append(Violation("latin_row", (a,)))
-            break
-    for b in range(order):
-        if len(set(int(x) for x in m[:, b])) != order:
-            violations.append(Violation("latin_col", (b,)))
-            break
+    # entries are in range, so a row or column is a permutation iff it sorts to 0..order-1
+    for kind, lines in (("latin_row", m), ("latin_col", m.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != np.arange(order)).any(axis=1))
+        if bad.size:
+            violations.append(Violation(kind, (int(bad[0]),)))
 
     return ValidationReport(tuple(violations))
 
@@ -414,30 +421,55 @@ def canonical_spec(spec: str) -> str:
 _SPEC_TABLES: dict[str, GroupTable] = {}
 
 
+# Largest array, in bytes, that a spec's Cayley table or reps.tensor_product
+# forms: z16384's table (2 GiB) and s4's regular x regular (127 MB) fit,
+# z16385's table and s5's regular x regular (371 GiB) do not.
+_MAX_ARRAY_BYTES = 2 * 2**30
+
+# Each kind of factor: its builder and its order.  A parameter the builder refuses
+# goes to the builder, which raises before it allocates: no m! is taken past S_5.
+_KINDS = {
+    "cyclic": (build_cyclic, lambda m: m if m >= 1 else build_cyclic(m)),
+    "dihedral": (build_dihedral, lambda m: 2 * m if m >= 2 else build_dihedral(m)),
+    "symmetric": (build_symmetric, lambda m: math.factorial(m) if 1 <= m <= 5 else build_symmetric(m)),
+    "quaternion": (lambda m: build_quaternion(), lambda m: 8),
+}
+
+
+def _spec_parts(canon: str) -> list[tuple[tuple, int]]:
+    """(builder and order of its kind, parameter) of each factor of a canonical spec."""
+    return [(_KINDS[kind], int(arg)) for kind, _, arg in (part.partition(":") for part in canon.split("x"))]
+
+
+def _spec_order(canon: str) -> int:
+    """|G| of a canonical spec, from the string alone; a refused factor raises as its builder does."""
+    return math.prod(order(m) for (_, order), m in _spec_parts(canon))
+
+
 def parse_group_spec(spec: str) -> GroupTable:
     """The standard group of a spec string (see canonical_spec), built on
-    first use and then shared: equal specs give the same table object."""
+    first use and then shared: equal specs give the same table object.  A
+    spec whose Cayley table would pass _MAX_ARRAY_BYTES raises ValueError
+    before anything of its size is allocated."""
     canon = canonical_spec(spec)
     table = _SPEC_TABLES.get(canon)
     if table is None:
-        table = _SPEC_TABLES.setdefault(canon, _build_spec(canon))
+        order = _spec_order(canon)
+        size = order * order * np.dtype(np.intp).itemsize
+        if size > _MAX_ARRAY_BYTES:
+            raise ValueError(f"group {canon} of order {order} needs a {size / 2**30:.1f} GiB Cayley table, "
+                             f"over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
+        tables = [build(m) for (build, _), m in _spec_parts(canon)]
+        table = _SPEC_TABLES.setdefault(canon, functools.reduce(direct_product, tables))
     return table
 
 
-def _build_spec(canon: str) -> GroupTable:
-    builders = {
-        "cyclic": build_cyclic,
-        "dihedral": build_dihedral,
-        "symmetric": build_symmetric,
-    }
-    tables: list[GroupTable] = []
-    for part in canon.split("x"):
-        kind, _, arg = part.partition(":")
-        if kind == "quaternion":
-            tables.append(build_quaternion())
-        else:
-            tables.append(builders[kind](int(arg)))
-    result = tables[0]
-    for t in tables[1:]:
-        result = direct_product(result, t)
-    return result
+def _standard_spec(table: GroupTable, spec: str | None = None) -> str | None:
+    """The canonical form of spec (by default table.name) when table is its
+    standard table, else None.  Orders are compared first, so a large spec
+    never builds a large table."""
+    try:
+        canon = canonical_spec(table.name if spec is None else spec)
+        return canon if _spec_order(canon) == table.order and parse_group_spec(canon).same_table(table) else None
+    except ValueError:  # not a spec, or one a builder refuses, such as dihedral:1
+        return None

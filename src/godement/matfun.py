@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, canonical_spec, group_from_json, group_to_json, parse_group_spec, validate_group
+from .groups import GroupTable, _standard_spec, group_from_json, group_to_json, parse_group_spec, validate_group
 
 __all__ = [
     "MatFun",
@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 
-def _checked_values(values, shape: tuple[int, ...], axes: str, kind: str) -> np.ndarray:
+def _checked_values(values, n: int, shape: tuple[int, ...], axes: str, kind: str) -> np.ndarray:
     """values as a read-only C-contiguous complex128 array of the given shape,
-    with every entry finite."""
+    with every entry finite, for a dimension n >= 1."""
+    if not n >= 1:
+        raise ValueError(f"{kind} dimension n must be >= 1, got {n!r}")
     values = np.ascontiguousarray(values, dtype=np.complex128)
     if values.shape != shape:
         raise ValueError(f"values shape {values.shape} does not match {axes} = {shape}")
@@ -61,7 +63,7 @@ class MatFun:
 
     def __post_init__(self) -> None:
         shape = (self.group.order, self.n, self.n)
-        object.__setattr__(self, "values", _checked_values(self.values, shape, "(|G|, n, n)", "MatFun"))
+        object.__setattr__(self, "values", _checked_values(self.values, self.n, shape, "(|G|, n, n)", "MatFun"))
 
     def at(self, g: int) -> np.ndarray:
         return self.values[g]
@@ -77,7 +79,7 @@ class VecFun:
 
     def __post_init__(self) -> None:
         shape = (self.group.order, self.n)
-        object.__setattr__(self, "values", _checked_values(self.values, shape, "(|G|, n)", "VecFun"))
+        object.__setattr__(self, "values", _checked_values(self.values, self.n, shape, "(|G|, n)", "VecFun"))
 
     def flat(self) -> np.ndarray:
         """Flatten to C^(|G| n) with index g*n + component."""
@@ -309,14 +311,6 @@ def make_pd(f: MatFun) -> MatFun:
     return MatFun(f.group, f.n, _conv_kernel(f.group, _adjoint(f.group, f.values), f.values))
 
 
-def _is_standard_spec(name: str) -> bool:
-    try:
-        canonical_spec(name)
-    except ValueError:
-        return False
-    return True
-
-
 # values_b64 holds the (|G|, n, n) values as little-endian complex128 in C order.
 _WIRE_DTYPE = np.dtype("<c16")
 
@@ -324,11 +318,11 @@ _WIRE_DTYPE = np.dtype("<c16")
 def matfun_to_json(a: MatFun) -> dict:
     """JSON object of a: group_id, n and values_b64, the RFC 4648 base64
     (standard alphabet, padded) of the values as _WIRE_DTYPE bytes.  A group
-    whose name is not a standard spec is embedded as its table
-    (group_to_json), so that the object loads again."""
+    that is not its name's standard table (groups._standard_spec) is embedded
+    as its table (group_to_json), so that the object loads again."""
     data = np.ascontiguousarray(a.values, dtype=_WIRE_DTYPE)
     obj = {"group_id": a.group.name, "n": a.n, "values_b64": base64.b64encode(data).decode("ascii")}
-    if not _is_standard_spec(a.group.name):
+    if _standard_spec(a.group) is None:
         obj["group"] = group_to_json(a.group)
     return obj
 

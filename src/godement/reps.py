@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _generating_set
+from .groups import _MAX_ARRAY_BYTES, GroupTable, _generating_set
 from .matfun import MatFun, conjugate, inner, l2_norm
 from .theorems import _PAIR_TOL, TheoremReport
 
@@ -75,21 +75,16 @@ def trivial_rep(group: GroupTable) -> UnitaryRep:
     return UnitaryRep(group, 1, np.ones((group.order, 1, 1), dtype=np.complex128))
 
 
-# Largest tensor product, in bytes of its complex128 matrices, that tensor_product
-# forms: s4 regular x regular (127 MB) fits, s5 (371 GiB) does not.
-_MAX_TENSOR_BYTES = 2 * 2**30
-
-
 def _check_tensor_size(order: int, d1: int, d2: int) -> None:
     """Raise ValueError when the tensor product of representations of
     dimensions d1 and d2 on order elements, |G| (d1 d2)^2 complex128
-    entries, would exceed _MAX_TENSOR_BYTES.  It needs no factor, so a
+    entries, would exceed _MAX_ARRAY_BYTES.  It needs no factor, so a
     caller can refuse before building them."""
     dim = d1 * d2
     size = order * dim * dim * 16
-    if size > _MAX_TENSOR_BYTES:
+    if size > _MAX_ARRAY_BYTES:
         raise ValueError(f"tensor product of dimension {dim} on {order} elements needs "
-                         f"{size / 2**30:.1f} GiB, over the {_MAX_TENSOR_BYTES / 2**30:.0f} GiB limit")
+                         f"{size / 2**30:.1f} GiB, over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
 
 
 def tensor_product(p1: UnitaryRep, p2: UnitaryRep) -> UnitaryRep:

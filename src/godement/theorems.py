@@ -36,7 +36,6 @@ from .operators import (
     _certificate,
     _certified_spectrum,
     _check_tol,
-    hermitian_symmetry_residual,
     is_positive_definite,
 )
 from .roots import _ROOT_TOL, ConvergenceError, _iterative_root, _spectral_root
@@ -118,12 +117,12 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
     Runs both root constructions and checks: psi * psi reproduces phi,
     psi is positive definite and star-fixed, the two methods agree, the
     iterative trace is monotone and obeys the trace bound at the identity.
-    One Fourier spectrum of phi certifies it and serves both roots.  The
-    star gap is relative to ||psi||, and the trace bound
-    ||psi_k||^2 <= Tr phi(e) is relative to Tr phi(e), so neither depends
-    on the scale of phi, and the roots must agree within the bound their
-    residuals give.  tol and iter_tol must be positive and finite; a bad one
-    raises ValueError before any work, not a failed theorem.
+    One Fourier spectrum of phi certifies it and serves both roots, and
+    psi's certificate gives its star gap.  The star gap is relative to
+    ||psi||, and the trace bound ||psi_k||^2 <= Tr phi(e) to Tr phi(e), so
+    neither depends on the scale of phi, and the roots must agree within
+    the bound their residuals give.  tol and iter_tol must be positive and
+    finite; a bad one raises ValueError before any work, not a failed theorem.
     """
     _check_tol(tol)
     _check_tol(iter_tol, "iter_tol")
@@ -153,10 +152,11 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
     # is rounding to both.  s = 0 only for the zero function, whose roots are 0.
     floor = max(float(spectrum.eigenvalues[0]), DEFAULT_PD_TOL * spectrum.operator_norm)
     bound = (spectral.residual + iterative.residual) * (l2_norm(phi) / math.sqrt(floor)) if floor > 0.0 else 0.0
+    psi_cert = is_positive_definite(spectral.psi)
     residuals = {
         "spectral_residual": spectral.residual / tol,
-        "star_gap": hermitian_symmetry_residual(spectral.psi) / max(1e-300, 1e-10 * l2_norm(spectral.psi)),
-        "psi_not_pd": 0.0 if is_positive_definite(spectral.psi).ok else np.inf,
+        "star_gap": psi_cert.hermitian_residual / max(1e-300, math.sqrt(group.order) * 1e-10 * l2_norm(spectral.psi)),
+        "psi_not_pd": 0.0 if psi_cert.ok else np.inf,
         "method_agreement": agreement / bound if bound > 0.0 else (0.0 if agreement == 0.0 else np.inf),
     }
     phi_trace = float(np.trace(phi.values[group.identity]).real)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import godement
 from godement import (
     SuiteConfig,
+    build_symmetric,
     check_theorem_a,
     is_positive_definite,
     l2_norm,
@@ -58,6 +60,18 @@ class TestGenGroup:
     def test_bad_spec_is_input_error(self, capsys):
         assert run_cli("gen-group", "--group", "nope") == 2
 
+    def test_spec_over_the_byte_limit_is_input_error(self, capsys):
+        # z200000's 320 GB table once died in numpy with a traceback and exit 1
+        tracemalloc.start()
+        try:
+            assert run_cli("gen-group", "--group", "z200000") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        captured = capsys.readouterr()
+        assert captured.out == "" and "over the 2 GiB limit" in captured.err
+
 
 class TestSampleCertify:
     def test_round_trip_certifies_pd(self, tmp_path, capsys):
@@ -88,6 +102,12 @@ class TestSampleCertify:
     def test_group_mismatch_flag(self, tmp_path, z2):
         assert run_cli("certify", write_phi21(tmp_path, z2), "--group", "z6") == 2
 
+    def test_sample_pd_refuses_n_below_one(self, capsys):
+        # n = 0 once reached a numpy reshape error
+        assert run_cli("sample-pd", "--group", "s3", "--n", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dimension n must be >= 1, got 0" in captured.err
+
     def test_matching_flag_ok(self, tmp_path, z2):
         assert run_cli("certify", write_phi21(tmp_path, z2), "--group", "cyclic:2") == 0
 
@@ -103,6 +123,43 @@ class TestSampleCertify:
 
 
 class TestCustomTable:
+    def test_relabeled_s3_named_symmetric_3(self, tmp_path, capsys):
+        # the file once dropped the table for its name; sqrt then refused phi,
+        # and psi written with a table read back as not_hermitian
+        grp = dataclasses.replace(relabeled_s3(), name="symmetric:3")
+        path = tmp_path / "relabeled.json"
+        path.write_text(json.dumps(matfun_to_json(make_pd(random_matfun(grp, 2, 75)))))
+        assert run_cli("sqrt", str(path)) == 0
+        psi_path = tmp_path / "psi.json"
+        psi_path.write_text(json.dumps(json.loads(capsys.readouterr().out)["psi"]))
+        assert run_cli("certify", str(psi_path)) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "positive_definite"
+        assert matfun_from_json(json.loads(psi_path.read_text())).group.same_table(grp)
+        # --group compares tables, not names
+        assert run_cli("certify", str(path), "--group", "s3") == 2
+        assert "group mismatch" in capsys.readouterr().err
+        assert run_cli("certify", str(path), "--group", "nope") == 2
+
+    def test_copy_of_the_standard_table_passes_its_spec(self, tmp_path, capsys):
+        grp = dataclasses.replace(build_symmetric(3), name="custom")
+        path = tmp_path / "copy.json"
+        obj = matfun_to_json(make_pd(random_matfun(grp, 2, 76)))
+        assert obj["group_id"] == "custom" and "group" in obj
+        path.write_text(json.dumps(obj))
+        assert run_cli("certify", str(path), "--group", "s3") == 0
+        assert run_cli("certify", str(path), "--group", "z6") == 2
+
+    def test_large_group_flag_builds_no_table(self, tmp_path, z2, capsys):
+        # orders are compared first: z4096's 128 MB table is never built
+        path = write_phi21(tmp_path, z2)
+        tracemalloc.start()
+        try:
+            assert run_cli("certify", path, "--group", "z4096") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and "group mismatch" in capsys.readouterr().err
+
     def test_relabeled_s3_certify_sqrt_truncate(self, tmp_path, capsys):
         grp = relabeled_s3()
         phi = make_pd(random_matfun(grp, 2, 75))
@@ -293,6 +350,13 @@ class TestRepDemo:
 
     def test_tensor(self, capsys):
         assert run_cli("rep-demo", "--group", "d3", "--n", "2", "--tensor") == 0
+
+    @pytest.mark.parametrize("tensor", [False, True])
+    def test_n_below_one_is_input_error(self, capsys, tensor):
+        # n = 0 once passed on zero vectors
+        assert run_cli("rep-demo", "--n", "0", *(["--tensor"] if tensor else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dimension n must be >= 1, got 0" in captured.err
 
     def test_tensor_too_large_is_input_error(self, capsys):
         # s5 regular x regular would take 371 GiB; the refusal comes before any

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from godement import (
     parse_group_spec,
     validate_group,
 )
-from godement.groups import _generating_set
+import godement.groups
+from godement.groups import _MAX_ARRAY_BYTES, _generating_set, _spec_order
 
 
 def element_order(t: GroupTable, a: int) -> int:
@@ -266,6 +268,26 @@ class TestValidate:
         assert not report.ok
         assert {v.kind for v in report.violations} & {"left_identity", "right_identity"}
 
+    @pytest.mark.parametrize("block", [1, 100, godement.groups._ASSOC_BLOCK])
+    def test_first_witnesses_are_those_of_a_full_scan(self, block, monkeypatch):
+        # associativity is scanned in blocks of rows, latin rows and columns by
+        # sorting; the witnesses are those of the full scan the check once made
+        monkeypatch.setattr(godement.groups, "_ASSOC_BLOCK", block)
+        rng = np.random.default_rng(5)
+        for t in (build_dihedral(5), build_symmetric(3), build_cyclic(7)):
+            for _ in range(20):
+                mult = t.mult.copy()
+                a, b = rng.integers(t.order, size=2)
+                mult[a, b] = rng.integers(t.order)
+                m = mult
+                assoc = np.argwhere(m[m, :] != m[:, m])
+                rows = [x for x in range(t.order) if len(set(m[x])) != t.order]
+                cols = [x for x in range(t.order) if len(set(m[:, x])) != t.order]
+                expected = {"associativity": tuple(int(x) for x in assoc[0]) if assoc.size else None,
+                            "latin_row": (rows[0],) if rows else None, "latin_col": (cols[0],) if cols else None}
+                found = {v.kind: v.witness for v in validate_group(GroupTable(t.order, m, t.inv, 0, t.labels)).violations}
+                assert {kind: found.get(kind) for kind in expected} == expected
+
     def test_bad_inverse_reported(self):
         t = build_cyclic(4)
         inv = t.inv.copy()
@@ -323,6 +345,37 @@ class TestSpecs:
     def test_bad_spec(self):
         with pytest.raises(ValueError):
             parse_group_spec("banana")
+
+    @pytest.mark.parametrize("spec", ["z1", "z6", "d2", "d7", "q8", "s1", "s3", "s5", "z2xs4", "d3xq8xz5"])
+    def test_spec_order_is_the_table_order(self, spec):
+        assert _spec_order(canonical_spec(spec)) == parse_group_spec(spec).order
+
+    @pytest.mark.parametrize("spec", ["z200000", "z16385", "z200xz200", "s5xs5xz2"])
+    def test_spec_over_the_byte_limit_is_refused_before_allocating(self, spec):
+        # z200000 once died in numpy with an _ArrayMemoryError
+        assert _spec_order(canonical_spec(spec)) ** 2 * 8 > _MAX_ARRAY_BYTES
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="Cayley table, over the 2 GiB limit"):
+                parse_group_spec(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("spec,message", [("s1000000", "1..5, got 1000000"), ("z200000xs6", "1..5, got 6"),
+                                              ("z200000xz0", ">= 1, got 0"), ("d1", ">= 2, got 1")])
+    def test_refused_factor_raises_its_builders_error_before_allocating(self, spec, message):
+        # no m! is taken past S_5, and no other factor is built first
+        tracemalloc.start()
+        try:
+            for refuse in (_spec_order, parse_group_spec):
+                with pytest.raises(ValueError, match=message):
+                    refuse(canonical_spec(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_one_table_per_spec(self):
         table = parse_group_spec("s5")

@@ -1,23 +1,28 @@
 import base64
+import dataclasses
 import json
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 import godement.cli
+import godement.groups
 from godement import (
     GroupTable,
     MatFun,
     VecFun,
     add,
+    build_cyclic,
     build_symmetric,
     conv_matrix,
     convolve,
     convolve_vec,
     delta_identity,
+    direct_product,
     group_to_json,
     inner,
     is_positive_definite,
@@ -34,6 +39,7 @@ from godement import (
     zero_matfun,
 )
 from godement.cli import main
+from godement.groups import _standard_spec
 from godement.matfun import _adjoint, _complex_normals, _conv_index, _frobenius, _plain_norm, _power_of_two_unit
 from godement.theorems import derive_seed
 from conftest import legacy_json, phi_21, random_pd, relabeled_s3
@@ -449,6 +455,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="shape"):
             VecFun(z2, 2, np.zeros((2, 1), dtype=complex))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_dimension_below_one(self, s3, n):
+        # an n = 0 MatFun once reached is_positive_definite, which raised IndexError
+        size = max(n, 0)
+        for build in (lambda: MatFun(s3, n, np.zeros((6, size, size))), lambda: VecFun(s3, n, np.zeros((6, size)))):
+            with pytest.raises(ValueError, match=f"dimension n must be >= 1, got {n}"):
+                build()
+        # the helpers allocate first, and numpy refuses a negative n itself
+        for build in (zero_matfun, delta_identity, lambda g, n: random_matfun(g, n, 0)):
+            with pytest.raises(ValueError, match="dimension" if n else "dimension n must be >= 1, got 0"):
+                build(s3, n)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
     def test_rejects_nonfinite_in_every_form(self, z2, bad):
         for vals in (np.array([[[0.0]], [[bad]]]), np.array([[[0.0]], [[bad]]], dtype=complex), [[[0.0]], [[bad]]]):
@@ -545,6 +563,53 @@ class TestJson:
 
     def test_standard_table_not_embedded(self, d4):
         assert "group" not in matfun_to_json(random_pd(d4, 1, seed=73))
+        # a table equal to its spec's standard one, cached or freshly built, writes no table
+        for grp in (parse_group_spec("z2xs3"), build_symmetric(3), direct_product(build_cyclic(2), build_symmetric(3))):
+            assert "group" not in matfun_to_json(random_pd(grp, 1, seed=73))
+
+    def test_table_is_embedded_unless_it_is_its_specs_standard_table(self):
+        # a relabeled S3 named symmetric:3 once lost its table and read back as
+        # the standard S3, on which its values are not Hermitian
+        relabeled = dataclasses.replace(relabeled_s3(), name="symmetric:3")
+        phi = random_pd(relabeled, 2, seed=77)
+        obj = json.loads(json.dumps(matfun_to_json(phi)))
+        assert obj["group_id"] == "symmetric:3" and obj["group"] == group_to_json(relabeled)
+        again = matfun_from_json(obj)
+        assert again.group.same_table(relabeled) and again.values.tobytes() == phi.values.tobytes()
+        assert is_positive_definite(again).ok
+        # a spec that names a larger group, or one no builder makes, is no table's name
+        for name in ("symmetric:4", "cyclic:200000", "symmetric:9", "dihedral:1", "dihedral:1x"):
+            grp = dataclasses.replace(relabeled, name=name)
+            assert matfun_to_json(random_pd(grp, 1, seed=78))["group"] == group_to_json(relabeled)
+
+    def test_standard_spec_compares_orders_before_building(self, monkeypatch):
+        # a name whose spec is far larger than the table never builds that spec's table
+        built = []
+        kinds = {kind: (lambda m, kind=kind: built.append((kind, m)), order)
+                 for kind, (_, order) in godement.groups._KINDS.items()}
+        monkeypatch.setattr(godement.groups, "_KINDS", kinds)
+        for name in ("cyclic:16384", "dihedral:3000xcyclic:2", "symmetric:9"):
+            assert _standard_spec(dataclasses.replace(relabeled_s3(), name=name)) is None
+        assert built == []
+        assert _standard_spec(parse_group_spec("s3")) == "symmetric:3"
+        assert _standard_spec(dataclasses.replace(build_symmetric(3), name="S3")) == "symmetric:3"
+        assert _standard_spec(dataclasses.replace(relabeled_s3(), name="s3")) is None
+        # a spec given in place of the name, as the CLI's --group check gives it
+        assert _standard_spec(build_symmetric(3), "S3") == "symmetric:3"
+        assert _standard_spec(relabeled_s3(), "s3") is None and _standard_spec(relabeled_s3(), "z16384") is None
+
+    def test_embedded_table_validation_memory(self):
+        # validate_group once built two (|G|, |G|, |G|) arrays: 438 MB traced at order 300
+        phi = MatFun(dataclasses.replace(build_cyclic(300), name="custom"), 1, np.ones((300, 1, 1)))
+        obj = matfun_to_json(phi)
+        tracemalloc.start()
+        try:
+            again = matfun_from_json(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.group.same_table(phi.group)
+        assert peak < 32 * 2**20
 
     def test_embedded_table_must_be_a_group(self):
         obj = matfun_to_json(random_pd(relabeled_s3(), 1, seed=74))

@@ -12,6 +12,11 @@ import godement.operators
 import godement.roots
 import godement.theorems
 
+
+def nan_star_gap(psi):
+    """is_positive_definite with a NaN gap: Theorem A reads psi's star gap from it."""
+    return dataclasses.replace(is_positive_definite(psi), hermitian_residual=float("nan"))
+
 from godement import (
     MatFun,
     SpectralDecomposition,
@@ -127,14 +132,15 @@ class TestTheoremA:
 
     def test_nan_check_fails_and_is_the_worst(self, d4, monkeypatch):
         # a NaN in any check, not only the first, is the worst and fails the trial
-        monkeypatch.setattr(godement.theorems, "hermitian_symmetry_residual", lambda psi: float("nan"))
+        monkeypatch.setattr(godement.theorems, "is_positive_definite", nan_star_gap)
         report = check_theorem_a(random_pd(d4, 2, seed=0))
         assert not report.passed
         assert report.details["failure"] == "star_gap"
         assert np.isnan(report.worst_residual)
 
     def test_one_spectrum_of_phi_per_trial(self, s3, monkeypatch):
-        # the certificate and both roots share one spectrum of phi; psi has its own
+        # the certificate and both roots share one spectrum of phi; psi has its
+        # own, whose certificate also gives the star gap
         real = godement.fourier.fourier_spectrum
         seen = []
 
@@ -142,9 +148,14 @@ class TestTheoremA:
             seen.append(a)
             return real(a, vectors=vectors)
 
+        def no_star_pass(a):
+            raise AssertionError("hermitian_symmetry_residual called")
+
         for module in (godement.fourier, godement.operators, godement.roots, godement.theorems):
             if module.__dict__.get("fourier_spectrum") is real:
                 monkeypatch.setattr(module, "fourier_spectrum", spy)
+            if "hermitian_symmetry_residual" in module.__dict__:
+                monkeypatch.setattr(module, "hermitian_symmetry_residual", no_star_pass)
         phi = random_pd(s3, 2, seed=3)
         assert check_theorem_a(phi).passed
         assert len(seen) == 2
@@ -667,7 +678,7 @@ class TestRunSuite:
     def test_counterexample_is_the_serialized_inputs_and_replays(self, monkeypatch):
         # a NaN inner product fails B, C and Lemma 2.1; a NaN star gap fails A
         monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
-        monkeypatch.setattr(godement.theorems, "hermitian_symmetry_residual", lambda psi: float("nan"))
+        monkeypatch.setattr(godement.theorems, "is_positive_definite", nan_star_gap)
         config = SuiteConfig(groups=("s3",), dims=(2,), trials=2, seed=9)
         result = run_suite(config)
         grp = parse_group_spec("s3")
