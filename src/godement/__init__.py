@@ -13,15 +13,12 @@ from .groups import (
     Violation,
     build_cyclic,
     build_dihedral,
-    build_klein,
     build_quaternion,
     build_symmetric,
-    build_trivial,
     canonical_spec,
     direct_product,
     group_from_json,
     group_to_json,
-    is_abelian,
     parse_group_spec,
     validate_group,
 )
@@ -68,9 +65,7 @@ from .reps import (
     homomorphism_residual,
     matrix_coeff_fun,
     regular_rep,
-    rep_to_json,
     tensor_product,
-    trivial_rep,
     unitarity_residual,
 )
 from .roots import (

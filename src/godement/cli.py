@@ -100,8 +100,8 @@ def _suite_csv(report: dict) -> str:
 def _cmd_suite(args) -> int:
     groups = tuple(s.strip() for s in args.groups.split(",") if s.strip())
     dims = tuple(int(d) for d in args.dims.split(",") if d.strip())
-    if not groups and not args.allow_empty:
-        raise ValueError("no groups given (pass --allow-empty for an empty run)")
+    if not groups:
+        raise ValueError("no groups given")
     for spec in groups:
         canonical_spec(spec)  # fail fast on typos
     config = SuiteConfig(
@@ -187,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=suite.seed)
     p.add_argument("--tol", type=float, default=suite.tol)
     p.add_argument("--name", default=suite.name)
-    p.add_argument("--allow-empty", action="store_true")
     p.add_argument("--csv", action="store_true", help="flat per-report rows instead of JSON")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_suite)

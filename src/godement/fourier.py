@@ -248,7 +248,7 @@ def fourier_basis(group: GroupTable) -> FourierBasis:
     Threads that race on a first build compute equal bases and
     setdefault keeps one of them.
     """
-    cache = group._fourier_cache
+    cache = group._cache
     basis = cache.get("basis")
     if basis is None:
         basis = cache.setdefault("basis", _build_basis(group, _probe(group)))

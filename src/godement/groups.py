@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -15,12 +16,9 @@ __all__ = [
     "ValidationReport",
     "build_cyclic",
     "build_dihedral",
-    "build_klein",
     "build_quaternion",
     "build_symmetric",
-    "build_trivial",
     "direct_product",
-    "is_abelian",
     "validate_group",
     "group_to_json",
     "group_from_json",
@@ -36,14 +34,13 @@ class GroupTable:
     Elements are the dense indices 0..order-1; ``labels`` are display
     metadata only.  Instances are immutable and safe to share across
     threads.  Summation against the table realizes integration with
-    counting measure (every element has mass 1).  Each instance keeps
-    private caches of the convolution and adjoint gather indices per
-    matrix dimension (see matfun), of its generating set (see
-    _generating_set) and of its Fourier basis (see fourier), which live
-    and die with the table.  The
-    tables parse_group_spec returns live for the whole process, one per
-    canonical spec; the builders and group_from_json make a new table on
-    every call.
+    counting measure (every element has mass 1).  Each instance keeps one
+    private cache, which lives and dies with the table, of what is derived
+    from it alone: the convolution and adjoint gather indices per matrix
+    dimension (see matfun), its generating set (see _generating_set) and
+    its Fourier basis (see fourier).  The tables parse_group_spec returns
+    live for the whole process, one per canonical spec; the builders and
+    group_from_json make a new table on every call.
     """
 
     order: int
@@ -61,9 +58,7 @@ class GroupTable:
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-        object.__setattr__(self, "_conv_index_cache", {})
-        object.__setattr__(self, "_generators_cache", {})
-        object.__setattr__(self, "_fourier_cache", {})
+        object.__setattr__(self, "_cache", {})
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mult[a, b])
@@ -117,7 +112,7 @@ def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
     them.  The diameter is the largest number of generators and inverses
     of generators whose product is needed to write an element.
     """
-    cache = t._generators_cache
+    cache = t._cache
     found = cache.get("generators")
     if found is None:
         gens: list[int] = []
@@ -142,7 +137,7 @@ def _generator_words(t: GroupTable) -> tuple[tuple[np.ndarray, np.ndarray, np.nd
     """_word_plan of t on the letters (generators, their inverses) of
     _generating_set, kept from its last search."""
     _generating_set(t)
-    return t._generators_cache["words"]
+    return t._cache["words"]
 
 
 @dataclass(frozen=True)
@@ -158,21 +153,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-
-def _inverses_from_mult(mult: np.ndarray, identity: int) -> np.ndarray:
-    order = mult.shape[0]
-    inv = np.empty(order, dtype=np.intp)
-    for a in range(order):
-        hits = np.flatnonzero(mult[a] == identity)
-        if hits.size != 1:
-            raise ValueError(f"element {a} has {hits.size} right inverses")
-        inv[a] = hits[0]
-    return inv
-
-
-def build_trivial() -> GroupTable:
-    return build_cyclic(1)
 
 
 def build_cyclic(m: int) -> GroupTable:
@@ -196,50 +176,30 @@ def build_dihedral(m: int) -> GroupTable:
     """Dihedral group of order 2m: rotations r^a at 0..m-1, reflections r^a s at m..2m-1."""
     if m < 2:
         raise ValueError(f"dihedral parameter must be >= 2, got {m}")
-    order = 2 * m
-    mult = np.empty((order, order), dtype=np.intp)
-    for a in range(m):
-        for b in range(m):
-            mult[a, b] = (a + b) % m  # r^a r^b
-            mult[a, m + b] = m + (a + b) % m  # r^a (r^b s)
-            mult[m + a, b] = m + (a - b) % m  # (r^a s) r^b = r^(a-b) s
-            mult[m + a, m + b] = (a - b) % m  # (r^a s)(r^b s) = r^(a-b)
-    inv = _inverses_from_mult(mult, 0)
-    labels = tuple(f"r{a}" for a in range(m)) + tuple(f"r{a}s" for a in range(m))
-    return GroupTable(order=order, mult=mult, inv=inv, identity=0, labels=labels, name=f"dihedral:{m}")
-
-
-def build_klein() -> GroupTable:
-    """Klein four group, realized as the dihedral group with m=2."""
-    return build_dihedral(2)
-
-
-_QUATERNION_UNITS = {
-    "1": np.eye(2, dtype=complex),
-    "i": np.array([[1j, 0], [0, -1j]]),
-    "j": np.array([[0, 1], [-1, 0]], dtype=complex),
-    "k": np.array([[0, 1j], [1j, 0]]),
-}
+    a = np.arange(m, dtype=np.intp)
+    rot = (a[:, None] + a[None, :]) % m  # r^a r^b = r^(a+b), r^a (r^b s) = r^(a+b) s
+    ref = (a[:, None] - a[None, :]) % m  # (r^a s) r^b = r^(a-b) s, (r^a s)(r^b s) = r^(a-b)
+    mult = np.block([[rot, m + rot], [m + ref, ref]])
+    inv = np.concatenate([-a % m, m + a])  # r^a -> r^-a; reflections are involutions
+    labels = tuple(f"r{k}" for k in range(m)) + tuple(f"r{k}s" for k in range(m))
+    return GroupTable(order=2 * m, mult=mult, inv=inv, identity=0, labels=labels, name=f"dihedral:{m}")
 
 
 def build_quaternion() -> GroupTable:
-    """Quaternion group Q8 built from its 2x2 complex matrix realization."""
+    """Quaternion group Q8 built from its 2x2 complex matrix realization.
+
+    Each unit comes right before its negative.  The inverse of +-1 is
+    itself, and every other unit squares to -1, so its inverse is its
+    negative.
+    """
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-    mats = []
-    for lab in labels:
-        sign = -1.0 if lab.startswith("-") else 1.0
-        mats.append(sign * _QUATERNION_UNITS[lab.lstrip("-")])
-    order = 8
-    mult = np.empty((order, order), dtype=np.intp)
-    for a in range(order):
-        for b in range(order):
-            prod = mats[a] @ mats[b]
-            matches = [c for c in range(order) if np.allclose(prod, mats[c])]
-            if len(matches) != 1:
-                raise AssertionError("quaternion unit product did not resolve uniquely")
-            mult[a, b] = matches[0]
-    inv = _inverses_from_mult(mult, 0)
-    return GroupTable(order=order, mult=mult, inv=inv, identity=0, labels=labels, name="quaternion:8")
+    units = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]], [[0, 1], [-1, 0]], [[0, 1j], [1j, 0]]])
+    mats = np.stack([units, -units], axis=1).reshape(8, 2, 2)
+    # the entries are 0, +-1 and +-i, so every product is exact
+    products = mats[:, None, None] @ mats[None, :, None]  # [a, b, 0] = mats[a] mats[b]
+    mult = np.argmax((products == mats).all(axis=(3, 4)), axis=2)
+    idx = np.arange(8, dtype=np.intp)
+    return GroupTable(order=8, mult=mult, inv=idx ^ (idx >= 2), identity=0, labels=labels, name="quaternion:8")
 
 
 def build_symmetric(m: int) -> GroupTable:
@@ -282,10 +242,6 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
         labels=labels,
         name=f"{g.name}x{h.name}",
     )
-
-
-def is_abelian(t: GroupTable) -> bool:
-    return bool(np.array_equal(t.mult, t.mult.T))
 
 
 # Entries of one associativity gather in validate_group: 4 MB of indices.
@@ -375,47 +331,70 @@ def group_from_json(obj: dict, name: str = "custom") -> GroupTable:
         raise ValueError(f"malformed group JSON: {exc}") from exc
 
 
-_SPEC_ALIASES = {
-    "klein": "dihedral:2",
-    "v4": "dihedral:2",
-    "trivial": "cyclic:1",
-    "q8": "quaternion:8",
-    "quaternion": "quaternion:8",
+class _Kind(NamedTuple):
+    """One kind of factor of a group spec: the short names a parameter may
+    follow besides the kind's own (z6 and c6 as cyclic6 and cyclic:6), whole
+    factors that name a parameter (klein), the one parameter of a kind with
+    a single group, which a spec may leave out (q8 or q), the builder, and
+    the order.  order(m) builds nothing, and on a parameter the builder
+    refuses it calls the builder, which raises before it allocates."""
+
+    letters: tuple[str, ...]
+    words: dict[str, int]
+    fixed: int | None
+    build: Callable[[int], GroupTable]
+    order: Callable[[int], int]
+
+
+_KINDS = {
+    "cyclic": _Kind(("z", "c"), {"trivial": 1}, None, build_cyclic, lambda m: m if m >= 1 else build_cyclic(m)),
+    "dihedral": _Kind(("d",), {"klein": 2, "v4": 2}, None, build_dihedral,
+                      lambda m: 2 * m if m >= 2 else build_dihedral(m)),
+    "symmetric": _Kind(("s",), {}, None, build_symmetric,
+                       lambda m: math.factorial(m) if 1 <= m <= 5 else build_symmetric(m)),
+    "quaternion": _Kind(("q",), {}, 8, lambda m: build_quaternion(), lambda m: 8),
 }
+# the kind each name of a kind means, and the (kind, parameter) each word means
+_NAMES = {name: kind for kind, row in _KINDS.items() for name in (kind, *row.letters)}
+_WORDS = {word: (kind, m) for kind, row in _KINDS.items() for word, m in row.words.items()}
+
+
+def _factors(spec: str) -> list[tuple[str, int]]:
+    """(kind, parameter) of each factor of a spec such as 'z6', 'D4', 'cyclic:6' or 'z2xz3'."""
+    s = spec.strip().lower().replace(" ", "")
+    if not s:
+        raise ValueError("empty group spec")
+    factors = []
+    for part in s.split("x"):
+        if part in _WORDS:
+            factors.append(_WORDS[part])
+            continue
+        name, colon, arg = part.partition(":")
+        if not colon:
+            name = part.rstrip("0123456789")
+            arg = part[len(name):]
+        kind = _NAMES.get(name)
+        fixed = None if kind is None else _KINDS[kind].fixed
+        if fixed is not None:
+            arg = arg or str(fixed)
+        if kind is None or not arg.isdigit() or fixed is not None and arg != str(fixed):
+            raise ValueError(f"unrecognized group spec {spec!r}")
+        factors.append((kind, int(arg)))
+    return factors
 
 
 def canonical_spec(spec: str) -> str:
     """Normalize a group spec string like 'z6', 'D4', 'cyclic:6', 'z2xz3'."""
-    s = spec.strip().lower().replace(" ", "")
-    if not s:
-        raise ValueError("empty group spec")
-    parts = s.split("x")
-    canon = []
-    for part in parts:
-        part = _SPEC_ALIASES.get(part, part)
-        if ":" in part:
-            kind, _, arg = part.partition(":")
-        else:
-            head = part.rstrip("0123456789")
-            kind, arg = head, part[len(head):]
-        kind = {"z": "cyclic", "c": "cyclic", "d": "dihedral", "s": "symmetric", "q": "quaternion"}.get(
-            kind, kind
-        )
-        if kind not in ("cyclic", "dihedral", "symmetric", "quaternion"):
-            raise ValueError(f"unrecognized group spec {spec!r}")
-        if kind == "quaternion":
-            if arg not in ("", "8"):
-                raise ValueError(f"unrecognized group spec {spec!r}")
-            canon.append("quaternion:8")
-            continue
-        if not arg.isdigit():
-            raise ValueError(f"unrecognized group spec {spec!r}")
-        canon.append(f"{kind}:{int(arg)}")
-    return "x".join(canon)
+    return "x".join(f"{kind}:{m}" for kind, m in _factors(spec))
+
+
+def _spec_order(spec: str) -> int:
+    """|G| of a spec, from the string alone; a refused factor raises as its builder does."""
+    return math.prod(_KINDS[kind].order(m) for kind, m in _factors(spec))
 
 
 # One table per canonical spec for the life of the process, so that the
-# per-table caches (gather index, generating set, Fourier basis) are built
+# per-table cache (gather indices, generating set, Fourier basis) is built
 # once per process.  Tables are immutable; threads that race on a first
 # build make equal tables and setdefault keeps one of them.
 _SPEC_TABLES: dict[str, GroupTable] = {}
@@ -425,25 +404,6 @@ _SPEC_TABLES: dict[str, GroupTable] = {}
 # forms: z16384's table (2 GiB) and s4's regular x regular (127 MB) fit,
 # z16385's table and s5's regular x regular (371 GiB) do not.
 _MAX_ARRAY_BYTES = 2 * 2**30
-
-# Each kind of factor: its builder and its order.  A parameter the builder refuses
-# goes to the builder, which raises before it allocates: no m! is taken past S_5.
-_KINDS = {
-    "cyclic": (build_cyclic, lambda m: m if m >= 1 else build_cyclic(m)),
-    "dihedral": (build_dihedral, lambda m: 2 * m if m >= 2 else build_dihedral(m)),
-    "symmetric": (build_symmetric, lambda m: math.factorial(m) if 1 <= m <= 5 else build_symmetric(m)),
-    "quaternion": (lambda m: build_quaternion(), lambda m: 8),
-}
-
-
-def _spec_parts(canon: str) -> list[tuple[tuple, int]]:
-    """(builder and order of its kind, parameter) of each factor of a canonical spec."""
-    return [(_KINDS[kind], int(arg)) for kind, _, arg in (part.partition(":") for part in canon.split("x"))]
-
-
-def _spec_order(canon: str) -> int:
-    """|G| of a canonical spec, from the string alone; a refused factor raises as its builder does."""
-    return math.prod(order(m) for (_, order), m in _spec_parts(canon))
 
 
 def parse_group_spec(spec: str) -> GroupTable:
@@ -459,7 +419,7 @@ def parse_group_spec(spec: str) -> GroupTable:
         if size > _MAX_ARRAY_BYTES:
             raise ValueError(f"group {canon} of order {order} needs a {size / 2**30:.1f} GiB Cayley table, "
                              f"over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
-        tables = [build(m) for (build, _), m in _spec_parts(canon)]
+        tables = [_KINDS[kind].build(m) for kind, m in _factors(canon)]
         table = _SPEC_TABLES.setdefault(canon, functools.reduce(direct_product, tables))
     return table
 

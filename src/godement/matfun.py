@@ -39,11 +39,18 @@ __all__ = [
 ]
 
 
+def _check_n(n: int, kind: str = "MatFun") -> None:
+    """Raise ValueError unless the dimension n of a MatFun or VecFun is >= 1.
+    The samplers and constructors call it before they allocate, so numpy
+    never meets a negative n."""
+    if not n >= 1:
+        raise ValueError(f"{kind} dimension n must be >= 1, got {n!r}")
+
+
 def _checked_values(values, n: int, shape: tuple[int, ...], axes: str, kind: str) -> np.ndarray:
     """values as a read-only C-contiguous complex128 array of the given shape,
     with every entry finite, for a dimension n >= 1."""
-    if not n >= 1:
-        raise ValueError(f"{kind} dimension n must be >= 1, got {n!r}")
+    _check_n(n, kind)
     values = np.ascontiguousarray(values, dtype=np.complex128)
     if values.shape != shape:
         raise ValueError(f"values shape {values.shape} does not match {axes} = {shape}")
@@ -103,10 +110,11 @@ def _conv_index(group: GroupTable, n: int) -> np.ndarray:
     values.reshape(-1)[index] is the (|G| n, |G| n) matrix whose block
     (x, y) is values[x y^-1], i.e. index[x n + i, y n + k] =
     idx[x, y] n^2 + i n + k with idx = mult[:, inv].  Built once per
-    (table, n) and cached on the table instance; threads that race on a
-    first build compute equal arrays and setdefault keeps one of them.
+    (table, n) and cached on the table instance under the key n; threads
+    that race on a first build compute equal arrays and setdefault keeps
+    one of them.
     """
-    cache = group._conv_index_cache
+    cache = group._cache
     index = cache.get(n)
     if index is None:
         order = group.order
@@ -150,7 +158,7 @@ def _adjoint_index(group: GroupTable, n: int) -> np.ndarray:
     """Flat gather index (|G|, n, n) of a(g^-1)^T: index[g, i, k] =
     inv[g] n^2 + k n + i.  Cached on the table beside _conv_index, under
     the key ("adjoint", n)."""
-    cache = group._conv_index_cache
+    cache = group._cache
     index = cache.get(("adjoint", n))
     if index is None:
         within = np.arange(n)[:, None] + np.arange(n)[None, :] * n  # [i, k] -> k n + i
@@ -250,12 +258,14 @@ def l2_norm(a: MatFun) -> float:
 
 def delta_identity(group: GroupTable, n: int) -> MatFun:
     """The convolution unit: identity matrix at e, zero elsewhere."""
+    _check_n(n)
     vals = np.zeros((group.order, n, n), dtype=np.complex128)
     vals[group.identity] = np.eye(n)
     return MatFun(group, n, vals)
 
 
 def zero_matfun(group: GroupTable, n: int) -> MatFun:
+    _check_n(n)
     return MatFun(group, n, np.zeros((group.order, n, n), dtype=np.complex128))
 
 
@@ -299,10 +309,12 @@ def _complex_normals(seed: int, *shapes: tuple[int, ...]) -> list[np.ndarray]:
 
 def random_matfun(group: GroupTable, n: int, seed: int) -> MatFun:
     """Independent standard complex Gaussian entries, deterministic per seed."""
+    _check_n(n)
     return MatFun(group, n, _complex_normals(seed, (group.order, n, n))[0])
 
 
 def random_vecfun(group: GroupTable, n: int, seed: int) -> VecFun:
+    _check_n(n, "VecFun")
     return VecFun(group, n, _complex_normals(seed, (group.order, n))[0])
 
 

@@ -13,7 +13,7 @@ block route is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -118,12 +118,7 @@ class PDCertificate:
         return self.verdict == "positive_definite"
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "min_eigenvalue": self.min_eigenvalue,
-            "hermitian_residual": self.hermitian_residual,
-            "operator_norm": self.operator_norm,
-        }
+        return asdict(self)
 
 
 def _blocks_to_matrix(values: np.ndarray, idx: np.ndarray, order: int, n: int) -> np.ndarray:

@@ -19,13 +19,11 @@ from .theorems import _PAIR_TOL, TheoremReport
 __all__ = [
     "UnitaryRep",
     "regular_rep",
-    "trivial_rep",
     "tensor_product",
     "matrix_coeff_fun",
     "check_tensor_nonneg",
     "unitarity_residual",
     "homomorphism_residual",
-    "rep_to_json",
 ]
 
 
@@ -69,10 +67,6 @@ def regular_rep(group: GroupTable) -> UnitaryRep:
     for g in range(order):
         mats[g, group.mult[g], np.arange(order)] = 1.0
     return UnitaryRep(group, order, mats)
-
-
-def trivial_rep(group: GroupTable) -> UnitaryRep:
-    return UnitaryRep(group, 1, np.ones((group.order, 1, 1), dtype=np.complex128))
 
 
 def _check_tensor_size(order: int, d1: int, d2: int) -> None:
@@ -189,8 +183,3 @@ def check_tensor_nonneg(
         report.counterexample = {"u1s": [[z.real, z.imag] for v in a1 for z in v],
                                  "u2s": [[z.real, z.imag] for v in a2 for z in v]}
     return report
-
-
-def rep_to_json(rep: UnitaryRep) -> dict:
-    mats = np.stack([rep.matrices.real, rep.matrices.imag], axis=-1)
-    return {"group_id": rep.group.name, "dim": rep.dim, "matrices": mats.tolist()}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "check_theorem_c",
     "check_inner_trace",
     "build_orthogonal_pd_pair",
-    "classify_magnitude",
     "run_suite",
     "derive_seed",
 ]
@@ -79,16 +78,7 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "trials": self.trials,
-            "group": self.group,
-            "n": self.n,
-            "worst_residual": self.worst_residual,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _worst(a: float, b: float) -> float:
@@ -242,7 +232,7 @@ def check_theorem_b(phi: MatFun, psi: MatFun) -> TheoremReport:
     return _pair_check("B", phi, psi, measure)
 
 
-def classify_magnitude(value: float, tol: float) -> str:
+def _classify_magnitude(value: float, tol: float) -> str:
     """Three-way classification with an indeterminate floating-point band."""
     if value <= tol:
         return "zero"
@@ -264,8 +254,8 @@ def check_theorem_c(phi: MatFun, psi: MatFun) -> TheoremReport:
     def measure(phi_u, psi_u, scale, unit):
         inner_mag = abs(inner(phi_u, psi_u)) / scale
         conv_mag = _l2(_conv_kernel(phi.group, phi_u.values, psi_u.values)) / scale
-        side_a = classify_magnitude(inner_mag, _PAIR_TOL)
-        side_b = classify_magnitude(conv_mag, _PAIR_TOL)
+        side_a = _classify_magnitude(inner_mag, _PAIR_TOL)
+        side_b = _classify_magnitude(conv_mag, _PAIR_TOL)
         finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
         indeterminate = finite and "indeterminate" in (side_a, side_b)
         passed = finite and (indeterminate or side_a == side_b)

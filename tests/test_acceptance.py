@@ -13,7 +13,6 @@ from godement import (
     add,
     build_cyclic,
     build_dihedral,
-    build_klein,
     build_orthogonal_pd_pair,
     build_quaternion,
     build_symmetric,
@@ -49,7 +48,7 @@ def corpus_groups():
     return [
         build_cyclic(2),
         build_cyclic(6),
-        build_klein(),
+        build_dihedral(2),
         build_dihedral(3),
         build_dihedral(4),
         build_quaternion(),

@@ -317,11 +317,12 @@ class TestSuite:
             # the iterative root's step count for Theorem A, empty for the others
             assert (int(row["iterations"]) > 0) if row["theorem"] == "A" else row["iterations"] == ""
 
-    def test_empty_groups_rejected_without_flag(self):
+    def test_empty_groups_rejected_without_flag(self, capsys):
+        # no flag allows an empty run: the suite has nothing to verify
         assert run_cli("suite", "--groups", "", "--trials", "1") == 2
-
-    def test_empty_groups_allowed_with_flag(self, capsys):
-        assert run_cli("suite", "--groups", "", "--trials", "1", "--allow-empty") == 0
+        assert "no groups given" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run_cli("suite", "--groups", "", "--allow-empty")
 
     def test_bad_group_spec(self):
         assert run_cli("suite", "--groups", "zz,,9", "--trials", "1") == 2

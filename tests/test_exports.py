@@ -30,7 +30,13 @@ def test_package_imports_only_exported_names():
 
 
 # removed public names: each was reached only by tests
-RETIRED = {"roots": ("poly_apply", "PolySpec"), "matfun": ("l1_norm",)}
+RETIRED = {
+    "roots": ("poly_apply", "PolySpec"),
+    "matfun": ("l1_norm",),
+    "groups": ("build_trivial", "build_klein", "is_abelian"),
+    "reps": ("trivial_rep", "rep_to_json"),
+    "theorems": ("classify_magnitude",),
+}
 
 
 @pytest.mark.parametrize("name", sorted(RETIRED))

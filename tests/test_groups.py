@@ -11,14 +11,11 @@ from godement import (
     GroupTable,
     build_cyclic,
     build_dihedral,
-    build_klein,
     build_symmetric,
-    build_trivial,
     canonical_spec,
     direct_product,
     group_from_json,
     group_to_json,
-    is_abelian,
     parse_group_spec,
     validate_group,
 )
@@ -85,16 +82,25 @@ class TestCyclic:
     def test_valid_and_abelian(self, m):
         t = build_cyclic(m)
         assert validate_group(t).ok
-        assert is_abelian(t)
+        assert np.array_equal(t.mult, t.mult.T)
         assert t.inv[t.inv].tolist() == list(range(m))
 
 
 class TestDihedral:
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_table_follows_the_rotation_and_reflection_rules(self, m):
+        # the element-by-element rules the vectorized table replaced
+        t = build_dihedral(m)
+        for a, b in itertools.product(range(m), repeat=2):
+            assert t.mult[a, b] == (a + b) % m and t.mult[a, m + b] == m + (a + b) % m
+            assert t.mult[m + a, b] == m + (a - b) % m and t.mult[m + a, m + b] == (a - b) % m
+        assert all(t.mult[x, t.inv[x]] == 0 for x in t.elements())
+
     def test_klein_four(self):
         t = build_dihedral(2)
         assert t.order == 4
         assert all(t.invert(a) == a for a in t.elements())
-        assert is_abelian(t)
+        assert np.array_equal(t.mult, t.mult.T)
         assert validate_group(t).ok
 
     def test_m3_nonabelian_witness(self):
@@ -121,7 +127,7 @@ class TestDihedral:
         t = build_dihedral(m)
         assert t.order == 2 * m
         assert validate_group(t).ok
-        assert is_abelian(t) == (m == 2)
+        assert np.array_equal(t.mult, t.mult.T) == (m == 2)
 
 
 class TestSymmetric:
@@ -131,7 +137,7 @@ class TestSymmetric:
     def test_s3_nonabelian_order_six(self):
         t = build_symmetric(3)
         assert t.order == 6
-        assert not is_abelian(t)
+        assert not np.array_equal(t.mult, t.mult.T)
         assert validate_group(t).ok
 
     def test_s4_order(self):
@@ -209,7 +215,7 @@ class TestQuaternion:
     def test_basics(self, q8):
         assert q8.order == 8
         assert validate_group(q8).ok
-        assert not is_abelian(q8)
+        assert not np.array_equal(q8.mult, q8.mult.T)
 
     def test_exactly_one_element_of_order_two(self, q8):
         orders = [element_order(q8, a) for a in q8.elements()]
@@ -218,13 +224,21 @@ class TestQuaternion:
     def test_not_dihedral(self, q8):
         assert not tables_isomorphic(q8, build_dihedral(4))
 
+    def test_table_is_the_product_of_the_unit_matrices(self, q8):
+        units = {"1": np.eye(2), "i": np.diag([1j, -1j]), "j": np.array([[0, 1], [-1, 0]]),
+                 "k": np.array([[0, 1j], [1j, 0]])}
+        mats = [(-1 if lab.startswith("-") else 1) * units[lab.lstrip("-")] for lab in q8.labels]
+        for a, b in itertools.product(q8.elements(), repeat=2):
+            assert np.array_equal(mats[a] @ mats[b], mats[q8.mult[a, b]])
+        assert all(q8.mult[x, q8.inv[x]] == q8.identity for x in q8.elements())
+
 
 class TestDirectProduct:
     def test_z2_z2_is_klein(self):
-        assert tables_isomorphic(direct_product(build_cyclic(2), build_cyclic(2)), build_klein())
+        assert tables_isomorphic(direct_product(build_cyclic(2), build_cyclic(2)), build_dihedral(2))
 
     def test_product_with_trivial_is_same_table(self, z6):
-        prod = direct_product(z6, build_trivial())
+        prod = direct_product(z6, build_cyclic(1))
         assert prod.mult.tolist() == z6.mult.tolist()
         assert prod.inv.tolist() == z6.inv.tolist()
 
@@ -242,7 +256,7 @@ class TestDirectProduct:
 
 class TestValidate:
     def test_clean_on_all_constructors(self, sample_groups):
-        for t in sample_groups + [build_symmetric(4), build_klein()]:
+        for t in sample_groups + [build_symmetric(4), build_dihedral(2)]:
             report = validate_group(t)
             assert report.ok, (t.name, report.violations)
 

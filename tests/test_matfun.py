@@ -462,10 +462,13 @@ class TestValidation:
         for build in (lambda: MatFun(s3, n, np.zeros((6, size, size))), lambda: VecFun(s3, n, np.zeros((6, size)))):
             with pytest.raises(ValueError, match=f"dimension n must be >= 1, got {n}"):
                 build()
-        # the helpers allocate first, and numpy refuses a negative n itself
+        # the helpers check n before they allocate: a negative n once reached
+        # numpy, which refused it with "negative dimensions are not allowed"
         for build in (zero_matfun, delta_identity, lambda g, n: random_matfun(g, n, 0)):
-            with pytest.raises(ValueError, match="dimension" if n else "dimension n must be >= 1, got 0"):
+            with pytest.raises(ValueError, match=f"^MatFun dimension n must be >= 1, got {n}$"):
                 build(s3, n)
+        with pytest.raises(ValueError, match=f"^VecFun dimension n must be >= 1, got {n}$"):
+            random_vecfun(s3, n, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
     def test_rejects_nonfinite_in_every_form(self, z2, bad):
@@ -584,10 +587,8 @@ class TestJson:
 
     def test_standard_spec_compares_orders_before_building(self, monkeypatch):
         # a name whose spec is far larger than the table never builds that spec's table
-        built = []
-        kinds = {kind: (lambda m, kind=kind: built.append((kind, m)), order)
-                 for kind, (_, order) in godement.groups._KINDS.items()}
-        monkeypatch.setattr(godement.groups, "_KINDS", kinds)
+        built, parse = [], godement.groups.parse_group_spec
+        monkeypatch.setattr(godement.groups, "parse_group_spec", lambda spec: built.append(spec) or parse(spec))
         for name in ("cyclic:16384", "dihedral:3000xcyclic:2", "symmetric:9"):
             assert _standard_spec(dataclasses.replace(relabeled_s3(), name=name)) is None
         assert built == []

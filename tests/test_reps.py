@@ -21,12 +21,14 @@ from godement import (
     matrix_coeff_fun,
     parse_group_spec,
     regular_rep,
-    rep_to_json,
     subtract,
     tensor_product,
-    trivial_rep,
     unitarity_residual,
 )
+
+
+def trivial_rep(group) -> UnitaryRep:
+    return UnitaryRep(group, 1, np.ones((group.order, 1, 1)))
 
 
 def random_vectors(count: int, dim: int, seed: int) -> np.ndarray:
@@ -245,15 +247,6 @@ def test_homomorphism_residual_bounds_every_pair(spec):
         exact = all_pairs_homomorphism_residual(rep)
         bound = homomorphism_residual(rep)
         assert exact <= bound and (bound == 0.0) == (exact == 0.0), (spec, exact, bound)
-
-
-class TestJson:
-    def test_layout(self, z2):
-        reg = regular_rep(z2)
-        obj = rep_to_json(reg)
-        assert set(obj) == {"group_id", "dim", "matrices"}
-        assert obj["dim"] == 2
-        assert obj["matrices"][1][0][1] == [1.0, 0.0]
 
 
 class TestDirectSumWithoutKronecker:

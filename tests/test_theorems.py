@@ -56,7 +56,7 @@ from godement import (
     zero_matfun,
 )
 from godement.cli import main
-from godement.theorems import _in_range, _merge, classify_magnitude, derive_seed
+from godement.theorems import _classify_magnitude, _in_range, _merge, derive_seed
 from conftest import phi_21, random_pd
 
 
@@ -109,6 +109,23 @@ class TestTheoremA:
         report = check_theorem_a(self.near_singular(s3, 1e-8, n=1, seed=100))
         assert report.passed, report.details
         assert report.details["iterations"] == 5 and 0.8 < report.worst_residual < 1.0
+
+    @pytest.mark.parametrize("spec,n", [("s3", 1), ("z6", 2), ("q8", 2), ("d4", 1)])
+    def test_agreement_ratio_stays_below_one_near_the_pd_floor(self, spec, n):
+        # high + delta low down to the floor: the ratio of the roots' gap to the
+        # bound their residuals give reads about 0.5 from delta = 1e-2 to 1e-6
+        # and peaks at 0.877 on s3 n = 1, delta = 1e-8, after 5 steps
+        ratios = []
+        for delta in [10.0**-k for k in range(2, 11)] + [0.0]:
+            phi = self.near_singular(parse_group_spec(spec), delta, n=n, seed=100)
+            report = check_theorem_a(phi)
+            assert report.passed, (delta, report.details)
+            spectrum = godement.fourier.fourier_spectrum(phi, vectors=False)
+            floor = max(float(spectrum.eigenvalues[0]), godement.operators.DEFAULT_PD_TOL * spectrum.operator_norm)
+            d = report.details
+            bound = (d["spectral_residual"] + d["iterative_residual"]) * l2_norm(phi) / np.sqrt(floor)
+            ratios.append(d["agreement"] / bound if d["agreement"] else 0.0)
+        assert len(ratios) == 10 and max(ratios) < 1.0, ratios
 
     def test_z2_worked_example(self, z2):
         report = check_theorem_a(phi_21(z2))
@@ -453,17 +470,17 @@ class TestTheoremC:
         assert report.passed
 
     def test_classifier_band(self):
-        assert classify_magnitude(5e-11, 1e-10) == "zero"
-        assert classify_magnitude(5e-9, 1e-10) == "indeterminate"
-        assert classify_magnitude(2e-8, 1e-10) == "nonzero"
+        assert _classify_magnitude(5e-11, 1e-10) == "zero"
+        assert _classify_magnitude(5e-9, 1e-10) == "indeterminate"
+        assert _classify_magnitude(2e-8, 1e-10) == "nonzero"
 
     def test_contradiction_detected(self, z2):
         # forged report inputs: inner zero but convolution large cannot occur
         # for genuine pairs, so drive the classifier directly
-        assert classify_magnitude(0.0, 1e-10) != classify_magnitude(1.0, 1e-10)
+        assert _classify_magnitude(0.0, 1e-10) != _classify_magnitude(1.0, 1e-10)
 
     def test_nan_inner_product_fails_with_reason(self, d4, monkeypatch):
-        # classify_magnitude(nan) is "indeterminate", which alone would pass the trial
+        # _classify_magnitude(nan) is "indeterminate", which alone would pass the trial
         monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
         report = check_theorem_c(random_pd(d4, 2, seed=14), random_pd(d4, 2, seed=15))
         assert not report.passed
