@@ -14,36 +14,28 @@ identity e:
 
     f(a)(x) = sum_j (V_j[x] (x) I) f(B_j) (V_j[e] (x) I)^T.
 
-The basis is built once per group table and cached on it.  Each V_j is an
-eigenspace of one real symmetric right-convolution matrix, which commutes
-with every L(g); irreducible subspaces of complex or quaternionic type come
-out merged into real ones, which is harmless, since a sum of invariant
-subspaces is invariant.  What would not be harmless is an eigenspace split
-by the clustering, so every V_j is checked for invariance on a generating
-set, and one that fails is merged with its neighbours; in the worst case a
-single block remains, which is C itself in another basis.
+The basis is built once per group table and cached on it, in two stages.
+The convolution matrix of a real class function symmetric under inversion
+commutes with every left and right translation, and its eigenspaces are
+the real isotypic components (Serre, Linear Representations of Finite
+Groups, 2.6); a complex pair pi, conj(pi) shares one.  In each component
+U, the eigenspaces of U^T R U, for a real symmetric right-convolution
+matrix R (which commutes with every L(g)), split U into its copies V_j.
+Every V_j is checked for invariance on a generating set, and one that
+fails, split by the clustering, is merged with its neighbours.
 
-Types and multiplicities.  An irreducible pi of degree d occurs d times in
-L (fewer real copies for complex and quaternionic pi), and C is the same
-block on every copy once the copies carry the same pi_j.  The subspaces
-of one size are therefore sorted into types by their characters
-chi_j(g) = tr pi_j(g) on all of G; inequivalent representations have
-characters at least 1 apart at some element.  Each further copy V_c of a
-type is rotated onto the type's first copy V_r by the intertwiner
+The copies of one component are of one type, so each further copy V_c is
+rotated onto the component's first copy V_r by the intertwiner
 
     W = sum_g pi_c(g) E pi_r(g)^T,  E the matrix unit that makes W largest,
 
 so that pi_c(g) W = W pi_r(g).  Between equivalent irreducibles every
 nonzero intertwiner is a scalar times an orthogonal matrix, for real,
 complex and quaternionic type alike, so W scaled to W^T W = I makes V_c W
-an orthonormal copy that carries pi_r exactly.  The rotated copy is
-checked on the generating set with the same invariance tolerance (and
-W^T W = I with it); a copy that fails, such as a merged reducible one
-whose intertwiners need not be orthogonal, stays a type of its own.  So
-only one block per type is formed and solved, and a spectrum lists each
-type's eigenvalues as often as the type has copies.  Norms follow
-Plancherel with the same weights: ||a||_2^2 = sum_t mu_t ||B_t||_F^2 / |G|
-for mu_t copies of type t.
+an orthonormal copy that carries pi_r exactly; a rotated copy that fails
+the invariance check (or W^T W = I) stays a type of its own.  So one
+block per type is solved, and a spectrum and the Plancherel norm
+||a||_2^2 = sum_t mu_t ||B_t||_F^2 / |G| weight type t by its mu_t copies.
 """
 
 from __future__ import annotations
@@ -61,20 +53,14 @@ __all__ = ["FourierBasis", "FourierSpectrum", "fourier_basis", "fourier_spectrum
 
 # The probe function is the same in every process, so is the basis.
 _PROBE_KEY = b"godement-fourier-probe"
-# Probe eigenvalues closer than this, relative to the largest, form one cluster.
+# Eigenvalues of either stage closer than this, relative to the largest, form one cluster.
 _CLUSTER_REL = 1e-9
 # Largest defect ||L(s) V - V pi(s)||_F of an accepted subspace on a
 # generator s; V has orthonormal columns, so the defect is relative.  The
 # eigenvector error of eigh, and so the defect, grows like rounding over the
-# gap to the next probe eigenvalue: it stays below 7e-13 on the standard
-# groups up to order 120 that the tests cover, but two nearly equal probe
-# eigenvalues of z2xs5 (relative gap 7e-5) give 3.5e-12, and those
-# subspaces are merged.
+# gap to the next eigenvalue of either stage: it stays below 4e-13 on the
+# standard groups up to order 240 that the tests cover.
 _INVARIANCE_TOL = 1e-12
-# Characters of inequivalent representations differ by at least 1 at some
-# element (their difference has mean square sum_i n_i^2 >= 1 over G), so a
-# computed character within half of that of a type's is that type's.
-_CHARACTER_TOL = 0.5
 # Eigenvalues of a spectrum closer than this, relative to the largest, are
 # one cluster that a spectral cut keeps or drops whole (count_leq).
 _CUT_CLUSTER_REL = 1e-10
@@ -82,11 +68,8 @@ _CUT_CLUSTER_REL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class _SizeClass:
-    """The invariant subspaces of one dimension m, sorted into k types.
-
-    Every copy of a type carries that type's pi_t exactly (see the module
-    docstring), so the class has k blocks however many copies it holds.
-    """
+    """The invariant subspaces of one dimension m, of k types: every copy
+    carries its type's pi_t exactly, so the class has k blocks."""
 
     vectors: np.ndarray  # (c, |G|, m): orthonormal columns of each copy V_j
     types: np.ndarray  # (c,): the type of each copy, an index into reps
@@ -189,33 +172,49 @@ def _aligned(copy: np.ndarray, pi_c: np.ndarray, pi_r: np.ndarray, moves: np.nda
     return None
 
 
-def _typed(group: GroupTable, gens: np.ndarray, vectors: np.ndarray, reps: np.ndarray) -> _SizeClass:
-    """Sort the copies of one size into types by character and rotate every
-    further copy of a type onto the type's first one, in place in vectors."""
-    characters = np.trace(reps, axis1=2, axis2=3)
-    moves = group.mult[group.inv[gens]]
-    firsts: list[int] = []
+def _typed(moves: np.ndarray, gens: np.ndarray, vectors: np.ndarray, reps: np.ndarray, labels: list) -> _SizeClass:
+    """Rotate each further copy of a component onto the component's first
+    copy, in place in vectors; a copy that fails stays a type of its own."""
+    firsts: dict[int, int] = {}  # component -> its first copy
+    kept: list[int] = []  # the first copy of each type
     types = np.empty(len(vectors), dtype=np.intp)
-    for c in range(len(vectors)):
-        for t, r in enumerate(firsts):
-            if np.max(np.abs(characters[c] - characters[r])) <= _CHARACTER_TOL:
-                rotated = _aligned(vectors[c], reps[c], reps[r], moves, gens)
-                if rotated is not None:
-                    vectors[c], types[c] = rotated, t
-                    break
+    for c, label in enumerate(labels):
+        r = firsts.setdefault(label, c)
+        rotated = None if r == c else _aligned(vectors[c], reps[c], reps[r], moves, gens)
+        if rotated is None:
+            types[c] = len(kept)
+            kept.append(c)
         else:
-            types[c] = len(firsts)
-            firsts.append(c)
-    return _SizeClass(vectors, types, reps[firsts], np.bincount(types))
+            vectors[c], types[c] = rotated, types[r]
+    return _SizeClass(vectors, types, reps[kept], np.bincount(types))
+
+
+def _clusters(w: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges of the clusters (see _CLUSTER_REL) of the ascending eigenvalues w."""
+    gap = _CLUSTER_REL * max(abs(w[0]), abs(w[-1]), 1e-300)
+    bounds = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), len(w)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _build_basis(group: GroupTable, h: np.ndarray) -> FourierBasis:
     order, e = group.order, group.identity
-    w, q = np.linalg.eigh(h[group.mult[group.inv]])
-    gap = _CLUSTER_REL * max(abs(w[0]), abs(w[-1]), 1e-300)
-    bounds = [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), order]
+    shifts = group.mult[group.inv]  # shifts[x, y] = x^-1 y
+    # stage 1: h of each class's least element, spread over the class, so
+    # that no large class outweighs the gaps between isotypic components
+    least = group.mult[group.mult, group.inv[:, None]].min(axis=0)  # x g x^-1 over x
+    h_c = h[least] / np.bincount(least)[least]
+    w, q = np.linalg.eigh((h_c + h_c[group.inv])[shifts])
+    # stage 2: the probe on each component splits it into copies
+    probe, columns, bounds, labels = h[shifts], [], [0], []
+    for component, (lo, hi) in enumerate(_clusters(w)):
+        values, v = np.linalg.eigh(q[:, lo:hi].T @ probe @ q[:, lo:hi])
+        columns.append(q[:, lo:hi] @ v)
+        bounds += [lo + b for _, b in _clusters(values)]
+        labels += [component] * (hi - lo)
+    q = np.concatenate(columns, axis=1)
     gens, _ = _generating_set(group)
-    on_gens = q.T @ q[group.mult[group.inv[gens]]]  # q^T L(s) q, as (L(s) q)[x] = q[s^-1 x]
+    moves = group.mult[group.inv[gens]]  # (L(s) q)[x] = q[s^-1 x]
+    on_gens = q.T @ q[moves]  # q^T L(s) q
     ranges = _invariant_ranges(on_gens, bounds)
     plan = _generator_words(group)  # letters: gens, then their inverses
     classes = []
@@ -228,7 +227,8 @@ def _build_basis(group: GroupTable, h: np.ndarray) -> FourierBasis:
         reps[:, e] = np.eye(m)
         for fresh, parent, letter in plan:
             reps[:, fresh] = reps[:, parent] @ on_letters[:, letter]
-        classes.append(_typed(group, gens, np.stack([q[:, lo:hi] for lo, hi in chosen]), reps))
+        copies = np.stack([q[:, lo:hi] for lo, hi in chosen])
+        classes.append(_typed(moves, gens, copies, reps, [labels[lo] for lo, _ in chosen]))
     forward = np.concatenate([c.reps.transpose(0, 2, 3, 1).reshape(-1, order) for c in classes])
     # column (t, alpha, beta): sum over the copies c of t of V_c[x, alpha] V_c[e, beta]
     inverse = []

@@ -377,7 +377,7 @@ def _factors(spec: str) -> list[tuple[str, int]]:
         fixed = None if kind is None else _KINDS[kind].fixed
         if fixed is not None:
             arg = arg or str(fixed)
-        if kind is None or not arg.isdigit() or fixed is not None and arg != str(fixed):
+        if kind is None or not (arg.isascii() and arg.isdigit()) or fixed is not None and arg != str(fixed):
             raise ValueError(f"unrecognized group spec {spec!r}")
         factors.append((kind, int(arg)))
     return factors

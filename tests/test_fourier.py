@@ -172,12 +172,26 @@ def test_irreducible_dimensions():
     assert sizes("z5") == [1, 2, 2]
     assert sizes("s4") == [1, 1, 2, 2] + [3] * 6
     assert sizes("s5") == [1, 1] + [4] * 8 + [5] * 10 + [6] * 6
+    assert sizes("z2xs5") == [1] * 4 + [4] * 16 + [5] * 20 + [6] * 12
+
+
+@pytest.mark.parametrize("spec", ("z6", "d4", "q8", "s3", "s4", "s5", "z2xs4", "z2xd6", "z3xq8", "z2xs5", "q8xq8"))
+def test_type_count_from_the_table(spec):
+    # the real irreducibles are counted by the classes up to inversion: a
+    # class C with C = C^-1 gives one, a pair C, C^-1 another, so there are
+    # (k + k_real) / 2 of them for k classes, k_real of them with C = C^-1
+    grp = parse_group_spec(spec)
+    classes = {frozenset(int(grp.mult[grp.mult[x, g], grp.inv[x]]) for x in range(grp.order))
+               for g in range(grp.order)}
+    real = [c for c in classes if {int(grp.inv[g]) for g in c} == c]
+    basis = fourier_basis(grp)
+    assert sum(len(c.reps) for c in basis.classes) == (len(classes) + len(real)) // 2
 
 
 def test_one_block_per_type():
     # the copies of one irreducible carry one representation and share one
-    # block: S4 has 10 invariant subspaces of 5 types, S5 26 of 7
-    for spec, copies, types in (("s3", 4, 3), ("s4", 10, 5), ("s5", 26, 7), ("z2xs5", 46, 16)):
+    # block: S4 has 10 invariant subspaces of 5 types, S5 26 of 7, z2xs5 52 of 14
+    for spec, copies, types in (("s3", 4, 3), ("s4", 10, 5), ("s5", 26, 7), ("z2xs5", 52, 14)):
         grp = parse_group_spec(spec)
         basis = fourier_basis(grp)
         assert sum(len(c.types) for c in basis.classes) == copies

@@ -360,6 +360,13 @@ class TestSpecs:
         with pytest.raises(ValueError):
             parse_group_spec("banana")
 
+    @pytest.mark.parametrize("spec", ["z:\u0663", "cyclic:\u00b2"])
+    def test_non_ascii_digits_are_refused(self, spec):
+        # str.isdigit accepts an Arabic-Indic three and a superscript two
+        for parse in (canonical_spec, parse_group_spec):
+            with pytest.raises(ValueError, match="unrecognized group spec"):
+                parse(spec)
+
     @pytest.mark.parametrize("spec", ["z1", "z6", "d2", "d7", "q8", "s1", "s3", "s5", "z2xs4", "d3xq8xz5"])
     def test_spec_order_is_the_table_order(self, spec):
         assert _spec_order(canonical_spec(spec)) == parse_group_spec(spec).order

@@ -485,16 +485,22 @@ class TestSinglePass:
         first, second = build_dihedral(6), build_dihedral(6)
         phi = random_pd(first, 2, seed=36)
         is_positive_definite(phi)
-        assert self.solves(calls, "eigh") == [first.order]
+        sides = self.solves(calls, "eigh")
+        basis = fourier_basis(first)
+        # one eigh of side |G| splits R^G into isotypic components, one per
+        # type here, and one eigh per component splits it into copies
+        assert sides[0] == first.order and sum(sides[1:]) == first.order
+        assert len(sides) - 1 == sum(len(c.reps) for c in basis.classes)
         calls.clear()
         is_positive_definite(phi)
+        assert self.solves(calls, "eigh") == []
         sqrt_spectral(phi)
-        assert first.order not in self.solves(calls, "eigh")
-        assert fourier_basis(first) is fourier_basis(first)
+        assert len(self.solves(calls, "eigh")) == len(basis.classes)  # the blocks, one batch per size
+        assert fourier_basis(first) is basis
         # the cache lives on the table instance, not on its spec string
         calls.clear()
         is_positive_definite(MatFun(second, 2, phi.values))
-        assert self.solves(calls, "eigh") == [second.order]
+        assert self.solves(calls, "eigh") == sides
 
     def test_gram_and_order_use_no_svd(self, calls, z6):
         phi = random_pd(z6, 2, seed=33)
