@@ -60,15 +60,6 @@ class GroupTable:
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         object.__setattr__(self, "_cache", {})
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
-
-    def invert(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def elements(self) -> range:
-        return range(self.order)
-
     def same_table(self, other: "GroupTable") -> bool:
         """True when both tables define literally the same multiplication."""
         if self is other:
@@ -400,9 +391,10 @@ def _spec_order(spec: str) -> int:
 _SPEC_TABLES: dict[str, GroupTable] = {}
 
 
-# Largest array, in bytes, that a spec's Cayley table or reps.tensor_product
-# forms: z16384's table (2 GiB) and s4's regular x regular (127 MB) fit,
-# z16385's table and s5's regular x regular (371 GiB) do not.
+# Largest array, in bytes, that a spec's Cayley table or a representation in
+# reps forms: z16384's table (2 GiB) and s4's regular x regular (127 MB) fit,
+# z16385's table, z1000's regular representation (14.9 GiB) and s5's
+# regular x regular (371 GiB) do not.
 _MAX_ARRAY_BYTES = 2 * 2**30
 
 

@@ -19,9 +19,7 @@ from .groups import GroupTable, _standard_spec, group_from_json, group_to_json, 
 
 __all__ = [
     "MatFun",
-    "VecFun",
     "convolve",
-    "convolve_vec",
     "star",
     "inner",
     "add",
@@ -32,72 +30,45 @@ __all__ = [
     "delta_identity",
     "zero_matfun",
     "random_matfun",
-    "random_vecfun",
     "make_pd",
     "matfun_to_json",
     "matfun_from_json",
 ]
 
 
-def _check_n(n: int, kind: str = "MatFun") -> None:
-    """Raise ValueError unless the dimension n of a MatFun or VecFun is >= 1.
-    The samplers and constructors call it before they allocate, so numpy
+def _check_n(n: int) -> None:
+    """Raise ValueError unless the dimension n of a MatFun is >= 1.  The
+    samplers and the constructor call it before they allocate, so numpy
     never meets a negative n."""
     if not n >= 1:
-        raise ValueError(f"{kind} dimension n must be >= 1, got {n!r}")
-
-
-def _checked_values(values, n: int, shape: tuple[int, ...], axes: str, kind: str) -> np.ndarray:
-    """values as a read-only C-contiguous complex128 array of the given shape,
-    with every entry finite, for a dimension n >= 1."""
-    _check_n(n, kind)
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    if values.shape != shape:
-        raise ValueError(f"values shape {values.shape} does not match {axes} = {shape}")
-    if not np.isfinite(values.view(np.float64)).all():
-        raise ValueError(f"{kind} entries must be finite")
-    values.flags.writeable = False
-    return values
+        raise ValueError(f"MatFun dimension n must be >= 1, got {n!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class MatFun:
-    """One complex n x n matrix per group element; values[g] is the value at g."""
+    """One complex n x n matrix per group element; values[g] is the value at g.
+
+    values is kept as a read-only C-contiguous complex128 array of shape
+    (|G|, n, n), with every entry finite, for a dimension n >= 1.
+    """
 
     group: GroupTable
     n: int
     values: np.ndarray  # (|G|, n, n) complex128
 
     def __post_init__(self) -> None:
+        _check_n(self.n)
+        values = np.ascontiguousarray(self.values, dtype=np.complex128)
         shape = (self.group.order, self.n, self.n)
-        object.__setattr__(self, "values", _checked_values(self.values, self.n, shape, "(|G|, n, n)", "MatFun"))
-
-    def at(self, g: int) -> np.ndarray:
-        return self.values[g]
-
-
-@dataclass(frozen=True, eq=False)
-class VecFun:
-    """One complex n-vector per group element, an element of L2(G, C^n)."""
-
-    group: GroupTable
-    n: int
-    values: np.ndarray  # (|G|, n) complex128
-
-    def __post_init__(self) -> None:
-        shape = (self.group.order, self.n)
-        object.__setattr__(self, "values", _checked_values(self.values, self.n, shape, "(|G|, n)", "VecFun"))
-
-    def flat(self) -> np.ndarray:
-        """Flatten to C^(|G| n) with index g*n + component."""
-        return self.values.reshape(-1)
-
-    @classmethod
-    def from_flat(cls, group: GroupTable, n: int, flat: np.ndarray) -> "VecFun":
-        return cls(group, n, np.asarray(flat).reshape(group.order, n))
+        if values.shape != shape:
+            raise ValueError(f"values shape {values.shape} does not match (|G|, n, n) = {shape}")
+        if not np.isfinite(values.view(np.float64)).all():
+            raise ValueError("MatFun entries must be finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
-def _check_compatible(a: MatFun | VecFun, b: MatFun | VecFun) -> None:
+def _check_compatible(a: MatFun, b: MatFun) -> None:
     if not a.group.same_table(b.group):
         raise ValueError("group mismatch")
     if a.n != b.n:
@@ -146,12 +117,6 @@ def convolve(a: MatFun, b: MatFun) -> MatFun:
     """(a*b)(x) = sum_g a(g) b(g^-1 x): the convolution matrix of a times b's columns."""
     _check_compatible(a, b)
     return MatFun(a.group, a.n, _conv_kernel(a.group, a.values, b.values))
-
-
-def convolve_vec(a: MatFun, u: VecFun) -> VecFun:
-    """Left convolution action on vector functions: sum_g a(g) u(g^-1 x)."""
-    _check_compatible(a, u)
-    return VecFun(a.group, a.n, _conv_kernel(a.group, a.values, u.values))
 
 
 def _adjoint_index(group: GroupTable, n: int) -> np.ndarray:
@@ -311,11 +276,6 @@ def random_matfun(group: GroupTable, n: int, seed: int) -> MatFun:
     """Independent standard complex Gaussian entries, deterministic per seed."""
     _check_n(n)
     return MatFun(group, n, _complex_normals(seed, (group.order, n, n))[0])
-
-
-def random_vecfun(group: GroupTable, n: int, seed: int) -> VecFun:
-    _check_n(n, "VecFun")
-    return VecFun(group, n, _complex_normals(seed, (group.order, n))[0])
 
 
 def make_pd(f: MatFun) -> MatFun:

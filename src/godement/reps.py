@@ -53,43 +53,40 @@ class UnitaryRep:
             if not (value := measure(self)) <= _PAIR_TOL:
                 raise ValueError(f"not a unitary representation: {measure.__name__} {value:.3e}")
 
-    def at(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
-    def character(self) -> np.ndarray:
-        return np.trace(self.matrices, axis1=1, axis2=2)
-
 
 def regular_rep(group: GroupTable) -> UnitaryRep:
-    """Left regular representation by permutation matrices: M(g) e_h = e_{g h}."""
+    """Left regular representation by permutation matrices: M(g) e_h = e_{g h}.
+
+    Raises ValueError, before allocating, when _check_rep_size refuses it.
+    """
     order = group.order
+    _check_rep_size(order, order)
     mats = np.zeros((order, order, order), dtype=np.complex128)
     for g in range(order):
         mats[g, group.mult[g], np.arange(order)] = 1.0
     return UnitaryRep(group, order, mats)
 
 
-def _check_tensor_size(order: int, d1: int, d2: int) -> None:
-    """Raise ValueError when the tensor product of representations of
-    dimensions d1 and d2 on order elements, |G| (d1 d2)^2 complex128
-    entries, would exceed _MAX_ARRAY_BYTES.  It needs no factor, so a
-    caller can refuse before building them."""
-    dim = d1 * d2
+def _check_rep_size(order: int, dim: int) -> None:
+    """Raise ValueError when a representation of dimension dim on order
+    elements, |G| dim^2 complex128 entries, would exceed _MAX_ARRAY_BYTES.
+    It needs only the two numbers, so a caller can refuse a tensor product
+    before building its factors."""
     size = order * dim * dim * 16
     if size > _MAX_ARRAY_BYTES:
-        raise ValueError(f"tensor product of dimension {dim} on {order} elements needs "
+        raise ValueError(f"representation of dimension {dim} on {order} elements needs "
                          f"{size / 2**30:.1f} GiB, over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
 
 
 def tensor_product(p1: UnitaryRep, p2: UnitaryRep) -> UnitaryRep:
     """Elementwise Kronecker product; basis pairs (i, j) in row-major order i*d2 + j.
 
-    Raises ValueError, before allocating, when _check_tensor_size refuses it.
+    Raises ValueError, before allocating, when _check_rep_size refuses it.
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
-    _check_tensor_size(p1.group.order, p1.dim, p2.dim)
     dim = p1.dim * p2.dim
+    _check_rep_size(p1.group.order, dim)
     mats = np.einsum("gik,gjl->gijkl", p1.matrices, p2.matrices).reshape(
         p1.group.order, dim, dim
     )

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .groups import GroupTable, parse_group_spec
+from .groups import GroupTable, canonical_spec, parse_group_spec
 from .matfun import (
     MatFun,
     _adjoint,
@@ -320,6 +320,14 @@ class SuiteConfig:
     name: str = "default"
 
     def validate(self) -> None:
+        """Raise ValueError before any trial: an empty grid would pass
+        without checking anything, and a bad spec would fail midway."""
+        if not self.groups:
+            raise ValueError("no groups given")
+        if not self.dims:
+            raise ValueError("no dimensions given")
+        for spec in self.groups:
+            canonical_spec(spec)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         _check_tol(self.tol)

@@ -324,6 +324,12 @@ class TestSuite:
         with pytest.raises(SystemExit):
             run_cli("suite", "--groups", "", "--allow-empty")
 
+    def test_empty_dims_is_input_error(self, capsys):
+        # once exited 0 with "passed": true and no reports
+        assert run_cli("suite", "--dims", "", "--trials", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no dimensions given" in captured.err
+
     def test_bad_group_spec(self):
         assert run_cli("suite", "--groups", "zz,,9", "--trials", "1") == 2
 
@@ -369,5 +375,18 @@ class TestRepDemo:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+        captured = capsys.readouterr()
+        assert captured.out == "" and "over the 2 GiB limit" in captured.err
+
+    def test_regular_too_large_is_input_error(self, capsys):
+        # z1000's regular representation would take 14.9 GiB; it once reached
+        # np.zeros unchecked.  Only the 8 MB Cayley table is built.
+        tracemalloc.start()
+        try:
+            assert run_cli("rep-demo", "--group", "z1000") == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
         captured = capsys.readouterr()
         assert captured.out == "" and "over the 2 GiB limit" in captured.err

@@ -14,13 +14,11 @@ import godement.groups
 from godement import (
     GroupTable,
     MatFun,
-    VecFun,
     add,
     build_cyclic,
     build_symmetric,
     conv_matrix,
     convolve,
-    convolve_vec,
     delta_identity,
     direct_product,
     group_to_json,
@@ -32,7 +30,6 @@ from godement import (
     matfun_to_json,
     parse_group_spec,
     random_matfun,
-    random_vecfun,
     scale,
     star,
     subtract,
@@ -40,7 +37,8 @@ from godement import (
 )
 from godement.cli import main
 from godement.groups import _standard_spec
-from godement.matfun import _adjoint, _complex_normals, _conv_index, _frobenius, _plain_norm, _power_of_two_unit
+from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _frobenius, _plain_norm,
+                             _power_of_two_unit)
 from godement.theorems import derive_seed
 from conftest import legacy_json, phi_21, random_pd, relabeled_s3
 
@@ -85,10 +83,10 @@ class TestConvolve:
         a = random_matfun(d3, 2, seed=21)
         b = random_matfun(d3, 2, seed=22)
         out = convolve(a, b)
-        for x in d3.elements():
+        for x in range(d3.order):
             acc = np.zeros((2, 2), dtype=complex)
-            for g in d3.elements():
-                acc += a.values[g] @ b.values[d3.mul(d3.invert(g), x)]
+            for g in range(d3.order):
+                acc += a.values[g] @ b.values[d3.mult[d3.inv[g], x]]
             assert np.allclose(out.values[x], acc, atol=1e-12)
 
 
@@ -100,9 +98,9 @@ STANDARD_SPECS = ("trivial", "z2", "z6", "z24", "klein", "d3", "d4", "d12", "q8"
 def naive_convolve(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_g a(g) b(g^-1 x) as a double loop; b is (|G|, n, n) or (|G|, n)."""
     out = np.zeros_like(b)
-    for x in group.elements():
-        for g in group.elements():
-            out[x] += a[g] @ b[group.mul(group.invert(g), x)]
+    for x in range(group.order):
+        for g in range(group.order):
+            out[x] += a[g] @ b[group.mult[group.inv[g], x]]
     return out
 
 
@@ -114,12 +112,12 @@ class TestKernel:
         for n in (1, 2, 3):
             a = random_matfun(grp, n, seed=31)
             b = random_matfun(grp, n, seed=32)
-            u = random_vecfun(grp, n, seed=33)
+            u = _complex_normals(33, (grp.order, n))[0]
             expected = naive_convolve(grp, a.values, b.values)
             got = convolve(a, b).values
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
-            expected_vec = naive_convolve(grp, a.values, u.values)
-            got_vec = convolve_vec(a, u).values
+            expected_vec = naive_convolve(grp, a.values, u)
+            got_vec = _conv_kernel(grp, a.values, u)
             assert np.linalg.norm(got_vec - expected_vec) <= 1e-13 * np.linalg.norm(expected_vec)
 
     def test_index_cached_per_table_not_per_order(self):
@@ -366,7 +364,7 @@ class TestStream:
         for seed in STREAM_SEEDS:
             for n in (1, 2, 3):
                 assert np.array_equal(random_matfun(s3, n, seed).values, fresh_draws(seed, (6, n, n))[0]), seed
-                assert np.array_equal(random_vecfun(s3, n, seed).values, fresh_draws(seed, (6, n))[0]), seed
+                assert np.array_equal(_complex_normals(seed, (6, n))[0], fresh_draws(seed, (6, n))[0]), seed
 
     @pytest.mark.parametrize("tensor", [False, True])
     def test_rep_demo_draws_match_a_fresh_generator(self, monkeypatch, capsys, tensor):
@@ -387,9 +385,9 @@ class TestStream:
 
     def test_interleaved_seeds_reproduce(self, d4):
         a = random_matfun(d4, 2, seed=2**63 + 5).values
-        b = random_vecfun(d4, 3, seed=17).values
+        b = _complex_normals(17, (8, 3))[0]
         assert np.array_equal(random_matfun(d4, 2, seed=2**63 + 5).values, a)
-        assert np.array_equal(random_vecfun(d4, 3, seed=17).values, b)
+        assert np.array_equal(_complex_normals(17, (8, 3))[0], b)
         assert not np.array_equal(random_matfun(d4, 2, seed=17).values, a)
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -421,25 +419,17 @@ class TestStream:
             assert all(np.array_equal(x, y) for x, y in zip(got[w], want))
 
 
-class TestVecFun:
+class TestVectorAction:
     def test_apply_matches_definition(self, d3):
+        # the kernel on a (|G|, n) vector function: sum_g a(g) u(g^-1 x)
         a = random_matfun(d3, 2, seed=61)
-        u = random_vecfun(d3, 2, seed=62)
-        out = convolve_vec(a, u)
-        for x in d3.elements():
+        u = _complex_normals(62, (d3.order, 2))[0]
+        out = _conv_kernel(d3, a.values, u)
+        for x in range(d3.order):
             acc = np.zeros(2, dtype=complex)
-            for g in d3.elements():
-                acc += a.values[g] @ u.values[d3.mul(d3.invert(g), x)]
-            assert np.allclose(out.values[x], acc, atol=1e-12)
-
-    def test_flat_round_trip(self, d3):
-        u = random_vecfun(d3, 2, seed=63)
-        again = VecFun.from_flat(d3, 2, u.flat())
-        assert np.array_equal(u.values, again.values)
-
-    def test_rejects_nonfinite(self, z2):
-        with pytest.raises(ValueError, match="finite"):
-            VecFun(z2, 1, np.array([[np.inf], [0.0]], dtype=complex))
+            for g in range(d3.order):
+                acc += a.values[g] @ u[d3.mult[d3.inv[g], x]]
+            assert np.allclose(out[x], acc, atol=1e-12)
 
 
 class TestValidation:
@@ -452,31 +442,24 @@ class TestValidation:
     def test_rejects_bad_shape(self, z2):
         with pytest.raises(ValueError, match="shape"):
             MatFun(z2, 2, np.zeros((2, 1, 1), dtype=complex))
-        with pytest.raises(ValueError, match="shape"):
-            VecFun(z2, 2, np.zeros((2, 1), dtype=complex))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_dimension_below_one(self, s3, n):
         # an n = 0 MatFun once reached is_positive_definite, which raised IndexError
         size = max(n, 0)
-        for build in (lambda: MatFun(s3, n, np.zeros((6, size, size))), lambda: VecFun(s3, n, np.zeros((6, size)))):
-            with pytest.raises(ValueError, match=f"dimension n must be >= 1, got {n}"):
-                build()
+        with pytest.raises(ValueError, match=f"dimension n must be >= 1, got {n}"):
+            MatFun(s3, n, np.zeros((6, size, size)))
         # the helpers check n before they allocate: a negative n once reached
         # numpy, which refused it with "negative dimensions are not allowed"
         for build in (zero_matfun, delta_identity, lambda g, n: random_matfun(g, n, 0)):
             with pytest.raises(ValueError, match=f"^MatFun dimension n must be >= 1, got {n}$"):
                 build(s3, n)
-        with pytest.raises(ValueError, match=f"^VecFun dimension n must be >= 1, got {n}$"):
-            random_vecfun(s3, n, 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
     def test_rejects_nonfinite_in_every_form(self, z2, bad):
         for vals in (np.array([[[0.0]], [[bad]]]), np.array([[[0.0]], [[bad]]], dtype=complex), [[[0.0]], [[bad]]]):
             with pytest.raises(ValueError, match="finite"):
                 MatFun(z2, 1, vals)
-        with pytest.raises(ValueError, match="finite"):
-            VecFun(z2, 1, np.array([[bad], [0.0]], dtype=complex))
 
     def test_converts_other_input(self, d3):
         ref = random_matfun(d3, 2, seed=5).values
@@ -495,8 +478,6 @@ class TestValidation:
             assert np.array_equal(got, np.asarray(vals, dtype=complex)), name
             if isinstance(vals, np.ndarray):
                 assert vals.flags.writeable, name  # a converted input is copied, not frozen
-        u = VecFun(d3, 2, np.asfortranarray(ref[:, :, 0].real))
-        assert u.values.dtype == np.complex128 and u.values.flags.c_contiguous and not u.values.flags.writeable
 
     def test_wraps_complex_arrays_without_a_copy(self, d3):
         vals = random_matfun(d3, 2, seed=5).values.copy()
@@ -504,8 +485,6 @@ class TestValidation:
         assert a.values is vals and not vals.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a.values[0, 0, 0] = 1.0
-        u = np.zeros((6, 2), dtype=complex)
-        assert VecFun(d3, 2, u).values is u and not u.flags.writeable
 
 
 class TestJson:

@@ -39,12 +39,12 @@ def random_vectors(count: int, dim: int, seed: int) -> np.ndarray:
 class TestRegularRep:
     def test_z2_matrices(self, z2):
         reg = regular_rep(z2)
-        assert np.allclose(reg.at(0), np.eye(2))
-        assert np.allclose(reg.at(1), [[0, 1], [1, 0]])
+        assert np.allclose(reg.matrices[0], np.eye(2))
+        assert np.allclose(reg.matrices[1], [[0, 1], [1, 0]])
 
     def test_character(self, d3):
         reg = regular_rep(d3)
-        char = reg.character()
+        char = np.trace(reg.matrices, axis1=1, axis2=2)
         assert char[d3.identity] == pytest.approx(6)
         assert np.allclose(char[1:], 0.0)
 
@@ -52,7 +52,15 @@ class TestRegularRep:
         reg = regular_rep(s3)
         assert unitarity_residual(reg) <= 1e-10
         assert homomorphism_residual(reg) <= 1e-10
-        assert np.allclose(reg.at(s3.identity), np.eye(6))
+        assert np.allclose(reg.matrices[s3.identity], np.eye(6))
+
+    def test_size_limit_is_inclusive(self, q8, monkeypatch):
+        size = q8.order * q8.order**2 * 16
+        monkeypatch.setattr(godement.reps, "_MAX_ARRAY_BYTES", size)
+        assert regular_rep(q8).dim == 8
+        monkeypatch.setattr(godement.reps, "_MAX_ARRAY_BYTES", size - 1)
+        with pytest.raises(ValueError, match="limit"):
+            regular_rep(q8)
 
 
 class TestTensorProduct:
@@ -65,11 +73,12 @@ class TestTensorProduct:
     def test_trace_multiplicative(self, q8):
         reg = regular_rep(q8)
         out = tensor_product(reg, reg)
-        assert np.allclose(out.character(), reg.character() * reg.character())
+        char = np.trace(reg.matrices, axis1=1, axis2=2)
+        assert np.allclose(np.trace(out.matrices, axis1=1, axis2=2), char * char)
 
     def test_z2_regular_squared_character(self, z2):
         out = tensor_product(regular_rep(z2), regular_rep(z2))
-        assert np.allclose(out.character(), [4.0, 0.0])
+        assert np.allclose(np.trace(out.matrices, axis1=1, axis2=2), [4.0, 0.0])
 
     def test_invariants_preserved(self, d3):
         out = tensor_product(regular_rep(d3), regular_rep(d3))

@@ -643,9 +643,20 @@ class TestRunSuite:
             assert r["theorem"] in {"A", "B", "C", "lemma_2_1"}
 
     def test_empty_group_list(self):
-        report = run_suite(SuiteConfig(groups=(), dims=(1,), trials=1, name="empty"))
-        assert report["passed"]
-        assert report["reports"] == []
+        # an empty grid once passed with no reports, having verified nothing
+        with pytest.raises(ValueError, match="^no groups given$"):
+            run_suite(SuiteConfig(groups=(), dims=(1,), trials=1, name="empty"))
+
+    def test_empty_dimension_list(self):
+        with pytest.raises(ValueError, match="^no dimensions given$"):
+            run_suite(SuiteConfig(groups=("s3",), dims=(), trials=1, name="empty"))
+
+    def test_every_spec_is_checked_before_any_trial(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(godement.theorems, "parse_group_spec", built.append)
+        with pytest.raises(ValueError, match="nope"):
+            run_suite(SuiteConfig(groups=("s3", "nope"), dims=(1,), trials=1))
+        assert built == []
 
     def test_deterministic(self):
         config = SuiteConfig(groups=("cyclic:6",), dims=(1,), trials=3, seed=11, name="det")
