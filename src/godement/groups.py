@@ -235,16 +235,12 @@ def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     )
 
 
-# Entries of one associativity gather in validate_group: 4 MB of indices.
-_ASSOC_BLOCK = 2**19
-
-
 def validate_group(t: GroupTable) -> ValidationReport:
-    """Check the group axioms on the table, reporting first witnesses.
-
-    Failures are report content, never exceptions: corrupted tables are
-    a supported input.
-    """
+    """Check the group axioms on the table, a corrupted one included.  Each
+    failure is report content, never an exception, with its first witness:
+    the first failing index, or for associativity the first (x, g, y) in (x, y)
+    order at the first failing g of e, the generators of _generating_set and
+    their inverses."""
     violations: list[Violation] = []
     m = np.asarray(t.mult)
     order = t.order
@@ -277,16 +273,15 @@ def validate_group(t: GroupTable) -> ValidationReport:
     if bad.size:
         violations.append(Violation("left_inverse", (int(bad[0]),)))
 
-    # (a*b)*c vs a*(b*c) in blocks of rows a, each two gathers of at most
-    # _ASSOC_BLOCK entries; the first block with a mismatch holds the first
-    # witnessing triple in (a, b, c) order
-    rows = max(1, _ASSOC_BLOCK // (order * order))
-    for first in range(0, order, rows):
-        block = m[first:first + rows]
-        mismatch = np.argwhere(m[block] != block[:, m])  # m[m[a, b], c] vs m[a, m[b, c]]
-        if mismatch.size:
-            a, b, c = (int(x) for x in mismatch[0])
-            violations.append(Violation("associativity", (first + a, b, c)))
+    # Light's test: the g with (x*g)*y == x*(g*y) for all x, y are closed
+    # under products, and _generating_set leaves every element a letter or a
+    # product ((e*l1)*l2)*... of e and letters, so e and the letters suffice
+    gens, _ = _generating_set(t)
+    for g in dict.fromkeys([e, *gens.tolist(), *t.inv[gens].tolist()]):
+        bad = m[m[:, g]] != m[:, m[g]]  # m[m[x, g], y] vs m[x, m[g, y]]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            violations.append(Violation("associativity", (int(x), g, int(y))))
             break
 
     # entries are in range, so a row or column is a permutation iff it sorts to 0..order-1
@@ -308,17 +303,30 @@ def group_to_json(t: GroupTable) -> dict:
     }
 
 
+def _json_ints(value: object, field: str) -> np.ndarray:
+    """Nested lists of JSON integers as an intp array.  numpy would truncate
+    a float, parse a string and take a bool as 0 or 1, so each is refused."""
+    array = np.array(value, dtype=object)
+    wrong = set(map(type, array.flat)) - {int}  # a bool is an int to isinstance
+    if wrong:
+        raise ValueError(f"{field} must hold JSON integers, not {', '.join(sorted(t.__name__ for t in wrong))}")
+    return array.astype(np.intp)
+
+
 def group_from_json(obj: dict, name: str = "custom") -> GroupTable:
+    """The table of a group_to_json object.  order, identity and every mult
+    and inv entry must be JSON integers, and labels, when present, exactly
+    order strings; anything else raises ValueError("malformed group JSON: ...")."""
     try:
-        return GroupTable(
-            order=int(obj["order"]),
-            mult=np.asarray(obj["mult"], dtype=np.intp),
-            inv=np.asarray(obj["inv"], dtype=np.intp),
-            identity=int(obj["identity"]),
-            labels=tuple(obj.get("labels", [str(i) for i in range(int(obj["order"]))])),
-            name=name,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        order, identity = obj["order"], obj["identity"]
+        if type(order) is not int or type(identity) is not int:
+            raise ValueError(f"order and identity must be JSON integers, got {order!r} and {identity!r}")
+        labels = obj.get("labels", [str(i) for i in range(order)])
+        if not (isinstance(labels, list) and len(labels) == order and all(isinstance(s, str) for s in labels)):
+            raise ValueError(f"labels must be a list of {order} strings")
+        mult, inv = _json_ints(obj["mult"], "mult"), _json_ints(obj["inv"], "inv")
+        return GroupTable(order=order, mult=mult, inv=inv, identity=identity, labels=tuple(labels), name=name)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed group JSON: {exc}") from exc
 
 

@@ -36,12 +36,15 @@ __all__ = [
 ]
 
 
-def _check_n(n: int) -> None:
-    """Raise ValueError unless the dimension n of a MatFun is >= 1.  The
-    samplers and the constructor call it before they allocate, so numpy
-    never meets a negative n."""
-    if not n >= 1:
+def _check_n(n: int) -> int:
+    """n as a plain int; ValueError unless it is an integer >= 1 and not a
+    bool.  The samplers and the constructor call it before they allocate, so
+    numpy never meets a negative n; a MatFun keeps the int for its JSON."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"MatFun dimension n must be an integer, got {n!r}")
+    if n < 1:
         raise ValueError(f"MatFun dimension n must be >= 1, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +60,15 @@ class MatFun:
     values: np.ndarray  # (|G|, n, n) complex128
 
     def __post_init__(self) -> None:
-        _check_n(self.n)
+        n = _check_n(self.n)
         values = np.ascontiguousarray(self.values, dtype=np.complex128)
-        shape = (self.group.order, self.n, self.n)
+        shape = (self.group.order, n, n)
         if values.shape != shape:
             raise ValueError(f"values shape {values.shape} does not match (|G|, n, n) = {shape}")
         if not np.isfinite(values.view(np.float64)).all():
             raise ValueError("MatFun entries must be finite")
         values.flags.writeable = False
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", values)
 
 
@@ -223,14 +227,14 @@ def l2_norm(a: MatFun) -> float:
 
 def delta_identity(group: GroupTable, n: int) -> MatFun:
     """The convolution unit: identity matrix at e, zero elsewhere."""
-    _check_n(n)
+    n = _check_n(n)
     vals = np.zeros((group.order, n, n), dtype=np.complex128)
     vals[group.identity] = np.eye(n)
     return MatFun(group, n, vals)
 
 
 def zero_matfun(group: GroupTable, n: int) -> MatFun:
-    _check_n(n)
+    n = _check_n(n)
     return MatFun(group, n, np.zeros((group.order, n, n), dtype=np.complex128))
 
 
@@ -274,7 +278,7 @@ def _complex_normals(seed: int, *shapes: tuple[int, ...]) -> list[np.ndarray]:
 
 def random_matfun(group: GroupTable, n: int, seed: int) -> MatFun:
     """Independent standard complex Gaussian entries, deterministic per seed."""
-    _check_n(n)
+    n = _check_n(n)
     return MatFun(group, n, _complex_normals(seed, (group.order, n, n))[0])
 
 

@@ -328,11 +328,11 @@ class SuiteConfig:
             raise ValueError("no dimensions given")
         for spec in self.groups:
             canonical_spec(spec)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:  # the rule matfun_from_json applies to n
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         _check_tol(self.tol)
-        if any(n < 1 for n in self.dims):
-            raise ValueError("dimensions must be >= 1")
+        if any(type(n) is not int or n < 1 for n in self.dims):
+            raise ValueError(f"dimensions must be ints >= 1, got {self.dims!r}")
 
 
 def derive_seed(*parts) -> int:

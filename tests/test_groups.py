@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from godement import (
     parse_group_spec,
     validate_group,
 )
-import godement.groups
 from godement.groups import _MAX_ARRAY_BYTES, _generating_set, _spec_order
 
 
@@ -282,25 +282,53 @@ class TestValidate:
         assert not report.ok
         assert {v.kind for v in report.violations} & {"left_identity", "right_identity"}
 
-    @pytest.mark.parametrize("block", [1, 100, godement.groups._ASSOC_BLOCK])
-    def test_first_witnesses_are_those_of_a_full_scan(self, block, monkeypatch):
-        # associativity is scanned in blocks of rows, latin rows and columns by
-        # sorting; the witnesses are those of the full scan the check once made
-        monkeypatch.setattr(godement.groups, "_ASSOC_BLOCK", block)
-        rng = np.random.default_rng(5)
-        for t in (build_dihedral(5), build_symmetric(3), build_cyclic(7)):
-            for _ in range(20):
-                mult = t.mult.copy()
-                a, b = rng.integers(t.order, size=2)
-                mult[a, b] = rng.integers(t.order)
-                m = mult
-                assoc = np.argwhere(m[m, :] != m[:, m])
-                rows = [x for x in range(t.order) if len(set(m[x])) != t.order]
-                cols = [x for x in range(t.order) if len(set(m[:, x])) != t.order]
-                expected = {"associativity": tuple(int(x) for x in assoc[0]) if assoc.size else None,
-                            "latin_row": (rows[0],) if rows else None, "latin_col": (cols[0],) if cols else None}
-                found = {v.kind: v.witness for v in validate_group(GroupTable(t.order, m, t.inv, 0, t.labels)).violations}
-                assert {kind: found.get(kind) for kind in expected} == expected
+    @pytest.mark.parametrize("spec", ["d5", "s3", "z7"])
+    def test_single_entry_corruptions_agree_with_a_full_scan(self, spec):
+        # associativity is checked only at the identity and the letters of the
+        # generating set (Light's test); on every table one entry away from the
+        # group, the identity's row and column included, it is reported iff a
+        # full scan finds a violating triple, and its witness is one; latin
+        # rows and columns keep the first failing index
+        t = parse_group_spec(spec)
+        for a, b, value in itertools.product(range(t.order), repeat=3):
+            m = t.mult.copy()
+            m[a, b] = value
+            violating = m[m, :] != m[:, m]  # [x, g, y]: (x*g)*y vs x*(g*y)
+            rows = [x for x in range(t.order) if len(set(m[x])) != t.order]
+            cols = [x for x in range(t.order) if len(set(m[:, x])) != t.order]
+            found = {v.kind: v.witness for v in validate_group(GroupTable(t.order, m, t.inv, 0, t.labels)).violations}
+            assert ("associativity" in found) == violating.any()
+            if "associativity" in found:
+                assert violating[found["associativity"]]
+            assert found.get("latin_row") == ((rows[0],) if rows else None)
+            assert found.get("latin_col") == ((cols[0],) if cols else None)
+
+    def test_a_loop_fails_only_associativity(self):
+        # a Latin square with an identity and inverses that is not a group
+        m = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        (violation,) = validate_group(GroupTable(5, m, np.arange(5), 0, tuple("01234"))).violations
+        x, g, y = violation.witness
+        assert violation.kind == "associativity" and m[m[x, g], y] != m[x, m[g, y]]
+
+    @pytest.mark.parametrize("mult, only", [
+        ([[0, 0, 0], [1, 1, 1], [2, 1, 1]], 0),  # the identity
+        ([[0, 0, 0], [0, 0, 0], [0, 1, 0]], 2),  # the second generator
+        ([[0, 0, 2], [0, 0, 2], [0, 1, 2]], 2),  # the inverse of the only generator
+    ], ids=["identity", "second-generator", "inverse"])
+    def test_a_table_that_fails_at_one_letter_only(self, mult, only):
+        # order-3 tables on which (x*g)*y != x*(g*y) only for g = only; a check
+        # that skipped that letter would pass them
+        m = np.array(mult)
+        assert set(np.argwhere(m[m, :] != m[:, m])[:, 1]) == {only}
+        t = GroupTable(3, m, np.array([0, 2, 1]), 0, tuple("abc"))
+        assoc = [v.witness for v in validate_group(t).violations if v.kind == "associativity"]
+        assert [g for _, g, _ in assoc] == [only]
+
+    def test_generating_set_is_left_in_the_cache(self):
+        t = group_from_json(group_to_json(build_symmetric(4)))
+        assert "generators" not in t._cache
+        assert validate_group(t).ok
+        assert t._cache["generators"] is _generating_set(t)
 
     def test_bad_inverse_reported(self):
         t = build_cyclic(4)
@@ -334,6 +362,32 @@ class TestJson:
     def test_malformed_raises(self):
         with pytest.raises(ValueError):
             group_from_json({"order": 2})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("order", 2.9, "order and identity must be JSON integers, got 2.9 and 0"),
+        ("order", "2", "order and identity must be JSON integers, got '2' and 0"),
+        ("identity", 0.7, "order and identity must be JSON integers, got 2 and 0.7"),
+        ("identity", False, "order and identity must be JSON integers, got 2 and False"),
+        ("mult", [[0.2, 1.9], [1, 0]], "mult must hold JSON integers, not float"),
+        ("mult", [[0, "1"], [1, 0]], "mult must hold JSON integers, not str"),
+        ("mult", [[0, 1], [1]], "mult must hold JSON integers, not list"),
+        ("inv", [0, True], "inv must hold JSON integers, not bool"),
+        ("labels", [], "labels must be a list of 2 strings"),
+        ("labels", ["0", 1], "labels must be a list of 2 strings"),
+        ("labels", "01", "labels must be a list of 2 strings"),
+    ], ids=["order-float", "order-str", "identity-float", "identity-bool", "mult-float", "mult-str", "mult-ragged",
+            "inv-bool", "labels-empty", "labels-int", "labels-str"])
+    def test_every_field_must_have_its_json_type(self, z2, field, value, message):
+        # each of these once loaded as Z2, truncated or cast by int() and numpy;
+        # labels [] loaded too, and direct_product on it raised IndexError
+        obj = {**group_to_json(z2), field: value}
+        with pytest.raises(ValueError, match=f"^malformed group JSON: {re.escape(message)}$"):
+            group_from_json(json.loads(json.dumps(obj)))
+
+    def test_labels_default_to_the_indices(self, z2):
+        obj = group_to_json(z2)
+        del obj["labels"]
+        assert group_from_json(obj).labels == ("0", "1")
 
 
 class TestSpecs:

@@ -455,6 +455,22 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^MatFun dimension n must be >= 1, got {n}$"):
                 build(s3, n)
 
+    @pytest.mark.parametrize("n", [1.0, 2.5, "1", True, None])
+    def test_rejects_dimension_that_is_not_an_integer(self, z2, n):
+        # MatFun(g, 1.0, ...) once kept n = 1.0 and wrote a file its reader refused
+        with pytest.raises(ValueError, match=f"^MatFun dimension n must be an integer, got {n!r}$"):
+            MatFun(z2, n, np.zeros((2, 1, 1)))
+        for build in (zero_matfun, delta_identity, lambda g, n: random_matfun(g, n, 0)):
+            with pytest.raises(ValueError, match=f"^MatFun dimension n must be an integer, got {n!r}$"):
+                build(z2, n)
+
+    def test_numpy_dimension_is_kept_as_a_plain_int(self, s3):
+        # an np.int64 n once stayed on the MatFun, and json.dumps raised TypeError
+        phi = random_matfun(s3, np.int64(2), 1)
+        assert type(phi.n) is int and type(MatFun(s3, np.int32(2), phi.values).n) is int
+        again = matfun_from_json(json.loads(json.dumps(matfun_to_json(phi))))
+        assert again.n == 2 and np.array_equal(again.values, phi.values)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
     def test_rejects_nonfinite_in_every_form(self, z2, bad):
         for vals in (np.array([[[0.0]], [[bad]]]), np.array([[[0.0]], [[bad]]], dtype=complex), [[[0.0]], [[bad]]]):
@@ -599,6 +615,17 @@ class TestJson:
         obj["group"] = {"order": 6}
         with pytest.raises(ValueError, match="malformed group"):
             matfun_from_json(obj)
+
+    def test_embedded_table_with_a_fractional_entry_is_refused(self, tmp_path, capsys):
+        # int() once truncated the 1.5 to 1, and certify passed the file
+        obj = matfun_to_json(random_pd(relabeled_s3(), 1, seed=74))
+        obj["group"]["mult"][0][0] += 0.5
+        with pytest.raises(ValueError, match="^malformed group JSON: mult must hold JSON integers, not float$"):
+            matfun_from_json(obj)
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(obj))
+        assert main(["certify", str(path)]) == 2
+        assert "malformed group JSON" in capsys.readouterr().err
 
     def test_malformed(self):
         with pytest.raises(ValueError):

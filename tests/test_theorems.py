@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -650,6 +651,23 @@ class TestRunSuite:
     def test_empty_dimension_list(self):
         with pytest.raises(ValueError, match="^no dimensions given$"):
             run_suite(SuiteConfig(groups=("s3",), dims=(), trials=1, name="empty"))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 1.5, "trials must be an int >= 1, got 1.5"),
+        ("trials", True, "trials must be an int >= 1, got True"),
+        ("trials", 0, "trials must be an int >= 1, got 0"),
+        ("dims", (1.0,), "dimensions must be ints >= 1, got (1.0,)"),
+        ("dims", (2, np.int64(1)), "dimensions must be ints >= 1, got (2, np.int64(1))"),
+        ("dims", (1, 0), "dimensions must be ints >= 1, got (1, 0)"),
+    ], ids=["trials-float", "trials-bool", "trials-zero", "dims-float", "dims-numpy", "dims-zero"])
+    def test_counts_must_be_ints_before_any_trial(self, monkeypatch, field, value, message):
+        # trials=1.5 and dims=(1.0,) once raised TypeError after trials had started
+        built = []
+        monkeypatch.setattr(godement.theorems, "parse_group_spec", built.append)
+        config = dataclasses.replace(SuiteConfig(groups=("s3",), dims=(1,), trials=1), **{field: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(config)
+        assert built == []
 
     def test_every_spec_is_checked_before_any_trial(self, monkeypatch):
         built = []
