@@ -6,7 +6,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,6 +25,14 @@ __all__ = [
     "parse_group_spec",
     "canonical_spec",
 ]
+
+
+def _as_int(value: object, what: str) -> int:
+    """value as a plain int; ValueError unless it is an int or a numpy
+    integer, so a bool, a float or a str is refused, not truncated or kept."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +59,8 @@ class GroupTable:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "order", _as_int(self.order, "GroupTable order"))
+        object.__setattr__(self, "identity", _as_int(self.identity, "GroupTable identity"))
         mult = np.ascontiguousarray(np.asarray(self.mult, dtype=np.intp))
         inv = np.ascontiguousarray(np.asarray(self.inv, dtype=np.intp))
         mult.flags.writeable = False
@@ -101,24 +111,34 @@ def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
     subgroup generated so far is kept, so every kept generator at least
     doubles that subgroup (Lagrange) and there are at most log2 |G| of
     them.  The diameter is the largest number of generators and inverses
-    of generators whose product is needed to write an element.
+    of generators whose product is needed to write an element.  The closure
+    grows with each kept generator: each new letter multiplies every element
+    reached, and each newly reached element every letter, once, so on any
+    table, a non-group keeping up to |G| - 1 generators included, the cost
+    is O(|G| letters), with one _word_plan at the end.
     """
     cache = t._cache
     found = cache.get("generators")
     if found is None:
         gens: list[int] = []
-        seen, levels = np.arange(t.order) == t.identity, []
+        seen, is_letter = np.arange(t.order) == t.identity, np.zeros(t.order, dtype=bool)
         for x in range(t.order):
-            if not seen[x]:
-                gens.append(x)
-                letters = np.array(gens, dtype=np.intp)
-                levels = _word_plan(t, np.concatenate([letters, t.inv[letters]]))
-                for fresh, _, _ in levels:
-                    seen[fresh] = True
+            if seen[x]:
+                continue
+            gens.append(x)
+            new = [a for a in (x, int(t.inv[x])) if not is_letter[a]]  # x is not, or e x were seen
+            is_letter[new] = True
+            reached, letters = t.mult[np.ix_(np.flatnonzero(seen), new)].ravel(), np.flatnonzero(is_letter)
+            while reached.size:
+                hit = np.zeros(t.order, dtype=bool)
+                hit[reached] = True
+                fresh = np.flatnonzero(hit & ~seen)
+                seen[fresh] = True
+                reached = t.mult[np.ix_(fresh, letters)].ravel()
         generators = np.array(gens, dtype=np.intp)
+        levels = _word_plan(t, np.concatenate([generators, t.inv[generators]]))
         for array in (generators, *(a for level in levels for a in level)):
             array.flags.writeable = False
-        # the last search is the one on all generators and their inverses
         cache.setdefault("words", tuple(levels))
         found = cache.setdefault("generators", (generators, len(levels)))
     return found
@@ -126,7 +146,7 @@ def _generating_set(t: GroupTable) -> tuple[np.ndarray, int]:
 
 def _generator_words(t: GroupTable) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """_word_plan of t on the letters (generators, their inverses) of
-    _generating_set, kept from its last search."""
+    _generating_set, kept from its search."""
     _generating_set(t)
     return t._cache["words"]
 
@@ -241,37 +261,35 @@ def validate_group(t: GroupTable) -> ValidationReport:
     the first failing index, or for associativity the first (x, g, y) in (x, y)
     order at the first failing g of e, the generators of _generating_set and
     their inverses."""
-    violations: list[Violation] = []
+    return ValidationReport(tuple(_violations(t)))
+
+
+def _violations(t: GroupTable) -> Iterator[Violation]:
+    """The violations of validate_group in its order, found one at a time,
+    so that a caller that needs only the first stops before the later checks."""
     m = np.asarray(t.mult)
     order = t.order
 
     if m.shape != (order, order):
-        violations.append(Violation("shape", (m.shape[0] if m.ndim else -1,)))
-        return ValidationReport(tuple(violations))
+        yield Violation("shape", (m.shape[0] if m.ndim else -1,))
+        return
     if t.inv.shape != (order,):
-        violations.append(Violation("shape", (int(t.inv.shape[0]),)))
-        return ValidationReport(tuple(violations))
+        yield Violation("shape", (int(t.inv.shape[0]),))
+        return
     if not (0 <= t.identity < order):
-        violations.append(Violation("identity_range", (t.identity,)))
-        return ValidationReport(tuple(violations))
+        yield Violation("identity_range", (t.identity,))
+        return
     if m.min() < 0 or m.max() >= order or t.inv.min() < 0 or t.inv.max() >= order:
-        violations.append(Violation("index_range", (int(m.min()), int(m.max()))))
-        return ValidationReport(tuple(violations))
+        yield Violation("index_range", (int(m.min()), int(m.max())))
+        return
 
     e = t.identity
-    bad = np.flatnonzero(m[e, :] != np.arange(order))
-    if bad.size:
-        violations.append(Violation("left_identity", (int(bad[0]),)))
-    bad = np.flatnonzero(m[:, e] != np.arange(order))
-    if bad.size:
-        violations.append(Violation("right_identity", (int(bad[0]),)))
-
-    bad = np.flatnonzero(m[np.arange(order), t.inv] != e)
-    if bad.size:
-        violations.append(Violation("right_inverse", (int(bad[0]),)))
-    bad = np.flatnonzero(m[t.inv, np.arange(order)] != e)
-    if bad.size:
-        violations.append(Violation("left_inverse", (int(bad[0]),)))
+    for kind, bad in (("left_identity", m[e, :] != np.arange(order)),
+                      ("right_identity", m[:, e] != np.arange(order)),
+                      ("right_inverse", m[np.arange(order), t.inv] != e),
+                      ("left_inverse", m[t.inv, np.arange(order)] != e)):
+        if bad.any():
+            yield Violation(kind, (int(np.flatnonzero(bad)[0]),))
 
     # Light's test: the g with (x*g)*y == x*(g*y) for all x, y are closed
     # under products, and _generating_set leaves every element a letter or a
@@ -281,16 +299,14 @@ def validate_group(t: GroupTable) -> ValidationReport:
         bad = m[m[:, g]] != m[:, m[g]]  # m[m[x, g], y] vs m[x, m[g, y]]
         if bad.any():
             x, y = np.argwhere(bad)[0]
-            violations.append(Violation("associativity", (int(x), g, int(y))))
+            yield Violation("associativity", (int(x), g, int(y)))
             break
 
     # entries are in range, so a row or column is a permutation iff it sorts to 0..order-1
     for kind, lines in (("latin_row", m), ("latin_col", m.T)):
         bad = np.flatnonzero((np.sort(lines, axis=1) != np.arange(order)).any(axis=1))
         if bad.size:
-            violations.append(Violation(kind, (int(bad[0]),)))
-
-    return ValidationReport(tuple(violations))
+            yield Violation(kind, (int(bad[0]),))
 
 
 def group_to_json(t: GroupTable) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _standard_spec, group_from_json, group_to_json, parse_group_spec, validate_group
+from .groups import GroupTable, _as_int, _standard_spec, _violations, group_from_json, group_to_json, parse_group_spec
 
 __all__ = [
     "MatFun",
@@ -40,11 +40,10 @@ def _check_n(n: int) -> int:
     """n as a plain int; ValueError unless it is an integer >= 1 and not a
     bool.  The samplers and the constructor call it before they allocate, so
     numpy never meets a negative n; a MatFun keeps the int for its JSON."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"MatFun dimension n must be an integer, got {n!r}")
+    n = _as_int(n, "MatFun dimension n")
     if n < 1:
         raise ValueError(f"MatFun dimension n must be >= 1, got {n!r}")
-    return int(n)
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,9 +351,9 @@ def matfun_from_json(obj: dict, group: GroupTable | None = None) -> MatFun:
         raise _malformed(f"n must be positive, got {n}")
     if group is None and "group" in obj:
         group = group_from_json(obj["group"], name=group_id)
-        violations = validate_group(group).violations
-        if violations:
-            raise ValueError(f"embedded group table is not a group: {violations[0]}")
+        violation = next(_violations(group), None)  # the first is all the message needs
+        if violation is not None:
+            raise ValueError(f"embedded group table is not a group: {violation}")
     elif group is None:
         group = parse_group_spec(group_id)
     values = _json_values(obj, group.order, n)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import _MAX_ARRAY_BYTES, GroupTable, _generating_set
-from .matfun import MatFun, conjugate, inner, l2_norm
-from .theorems import _PAIR_TOL, TheoremReport
+from .matfun import MatFun, _power_of_two_unit, conjugate, inner
+from .theorems import _PAIR_TOL, TheoremReport, _pair_check
 
 __all__ = [
     "UnitaryRep",
@@ -148,11 +148,11 @@ def check_tensor_nonneg(
     must agree and be nonnegative.  The direct route never forms the
     Kronecker product: u is the row-major flattening of the d1 x d2
     matrix U = sum_i u1_i u2_i^T, and (A x B) u flattens A U B^T, so the
-    sum is vdot(U, sum_g A_g U B_g^T).  The residuals are relative to
-    ||phi1|| ||phi2|| of the two coefficient functions, so the verdict does
-    not depend on the scale of the vectors, and judged at _PAIR_TOL.  The
-    claim holds only for representations, which UnitaryRep checks when it
-    is built.
+    sum is vdot(U, sum_g A_g U B_g^T).  Each tuple is divided exactly by a
+    power of two and the pair judged by theorems._pair_check, so the verdict
+    does not depend on the scale of the vectors; the sums are reported scaled
+    back, and a failure has the vectors as counterexample.  The claim holds
+    only for representations, which UnitaryRep checks when it is built.
     """
     if not p1.group.same_table(p2.group):
         raise ValueError("group mismatch")
@@ -160,23 +160,22 @@ def check_tensor_nonneg(
     a2 = np.asarray(u2s, dtype=np.complex128)
     if a1.shape[0] != a2.shape[0]:
         raise ValueError(f"vector tuple counts differ: {a1.shape[0]} vs {a2.shape[0]}")
+    unit1, unit2 = _power_of_two_unit(a1), _power_of_two_unit(a2)
+    b1, b2 = a1 / unit1, a2 / unit2
 
-    u = a1.T @ a2
-    direct = complex(np.vdot(u, np.sum(p1.matrices @ u @ p2.matrices.transpose(0, 2, 1), axis=0)))
+    def back(x: float) -> float:  # the sums are quadratic in each tuple; exact short of overflow
+        return x * unit1 * unit1 * unit2 * unit2
 
-    phi1 = matrix_coeff_fun(p1, a1)
-    phi2 = matrix_coeff_fun(p2, a2)
-    via_pairing = inner(phi1, conjugate(phi2))
+    def measure(phi_u, psi_u, scale, unit):
+        u = b1.T @ b2
+        direct = complex(np.vdot(u, np.sum(p1.matrices @ u @ p2.matrices.transpose(0, 2, 1), axis=0)))
+        via_pairing = inner(phi_u, psi_u)
+        in_range = direct / unit  # direct in the frame of phi_u and psi_u
+        residual = max(abs(in_range - via_pairing), max(0.0, -in_range.real), abs(in_range.imag)) / scale
+        return residual, {"route": "tensor_product", "direct_sum": [back(direct.real), back(direct.imag)],
+                          "via_pairing": [back(via_pairing.real * unit), back(via_pairing.imag * unit)]}
 
-    scale = max(l2_norm(phi1) * l2_norm(phi2), 1e-300)
-    agreement = abs(direct - via_pairing) / scale
-    negativity = max(0.0, -direct.real) / scale
-    imaginary = abs(direct.imag) / scale
-    residual = max(agreement, negativity, imaginary)
-    report = TheoremReport("B", 1, p1.group.name, int(a1.shape[0]), residual / _PAIR_TOL, residual <= _PAIR_TOL)
-    report.details = {"route": "tensor_product", "direct_sum": [direct.real, direct.imag],
-                      "via_pairing": [via_pairing.real, via_pairing.imag]}
-    if not report.passed:
-        report.counterexample = {"u1s": [[z.real, z.imag] for v in a1 for z in v],
-                                 "u2s": [[z.real, z.imag] for v in a2 for z in v]}
-    return report
+    def vectors():  # the counterexample: each tuple as [re, im] pairs
+        return {name: [[z.real, z.imag] for v in a for z in v] for name, a in (("u1s", a1), ("u2s", a2))}
+
+    return _pair_check("B", matrix_coeff_fun(p1, b1), conjugate(matrix_coeff_fun(p2, b2)), measure, vectors)

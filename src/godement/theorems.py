@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -86,9 +87,8 @@ def _worst(a: float, b: float) -> float:
     return a if np.isnan(a) or a > b else b
 
 
-def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict[str, MatFun] | None) -> None:
-    """Fold one trial into the aggregate.  The trial's input functions are
-    serialized only when it is the first failing one, as the counterexample."""
+def _merge(target: TheoremReport, trial: TheoremReport) -> None:
+    """Fold one trial into the aggregate, which keeps its first failing trial's counterexample."""
     target.trials += trial.trials
     target.worst_residual = _worst(trial.worst_residual, target.worst_residual)
     for key, value in trial.details.items():
@@ -96,9 +96,7 @@ def _merge(target: TheoremReport, trial: TheoremReport, inputs: dict[str, MatFun
             target.details[key] = target.details.get(key, 0) + value
     if not trial.passed and target.passed:
         target.passed = False
-        target.counterexample = (
-            {name: matfun_to_json(f) for name, f in inputs.items()} if inputs is not None else trial.counterexample
-        )
+        target.counterexample = trial.counterexample
 
 
 def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9) -> TheoremReport:
@@ -121,19 +119,13 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
     spectrum = fourier_spectrum(phi)
     cert = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap)
     if not cert.ok:
-        report.passed = False
-        report.counterexample = {"phi": matfun_to_json(phi)}
-        report.details["failure"] = f"input not positive definite ({cert.verdict})"
-        return report
+        return _failed_a(report, phi, f"input not positive definite ({cert.verdict})")
 
     try:
         spectral = _spectral_root(phi, spectrum, tol)
         iterative = _iterative_root(phi, spectrum, iter_tol)
     except (ConvergenceError, ValueError) as exc:  # ValueError: a root with non-finite entries
-        report.passed = False
-        report.counterexample = {"phi": matfun_to_json(phi)}
-        report.details["failure"] = str(exc)
-        return report
+        return _failed_a(report, phi, str(exc))
 
     # iterative convergence itself is enforced by ConvergenceError above
     agreement = _l2(spectral.psi.values - iterative.psi.values)
@@ -162,10 +154,13 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
         "iterations": iterative.iterations,
         "agreement": agreement,
     }
-    if not report.worst_residual <= 1.0:
-        report.passed = False
-        report.counterexample = {"phi": matfun_to_json(phi)}
-        report.details["failure"] = worst_key
+    return report if report.worst_residual <= 1.0 else _failed_a(report, phi, worst_key)
+
+
+def _failed_a(report: TheoremReport, phi: MatFun, failure: str) -> TheoremReport:
+    """The failed Theorem A report, with the reason and phi as its counterexample."""
+    report.passed, report.counterexample = False, {"phi": matfun_to_json(phi)}
+    report.details["failure"] = failure
     return report
 
 
@@ -202,17 +197,21 @@ def _in_range(a: MatFun) -> tuple[MatFun, float, float]:
     return a, l2_norm(a), unit
 
 
-def _pair_check(theorem: str, phi: MatFun, psi: MatFun, measure) -> TheoremReport:
-    """The report of measure(phi_u, psi_u, scale, unit) -> (worst residual,
-    passed, details) on phi and psi brought into range (_in_range), with
-    scale = ||phi|| ||psi|| and unit the factor that scales a value bilinear
-    in the pair back.  A failed check has both inputs as counterexample."""
+def _pair_check(theorem: str, phi: MatFun, psi: MatFun, measure, counterexample=None) -> TheoremReport:
+    """The report of measure(phi_u, psi_u, scale, unit) -> (residual, details)
+    on phi and psi brought into range (_in_range), with scale = ||phi|| ||psi||
+    and unit the factor that scales a value bilinear in the pair back.  The
+    residual, relative to scale, passes within _PAIR_TOL and is reported as its
+    ratio to it; Theorem C, which classifies, returns (worst, passed) instead.
+    A failure's counterexample is counterexample(), by default both inputs."""
     (phi_u, phi_norm, phi_unit), (psi_u, psi_norm, psi_unit) = _in_range(phi), _in_range(psi)
     scale = max(phi_norm * psi_norm, 1e-300)
-    worst, passed, details = measure(phi_u, psi_u, scale, phi_unit * psi_unit)
+    residual, details = measure(phi_u, psi_u, scale, phi_unit * psi_unit)
+    worst, passed = residual if isinstance(residual, tuple) else (residual / _PAIR_TOL, residual <= _PAIR_TOL)
     report = TheoremReport(theorem, 1, phi.group.name, phi.n, worst, passed, details=details)
     if not passed:
-        report.counterexample = {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)}
+        report.counterexample = (counterexample() if counterexample
+                                 else {"phi": matfun_to_json(phi), "psi": matfun_to_json(psi)})
     return report
 
 
@@ -227,7 +226,7 @@ def check_theorem_b(phi: MatFun, psi: MatFun) -> TheoremReport:
         deficit = 0.0 if value.real >= 0.0 else -value.real  # NaN when the real part is NaN
         residual = _worst(abs(value.imag), deficit) / scale
         value *= unit
-        return residual / _PAIR_TOL, residual <= _PAIR_TOL, {"inner_real": value.real, "inner_imag": value.imag}
+        return residual, {"inner_real": value.real, "inner_imag": value.imag}
 
     return _pair_check("B", phi, psi, measure)
 
@@ -251,21 +250,23 @@ def check_theorem_c(phi: MatFun, psi: MatFun) -> TheoremReport:
     indeterminate, not failed.  Both are relative to ||phi|| ||psi||
     (_pair_check), so they hold at any scale.
     """
-    def measure(phi_u, psi_u, scale, unit):
-        inner_mag = abs(inner(phi_u, psi_u)) / scale
-        conv_mag = _l2(_conv_kernel(phi.group, phi_u.values, psi_u.values)) / scale
-        side_a = _classify_magnitude(inner_mag, _PAIR_TOL)
-        side_b = _classify_magnitude(conv_mag, _PAIR_TOL)
-        finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
-        indeterminate = finite and "indeterminate" in (side_a, side_b)
-        passed = finite and (indeterminate or side_a == side_b)
-        details = {"inner_scaled": inner_mag, "conv_scaled": conv_mag, "inner_class": side_a,
-                   "conv_class": side_b, "indeterminate_trials": 1 if indeterminate else 0}
-        if not finite:
-            details["failure"] = f"non-finite magnitude: inner {inner_mag!r}, convolution {conv_mag!r}"
-        return _worst(inner_mag, conv_mag) if not passed else 0.0, passed, details
+    return _pair_check("C", phi, psi, _measure_c)
 
-    return _pair_check("C", phi, psi, measure)
+
+def _measure_c(phi_u: MatFun, psi_u: MatFun, scale: float, unit: float) -> tuple:
+    """The measure of check_theorem_c (see _pair_check): its verdict and details."""
+    inner_mag = abs(inner(phi_u, psi_u)) / scale
+    conv_mag = _l2(_conv_kernel(phi_u.group, phi_u.values, psi_u.values)) / scale
+    side_a = _classify_magnitude(inner_mag, _PAIR_TOL)
+    side_b = _classify_magnitude(conv_mag, _PAIR_TOL)
+    finite = bool(np.isfinite(inner_mag) and np.isfinite(conv_mag))
+    indeterminate = finite and "indeterminate" in (side_a, side_b)
+    passed = finite and (indeterminate or side_a == side_b)
+    details = {"inner_scaled": inner_mag, "conv_scaled": conv_mag, "inner_class": side_a,
+               "conv_class": side_b, "indeterminate_trials": 1 if indeterminate else 0}
+    if not finite:
+        details["failure"] = f"non-finite magnitude: inner {inner_mag!r}, convolution {conv_mag!r}"
+    return (_worst(inner_mag, conv_mag) if not passed else 0.0, passed), details
 
 
 def check_inner_trace(phi: MatFun, psi: MatFun) -> TheoremReport:
@@ -280,7 +281,7 @@ def check_inner_trace(phi: MatFun, psi: MatFun) -> TheoremReport:
         residual = abs(lhs - rhs) / scale
         lhs, rhs = lhs * unit, rhs * unit
         details = {"inner": [lhs.real, lhs.imag], "trace_at_identity": [rhs.real, rhs.imag]}
-        return residual / _PAIR_TOL, residual <= _PAIR_TOL, details
+        return residual, details
 
     return _pair_check("lemma_2_1", phi, psi, measure)
 
@@ -353,15 +354,16 @@ def _split_point(eigenvalues: np.ndarray) -> float:
 
 
 def _trial_a(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
-    phi = _random_pd(group, n, seed)
-    return check_theorem_a(phi, tol=cfg.tol), {"phi": phi}
+    report = check_theorem_a(_random_pd(group, n, seed), tol=cfg.tol)
+    return report, report.counterexample
 
 
-def _trial_b(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
+def _pair_trial(check, group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
+    """The suite trial of a pair check on two independent random PD functions."""
     phi = _random_pd(group, n, derive_seed(seed, "phi"))
     psi = _random_pd(group, n, derive_seed(seed, "psi"))
-    report = check_theorem_b(phi, psi)
-    return report, {"phi": phi, "psi": psi}
+    report = check(phi, psi)
+    return report, report.counterexample
 
 
 def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
@@ -369,10 +371,11 @@ def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
     # one spectrum gives the split point, checks it, and makes the cut
     spectrum = _certified_spectrum(theta)
     low, high = _orthogonal_pair(theta, spectrum, _split_point(spectrum.eigenvalues))
-    orth = check_theorem_c(low, high)
+    # both checks leave their counterexample to the merged report
+    orth = _pair_check("C", low, high, _measure_c, lambda: None)
     phi = _random_pd(group, n, derive_seed(seed, "phi"))
     psi = _random_pd(group, n, derive_seed(seed, "psi"))
-    overlap = check_theorem_c(phi, psi)
+    overlap = _pair_check("C", phi, psi, _measure_c, lambda: None)
     # an independent random pair must land strictly on the nonzero side
     if overlap.passed and overlap.details["inner_class"] != "nonzero":
         overlap.passed = False
@@ -385,17 +388,14 @@ def _trial_c(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
         "indeterminate_trials": orth.details["indeterminate_trials"]
         + overlap.details["indeterminate_trials"],
     }
-    return merged, {"theta": theta, "phi": phi, "psi": psi}
+    if not merged.passed:
+        merged.counterexample = {k: matfun_to_json(f) for k, f in zip(("theta", "phi", "psi"), (theta, phi, psi))}
+    return merged, merged.counterexample
 
 
-def _trial_lemma(group: GroupTable, n: int, seed: int, cfg: SuiteConfig):
-    phi = _random_pd(group, n, derive_seed(seed, "phi"))
-    psi = _random_pd(group, n, derive_seed(seed, "psi"))
-    report = check_inner_trace(phi, psi)
-    return report, {"phi": phi, "psi": psi}
-
-
-_TRIALS = {"A": _trial_a, "B": _trial_b, "C": _trial_c, "lemma_2_1": _trial_lemma}
+# Each trial returns its report and the report's counterexample, None when it passed.
+_TRIALS = {"A": _trial_a, "B": partial(_pair_trial, check_theorem_b), "C": _trial_c,
+           "lemma_2_1": partial(_pair_trial, check_inner_trace)}
 
 
 def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
@@ -418,8 +418,8 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
                 aggregate = TheoremReport(theorem, 0, group.name, n, 0.0, True)
                 for t in range(config.trials):
                     seed = derive_seed(config.seed, theorem, group.name, n, t)
-                    trial_report, inputs = trial_fn(group, n, seed, config)
-                    _merge(aggregate, trial_report, inputs)
+                    trial_report, _ = trial_fn(group, n, seed, config)
+                    _merge(aggregate, trial_report)
                     if collect_trials:
                         rows.append({
                             "theorem": theorem,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from godement import (
     GroupTable,
+    Violation,
     build_cyclic,
     build_dihedral,
     build_symmetric,
@@ -17,10 +18,13 @@ from godement import (
     direct_product,
     group_from_json,
     group_to_json,
+    matfun_to_json,
     parse_group_spec,
+    random_matfun,
     validate_group,
 )
-from godement.groups import _MAX_ARRAY_BYTES, _generating_set, _spec_order
+import godement.groups
+from godement.groups import _MAX_ARRAY_BYTES, _generating_set, _generator_words, _spec_order, _word_plan
 
 
 def element_order(t: GroupTable, a: int) -> int:
@@ -211,6 +215,64 @@ class TestGeneratingSet:
         assert np.array_equal(_generating_set(build_symmetric(4))[0], _generating_set(t)[0])
 
 
+def restart_generating_set(t: GroupTable):
+    """The greedy generating set that searches again from the identity with
+    all its letters each time it keeps a generator: its generators and the
+    levels of its last search."""
+    gens, seen, levels = [], np.arange(t.order) == t.identity, []
+    for x in range(t.order):
+        if not seen[x]:
+            gens.append(x)
+            letters = np.array(gens, dtype=np.intp)
+            levels = _word_plan(t, np.concatenate([letters, t.inv[letters]]))
+            for fresh, _, _ in levels:
+                seen[fresh] = True
+    return gens, levels
+
+
+def max_semilattice(order: int) -> GroupTable:
+    """mult[x, y] = max(x, y) with identity 0 and every inverse 0: associative,
+    but no group, and no element but 0 is a product of two others, so the
+    greedy generating set keeps all the others."""
+    idx = np.arange(order)
+    return GroupTable(order, np.maximum.outer(idx, idx), np.zeros(order, dtype=int), 0, tuple(map(str, idx)))
+
+
+class TestGeneratingSetClosure:
+    @pytest.mark.parametrize("spec", ["z2xs5", "s5", "d150", "q8xq8"])
+    def test_matches_the_restarting_search(self, spec):
+        # a fresh copy of the table, so that its generating set is built here
+        t = group_from_json(group_to_json(parse_group_spec(spec)))
+        gens, levels = restart_generating_set(t)
+        got, diameter = _generating_set(t)
+        assert got.tolist() == gens and diameter == len(levels)
+        words = _generator_words(t)
+        assert len(words) == len(levels)
+        for level, expected in zip(words, levels):
+            assert all(np.array_equal(a, b) for a, b in zip(level, expected))
+
+    def test_one_word_plan_per_table(self, monkeypatch):
+        calls = []
+        real = godement.groups._word_plan
+        monkeypatch.setattr(godement.groups, "_word_plan", lambda t, letters: calls.append(t) or real(t, letters))
+        for t in (group_from_json(group_to_json(build_symmetric(4))), max_semilattice(40)):
+            _generating_set(t)
+            _generator_words(t)
+            validate_group(t)
+            assert calls == [t]
+            calls.clear()
+
+    def test_semilattice_keeps_every_element_and_reports_the_same(self):
+        # a search from the identity per kept generator costs about |G|^3 here
+        t = max_semilattice(600)
+        gens, diameter = _generating_set(t)
+        assert gens.tolist() == list(range(1, 600)) and diameter == 1
+        assert validate_group(t).violations == (
+            Violation("right_inverse", (1,)), Violation("left_inverse", (1,)),
+            Violation("latin_row", (1,)), Violation("latin_col", (1,)),
+        )
+
+
 class TestQuaternion:
     def test_basics(self, q8):
         assert q8.order == 8
@@ -388,6 +450,34 @@ class TestJson:
         obj = group_to_json(z2)
         del obj["labels"]
         assert group_from_json(obj).labels == ("0", "1")
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("order, identity", [(np.int64(3), 0), (3, np.int64(0)), (np.int32(3), np.uint8(0))])
+    def test_numpy_integers_are_stored_as_ints(self, order, identity):
+        # a numpy order or identity once stayed numpy, and its JSON did not serialize
+        z3 = build_cyclic(3)
+        t = GroupTable(order, z3.mult, z3.inv, identity, z3.labels)
+        assert type(t.order) is int and type(t.identity) is int
+        assert json.loads(json.dumps(group_to_json(t))) == group_to_json(z3)
+        f = random_matfun(t, 1, 0)
+        assert json.loads(json.dumps(matfun_to_json(f)))["group"] == group_to_json(z3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("order", 3.0), ("order", True), ("order", "3"), ("order", np.float64(3.0)),
+        ("identity", 0.0), ("identity", False), ("identity", "0"),
+    ])
+    def test_non_integers_are_refused(self, field, value):
+        # GroupTable(3.0, ...) was accepted, and validate_group then raised IndexError
+        z3 = build_cyclic(3)
+        fields = {"order": 3, "identity": 0, field: value}
+        with pytest.raises(ValueError, match=f"^GroupTable {field} must be an integer, got {re.escape(repr(value))}$"):
+            GroupTable(fields["order"], z3.mult, z3.inv, fields["identity"], z3.labels)
+
+    def test_range_is_left_to_validate_group(self):
+        z3 = build_cyclic(3)
+        t = GroupTable(3, z3.mult, z3.inv, np.int64(5), z3.labels)
+        assert validate_group(t).violations == (Violation("identity_range", (5,)),)
 
 
 class TestSpecs:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -191,17 +192,25 @@ class TestTensorNonneg:
         with pytest.raises(ValueError, match="counts differ"):
             check_tensor_nonneg(reg, random_vectors(2, 6, 1), reg, random_vectors(3, 6, 2))
 
-    @pytest.mark.parametrize("c", [1e-30, 1e-3, 1.0, 1e30])
-    def test_verdict_does_not_depend_on_scale(self, s3, c):
+    @pytest.mark.parametrize("c1, c2", [
+        (1e-30, 1e-30), (1e-3, 1e-3), (1.0, 1.0), (1e30, 1e30),
+        (2.0**-530, 1.0), (2.0**530, 1.0), (2.0**-260, 2.0**-260), (2.0**260, 2.0**260),
+    ], ids=["1e-30", "1e-3", "1", "1e30", "u1-2^-530", "u1-2^530", "both-2^-260", "both-2^260"])
+    def test_verdict_does_not_depend_on_scale(self, s3, c1, c2):
         reg = regular_rep(s3)
         square = tensor_product(reg, reg)
         base = check_tensor_nonneg(reg, random_vectors(2, 6, 2), square, random_vectors(2, 36, 3))
-        report = check_tensor_nonneg(reg, c * random_vectors(2, 6, 2), square, c * random_vectors(2, 36, 3))
+        report = check_tensor_nonneg(reg, c1 * random_vectors(2, 6, 2), square, c2 * random_vectors(2, 36, 3))
         assert base.passed and report.passed
-        # the residuals are relative to ||phi1|| ||phi2||, which scales as c^4 with the sums
-        direct = complex(*report.details["direct_sum"])
-        assert direct == pytest.approx(c**4 * complex(*base.details["direct_sum"]), rel=1e-12)
-        assert report.worst_residual <= 1e-2
+        if max(c1, c2, 1 / c1, 1 / c2) <= 1e30:
+            # the residuals are relative to ||phi1|| ||phi2||, which scales as c1^2 c2^2 with the sums
+            direct = complex(*report.details["direct_sum"])
+            assert direct == pytest.approx(c1**2 * c2**2 * complex(*base.details["direct_sum"]), rel=1e-12)
+            assert report.worst_residual <= 1e-2
+        if math.frexp(c1)[0] == math.frexp(c2)[0] == 0.5:
+            # a power of two is divided out exactly, also where the coefficient
+            # functions or their pairing would underflow or overflow
+            assert report.worst_residual == base.worst_residual
 
     def test_non_representations_are_refused_before_any_work(self, s3):
         # -I at every element is unitary but no homomorphism (its tensor sum

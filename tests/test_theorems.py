@@ -685,7 +685,7 @@ class TestRunSuite:
     def test_merge_keeps_nan(self):
         aggregate = TheoremReport("A", 0, "cyclic:2", 1, 0.0, True)
         for worst in (0.5, float("nan"), 0.25):
-            _merge(aggregate, TheoremReport("A", 1, "cyclic:2", 1, worst, True), None)
+            _merge(aggregate, TheoremReport("A", 1, "cyclic:2", 1, worst, True))
         assert np.isnan(aggregate.worst_residual)
         assert aggregate.trials == 3
 
@@ -721,6 +721,27 @@ class TestRunSuite:
         assert run_suite(SuiteConfig(groups=("s3",), dims=(1, 2), trials=2, seed=8))["passed"]
         assert calls == []
 
+    @pytest.mark.parametrize("theorem", ["A", "B", "C", "lemma_2_1"])
+    def test_a_passing_trial_hands_back_no_counterexample(self, theorem):
+        report, counterexample = godement.theorems._TRIALS[theorem](parse_group_spec("s3"), 2, 7, SuiteConfig())
+        assert report.passed and counterexample is None and report.counterexample is None
+
+    @pytest.mark.parametrize("theorem, patch, inputs", [
+        ("A", ("is_positive_definite", nan_star_gap), 1),
+        ("B", ("inner", lambda a, b: complex(float("nan"), 0.0)), 2),
+        ("C", ("inner", lambda a, b: complex(float("nan"), 0.0)), 3),
+    ])
+    def test_a_failing_trial_serializes_each_input_once(self, monkeypatch, theorem, patch, inputs):
+        # the check that fails writes the counterexample, and _merge keeps it as written
+        monkeypatch.setattr(godement.theorems, *patch)
+        calls = []
+        monkeypatch.setattr(godement.theorems, "matfun_to_json", lambda f: calls.append(f) or matfun_to_json(f))
+        aggregate = TheoremReport(theorem, 0, "symmetric:3", 2, 0.0, True)
+        report, counterexample = godement.theorems._TRIALS[theorem](parse_group_spec("s3"), 2, 7, SuiteConfig())
+        _merge(aggregate, report)
+        assert not aggregate.passed and len(calls) == inputs == len(counterexample)
+        assert aggregate.counterexample is counterexample is report.counterexample
+
     def test_counterexample_is_the_serialized_inputs_and_replays(self, monkeypatch):
         # a NaN inner product fails B, C and Lemma 2.1; a NaN star gap fails A
         monkeypatch.setattr(godement.theorems, "inner", lambda a, b: complex(float("nan"), 0.0))
@@ -735,11 +756,16 @@ class TestRunSuite:
             "lemma_2_1": lambda f: check_inner_trace(f["phi"], f["psi"]),
         }
         assert {r["theorem"] for r in result["reports"]} == set(replay)
+        names = {"A": ["phi"], "B": ["phi", "psi"], "C": ["theta", "phi", "psi"], "lemma_2_1": ["phi", "psi"]}
         for r in result["reports"]:
             assert not r["passed"]
             # the first failing trial is trial 0, regenerated from its coordinates
             seed = derive_seed(config.seed, r["theorem"], grp.name, 2, 0)
-            _, inputs = godement.theorems._TRIALS[r["theorem"]](grp, 2, seed, config)
+            _, counterexample = godement.theorems._TRIALS[r["theorem"]](grp, 2, seed, config)
+            assert json.dumps(r["counterexample"], sort_keys=True) == json.dumps(counterexample, sort_keys=True)
+            # its inputs are the suite's draws, A's at the trial seed and the others' at seeds derived by name
+            inputs = {name: make_pd(random_matfun(grp, 2, seed if r["theorem"] == "A" else derive_seed(seed, name)))
+                      for name in names[r["theorem"]]}
             expected = {name: matfun_to_json(f) for name, f in inputs.items()}
             assert json.dumps(r["counterexample"], sort_keys=True) == json.dumps(expected, sort_keys=True)
             loaded = {name: matfun_from_json(obj) for name, obj in r["counterexample"].items()}
