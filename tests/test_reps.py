@@ -195,7 +195,7 @@ class TestTensorNonneg:
     @pytest.mark.parametrize("c1, c2", [
         (1e-30, 1e-30), (1e-3, 1e-3), (1.0, 1.0), (1e30, 1e30),
         (2.0**-530, 1.0), (2.0**530, 1.0), (2.0**-260, 2.0**-260), (2.0**260, 2.0**260),
-    ], ids=["1e-30", "1e-3", "1", "1e30", "u1-2^-530", "u1-2^530", "both-2^-260", "both-2^260"])
+    ], ids=["1e-30", "0.001", "1.0", "1e+30", "u1-2^-530", "u1-2^530", "both-2^-260", "both-2^260"])
     def test_verdict_does_not_depend_on_scale(self, s3, c1, c2):
         reg = regular_rep(s3)
         square = tensor_product(reg, reg)
