@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 
 from .groups import _standard_spec, canonical_spec, group_to_json, parse_group_spec
 from .matfun import _complex_normals, make_pd, matfun_from_json, matfun_to_json, random_matfun
-from .operators import DEFAULT_PD_TOL, is_positive_definite, spectral_truncate
+from .operators import is_positive_definite, spectral_truncate
 from .reps import _check_rep_size, check_tensor_nonneg, regular_rep, tensor_product
 from .roots import _ROOT_TOL, ConvergenceError, sqrt_iterative, sqrt_spectral
 from .theorems import SuiteConfig, derive_seed, run_suite
@@ -67,7 +67,7 @@ def _cmd_sample_pd(args) -> int:
 
 def _cmd_certify(args) -> int:
     phi = _load_matfun(args.file, args.group)
-    cert = is_positive_definite(phi, args.tol)
+    cert = is_positive_definite(phi)
     _emit(cert.to_json(), args.out)
     return EXIT_OK if cert.ok else EXIT_PROPERTY_FAILURE
 
@@ -156,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify positive definiteness of a MatFun file")
     p.add_argument("file")
     p.add_argument("--group", help="expected group spec; mismatch with the file is an error")
-    p.add_argument("--tol", type=float, default=DEFAULT_PD_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_certify)
 

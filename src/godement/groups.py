@@ -319,14 +319,17 @@ def group_to_json(t: GroupTable) -> dict:
     }
 
 
-def _json_ints(value: object, field: str) -> np.ndarray:
-    """Nested lists of JSON integers as an intp array.  numpy would truncate
-    a float, parse a string and take a bool as 0 or 1, so each is refused."""
+def _json_numbers(value: object, field: str, types: tuple[type, ...] = (int,)) -> np.ndarray:
+    """Nested lists of JSON numbers of the given types, by default integers,
+    as an intp array, or float64 when float is among them.  numpy would
+    truncate a float, parse a string and take a bool as 0 or 1, and keeps
+    the lists of a ragged list, so each is refused."""
     array = np.array(value, dtype=object)
-    wrong = set(map(type, array.flat)) - {int}  # a bool is an int to isinstance
+    wrong = set(map(type, array.flat)) - set(types)  # a bool is an int to isinstance
     if wrong:
-        raise ValueError(f"{field} must hold JSON integers, not {', '.join(sorted(t.__name__ for t in wrong))}")
-    return array.astype(np.intp)
+        kind = "numbers" if float in types else "integers"
+        raise ValueError(f"{field} must hold JSON {kind}, not {', '.join(sorted(t.__name__ for t in wrong))}")
+    return array.astype(np.float64 if float in types else np.intp)
 
 
 def group_from_json(obj: dict, name: str = "custom") -> GroupTable:
@@ -340,7 +343,7 @@ def group_from_json(obj: dict, name: str = "custom") -> GroupTable:
         labels = obj.get("labels", [str(i) for i in range(order)])
         if not (isinstance(labels, list) and len(labels) == order and all(isinstance(s, str) for s in labels)):
             raise ValueError(f"labels must be a list of {order} strings")
-        mult, inv = _json_ints(obj["mult"], "mult"), _json_ints(obj["inv"], "inv")
+        mult, inv = _json_numbers(obj["mult"], "mult"), _json_numbers(obj["inv"], "inv")
         return GroupTable(order=order, mult=mult, inv=inv, identity=identity, labels=tuple(labels), name=name)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed group JSON: {exc}") from exc
@@ -415,11 +418,20 @@ def _spec_order(spec: str) -> int:
 _SPEC_TABLES: dict[str, GroupTable] = {}
 
 
-# Largest array, in bytes, that a spec's Cayley table or a representation in
-# reps forms: z16384's table (2 GiB) and s4's regular x regular (127 MB) fit,
-# z16385's table, z1000's regular representation (14.9 GiB) and s5's
-# regular x regular (371 GiB) do not.
+# Largest array, in bytes, whose size comes from input: a spec's Cayley table,
+# a representation in reps, a draw or a zero function in matfun.  z16384's
+# table (2 GiB) and s4's regular x regular (127 MB) fit, z16385's table,
+# z1000's regular representation (14.9 GiB) and s5's regular x regular
+# (371 GiB) do not.
 _MAX_ARRAY_BYTES = 2 * 2**30
+
+
+def _check_array_size(nbytes: int, what: str, array: str) -> None:
+    """Raise ValueError when what needs an array of nbytes over _MAX_ARRAY_BYTES:
+    the one size rule, which callers apply before they allocate."""
+    if nbytes > _MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} needs a {nbytes / 2**30:.1f} GiB {array}, "
+                         f"over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
 
 
 def parse_group_spec(spec: str) -> GroupTable:
@@ -431,10 +443,7 @@ def parse_group_spec(spec: str) -> GroupTable:
     table = _SPEC_TABLES.get(canon)
     if table is None:
         order = _spec_order(canon)
-        size = order * order * np.dtype(np.intp).itemsize
-        if size > _MAX_ARRAY_BYTES:
-            raise ValueError(f"group {canon} of order {order} needs a {size / 2**30:.1f} GiB Cayley table, "
-                             f"over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
+        _check_array_size(order * order * np.dtype(np.intp).itemsize, f"group {canon} of order {order}", "Cayley table")
         tables = [_KINDS[kind].build(m) for kind, m in _factors(canon)]
         table = _SPEC_TABLES.setdefault(canon, functools.reduce(direct_product, tables))
     return table

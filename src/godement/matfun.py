@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, _as_int, _standard_spec, _violations, group_from_json, group_to_json, parse_group_spec
+from .groups import (GroupTable, _as_int, _check_array_size, _json_numbers, _standard_spec, _violations,
+                     group_from_json, group_to_json, parse_group_spec)
 
 __all__ = [
     "MatFun",
@@ -224,17 +225,23 @@ def l2_norm(a: MatFun) -> float:
     return _l2(a.values)
 
 
+def _zeros(group: GroupTable, n: int) -> np.ndarray:
+    """(|G|, n, n) complex128 zeros, once n and the array's size are checked."""
+    n = _check_n(n)
+    _check_array_size(16 * group.order * n * n, f"a function of dimension {n} on {group.order} elements",
+                      "complex128 array")
+    return np.zeros((group.order, n, n), dtype=np.complex128)
+
+
 def delta_identity(group: GroupTable, n: int) -> MatFun:
     """The convolution unit: identity matrix at e, zero elsewhere."""
-    n = _check_n(n)
-    vals = np.zeros((group.order, n, n), dtype=np.complex128)
+    vals = _zeros(group, n)
     vals[group.identity] = np.eye(n)
     return MatFun(group, n, vals)
 
 
 def zero_matfun(group: GroupTable, n: int) -> MatFun:
-    n = _check_n(n)
-    return MatFun(group, n, np.zeros((group.order, n, n), dtype=np.complex128))
+    return MatFun(group, n, _zeros(group, n))
 
 
 _STREAMS = threading.local()
@@ -250,7 +257,8 @@ def _complex_normals(seed: int, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     buffer, so setting that state (key, counter 0, empty buffer) on this
     thread's one generator gives the stream Generator(Philox(key)) would,
     without building one.  The generator never leaves this function, so
-    no caller can hold it across another draw.
+    no caller can hold it across another draw.  A shape over the size limit
+    (groups._check_array_size) raises ValueError before it is drawn.
     """
     rg = getattr(_STREAMS, "generator", None)
     if rg is None:
@@ -265,6 +273,7 @@ def _complex_normals(seed: int, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     }
     draws = []
     for shape in shapes:
+        _check_array_size(16 * math.prod(shape), "a complex Gaussian draw", "complex128 array")
         parts = rg.standard_normal((2, *shape))
         # (re + 1j im) / sqrt(2) bit for bit: numpy's division by sqrt(2) + 0j
         # multiplies both parts by 1 / sqrt(2)
@@ -314,8 +323,8 @@ def _json_values(obj: dict, order: int, n: int) -> np.ndarray:
         raise _malformed("expected exactly one of values_b64 and values")
     if "values" in obj:
         try:
-            raw = np.ascontiguousarray(obj["values"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            raw = _json_numbers(obj["values"], "values", (int, float))
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int past the float range
             raise _malformed(exc) from exc
         if raw.shape != (order, n, n, 2):
             raise _malformed(f"values have shape {raw.shape}, expected ({order}, {n}, {n}, 2)")

@@ -2,12 +2,13 @@
 
 For a matrix function a, the operator (conv_matrix) has n x n block
 (x, y) equal to a(x y^-1), acting on vector functions flattened with
-index g*n + component.  Positive definiteness of a is certified two
-independent ways: via the spectrum of this operator, taken block by
-block in the Fourier basis of the group (see fourier), and via the
-pointwise Gram matrix with block (i, j) = a(i^-1 j).  The dense matrix
-(conv_matrix, decompose, extract_kernel) stays as the reference the
-block route is tested against.
+index g*n + component.  Positive definiteness of a is the one verdict
+_certificate gives at DEFAULT_PD_TOL from a spectrum of this operator,
+taken block by block in the Fourier basis of the group (see fourier).
+The dense matrix (conv_matrix, decompose, extract_kernel) stays as the
+reference the block route is tested against; the pointwise Gram matrix
+with block (i, j) = a(i^-1 j) is that matrix relabeled by inversion, so
+gram_pd_check is the dense route, not a second one.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class SpectralDecomposition:
     operator_norm: float
 
     def certificate(self) -> "PDCertificate":
-        """The PD verdict of C, as is_positive_definite gives it by default."""
-        return _certificate(self.eigenvalues, self.hermitian_gap)
+        """The PD verdict of C, as is_positive_definite gives it."""
+        return _certificate(self)
 
     def projector_leq(self, t: float) -> np.ndarray:
         """Orthogonal projector onto eigenvectors with eigenvalue <= t,
@@ -121,12 +122,6 @@ class PDCertificate:
         return asdict(self)
 
 
-def _blocks_to_matrix(values: np.ndarray, idx: np.ndarray, order: int, n: int) -> np.ndarray:
-    # values: (|G|, n, n); idx: (|G|, |G|) of element indices per block
-    blocks = values[idx]  # (|G|, |G|, n, n)
-    return blocks.transpose(0, 2, 1, 3).reshape(order * n, order * n)
-
-
 def conv_matrix(a: MatFun) -> ConvMatrix:
     """Matrix of left convolution by a: block(x, y) = a(x y^-1)."""
     return ConvMatrix(a.group, a.n, _conv_operator(a.group, a.values))
@@ -148,24 +143,23 @@ def _check_tol(tol: float, name: str = "tol") -> None:
         raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
-def _verdict(min_eig: float, gap: float, scale: float, tol: float) -> str:
-    """The one PD verdict: Hermitian within tol * scale, and no eigenvalue
-    below -tol * scale.  Written so that a NaN anywhere never passes; a tol
-    that is negative, infinite or NaN raises ValueError, since an infinite
-    one would pass every input and a NaN one fail every input."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
-    if not gap <= tol * scale:
+def _verdict(min_eig: float, gap: float, scale: float) -> str:
+    """The one PD verdict: Hermitian within DEFAULT_PD_TOL * scale, and no
+    eigenvalue below -DEFAULT_PD_TOL * scale.  Written so that a NaN
+    anywhere never passes."""
+    if not gap <= DEFAULT_PD_TOL * scale:
         return "not_hermitian"
-    if min_eig >= -tol * scale:
+    if min_eig >= -DEFAULT_PD_TOL * scale:
         return "positive_definite"
     return "not_positive_definite"
 
 
-def _certificate(eigenvalues: np.ndarray, gap: float, tol: float = DEFAULT_PD_TOL) -> PDCertificate:
-    min_eig = float(eigenvalues[0])
-    norm = max(abs(min_eig), abs(float(eigenvalues[-1])))
-    return PDCertificate(_verdict(min_eig, gap, norm, tol), min_eig, gap, norm)
+def _certificate(spectrum: FourierSpectrum | SpectralDecomposition) -> PDCertificate:
+    """The PD verdict of an operator from its spectrum, Fourier or dense:
+    ascending eigenvalues of its Hermitian part H, its Hermitian gap and ||H||_2."""
+    min_eig = float(spectrum.eigenvalues[0])
+    gap, norm = spectrum.hermitian_gap, spectrum.operator_norm
+    return PDCertificate(_verdict(min_eig, gap, norm), min_eig, gap, norm)
 
 
 def decompose(op: ConvMatrix) -> SpectralDecomposition:
@@ -187,36 +181,33 @@ def _certified_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     """The Fourier block spectrum of a, which also certifies it: raises
     NotPositiveDefiniteError unless a is positive definite at DEFAULT_PD_TOL."""
     spectrum = fourier_spectrum(a, vectors=vectors)
-    verdict = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap).verdict
+    verdict = _certificate(spectrum).verdict
     if verdict != "positive_definite":
         raise NotPositiveDefiniteError(f"input is not positive definite: {verdict}")
     return spectrum
 
 
-def is_positive_definite(a: MatFun, tol: float = DEFAULT_PD_TOL) -> PDCertificate:
+def is_positive_definite(a: MatFun) -> PDCertificate:
     """Certify positivity of the convolution operator C of a.
 
-    Verdict is positive_definite iff ||C - C^H||_F <= tol * ||H||_2, with
-    H the Hermitian part of C, and the minimum eigenvalue of H is
-    >= -tol * ||H||_2.  Both are relative, so the verdict is scale
-    invariant.  The eigenvalues come from the Fourier blocks of H, one
-    batched eigvalsh per block size, and the gap from a itself:
+    Verdict is positive_definite iff ||C - C^H||_F <= DEFAULT_PD_TOL *
+    ||H||_2, with H the Hermitian part of C, and the minimum eigenvalue of
+    H is >= -DEFAULT_PD_TOL * ||H||_2.  Both are relative, so the verdict
+    is scale invariant.  The eigenvalues come from the Fourier blocks of
+    H, one batched eigvalsh per block size, and the gap from a itself:
     ||C - C^H||_F = sqrt(|G|) ||a - a*||_F.
     """
-    spectrum = fourier_spectrum(a, vectors=False)
-    return _certificate(spectrum.eigenvalues, spectrum.hermitian_gap, tol)
+    return _certificate(fourier_spectrum(a, vectors=False))
 
 
 def gram_pd_check(a: MatFun) -> bool:
     """Pointwise Gram test: the block matrix M(i, j) = a(i^-1 j) must be PSD.
 
-    Independent of conv_matrix; the two certifications must agree on
-    every input at DEFAULT_PD_TOL, and share the verdict routine.
+    M is conv_matrix(a) with block rows and columns relabeled by
+    inversion, since block (i^-1, j^-1) of C is a(i^-1 j), so the test is
+    the dense route: decompose(conv_matrix(a)).certificate().ok.
     """
-    g = a.group
-    idx = g.mult[g.inv]  # idx[i, j] = i^-1 * j
-    herm, gap, _ = _hermitian_split(_blocks_to_matrix(a.values, idx, g.order, a.n))
-    return _certificate(np.linalg.eigvalsh(herm), gap).ok
+    return decompose(conv_matrix(a)).certificate().ok
 
 
 def hermitian_symmetry_residual(a: MatFun) -> float:
@@ -304,4 +295,4 @@ def pd_order_leq(a: MatFun, b: MatFun) -> bool:
     scale = max(is_positive_definite(a).operator_norm, is_positive_definite(b).operator_norm)
     spectrum = fourier_spectrum(subtract(b, a), vectors=False)
     min_eig = float(spectrum.eigenvalues[0])
-    return _verdict(min_eig, spectrum.hermitian_gap, scale, DEFAULT_PD_TOL) == "positive_definite"
+    return _verdict(min_eig, spectrum.hermitian_gap, scale) == "positive_definite"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _MAX_ARRAY_BYTES, GroupTable, _generating_set
+from .groups import GroupTable, _check_array_size, _generating_set
 from .matfun import MatFun, _power_of_two_unit, conjugate, inner
 from .theorems import _PAIR_TOL, TheoremReport, _pair_check
 
@@ -69,13 +69,11 @@ def regular_rep(group: GroupTable) -> UnitaryRep:
 
 def _check_rep_size(order: int, dim: int) -> None:
     """Raise ValueError when a representation of dimension dim on order
-    elements, |G| dim^2 complex128 entries, would exceed _MAX_ARRAY_BYTES.
+    elements, |G| dim^2 complex128 entries, would exceed groups._MAX_ARRAY_BYTES.
     It needs only the two numbers, so a caller can refuse a tensor product
     before building its factors."""
-    size = order * dim * dim * 16
-    if size > _MAX_ARRAY_BYTES:
-        raise ValueError(f"representation of dimension {dim} on {order} elements needs "
-                         f"{size / 2**30:.1f} GiB, over the {_MAX_ARRAY_BYTES / 2**30:.0f} GiB limit")
+    _check_array_size(order * dim * dim * 16, f"representation of dimension {dim} on {order} elements",
+                      "complex128 array")
 
 
 def tensor_product(p1: UnitaryRep, p2: UnitaryRep) -> UnitaryRep:

@@ -31,14 +31,8 @@ from .matfun import (
     matfun_to_json,
     subtract,
 )
-from .fourier import FourierSpectrum, count_leq, fourier_spectrum
-from .operators import (
-    DEFAULT_PD_TOL,
-    _certificate,
-    _certified_spectrum,
-    _check_tol,
-    is_positive_definite,
-)
+from .fourier import FourierSpectrum, count_leq
+from .operators import DEFAULT_PD_TOL, _certified_spectrum, _check_tol, is_positive_definite
 from .roots import _ROOT_TOL, ConvergenceError, _iterative_root, _spectral_root
 
 __all__ = [
@@ -116,15 +110,11 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
     _check_tol(iter_tol, "iter_tol")
     group, n = phi.group, phi.n
     report = TheoremReport("A", 1, group.name, n, 0.0, True)
-    spectrum = fourier_spectrum(phi)
-    cert = _certificate(spectrum.eigenvalues, spectrum.hermitian_gap)
-    if not cert.ok:
-        return _failed_a(report, phi, f"input not positive definite ({cert.verdict})")
-
     try:
+        spectrum = _certified_spectrum(phi)
         spectral = _spectral_root(phi, spectrum, tol)
         iterative = _iterative_root(phi, spectrum, iter_tol)
-    except (ConvergenceError, ValueError) as exc:  # ValueError: a root with non-finite entries
+    except (ConvergenceError, ValueError) as exc:  # ValueError: phi not PD, or a root with non-finite entries
         return _failed_a(report, phi, str(exc))
 
     # iterative convergence itself is enforced by ConvergenceError above

@@ -15,6 +15,10 @@ from godement import (
 )
 
 
+# one spec per family and product shape
+ARRAY_LEVEL_SPECS = ("z2", "z6", "klein", "d3", "d4", "q8", "s3", "s4", "z2xz3", "z2xd6")
+
+
 @pytest.fixture(scope="session")
 def z2() -> GroupTable:
     return build_cyclic(2)

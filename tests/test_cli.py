@@ -22,11 +22,13 @@ from godement import (
     matfun_from_json,
     matfun_to_json,
     random_matfun,
+    scale,
     sqrt_iterative,
     sqrt_spectral,
+    subtract,
 )
 from godement.cli import build_parser, main
-from godement.operators import DEFAULT_PD_TOL
+from godement.fourier import fourier_spectrum
 from conftest import legacy_json, phi_21, relabeled_s3
 
 
@@ -102,6 +104,14 @@ class TestSampleCertify:
     def test_group_mismatch_flag(self, tmp_path, z2):
         assert run_cli("certify", write_phi21(tmp_path, z2), "--group", "z6") == 2
 
+    def test_sample_pd_over_the_size_limit_is_input_error(self, s3, monkeypatch, capsys):
+        # --n 20000 on s3 once died in numpy on a 35.8 GiB draw, with a traceback
+        # and exit 1; a limit one byte below the n = 2 draw shows the refusal
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", s3.order * 2 * 2 * 16 - 1)
+        assert run_cli("sample-pd", "--group", "s3", "--n", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "complex Gaussian draw needs" in captured.err
+
     def test_sample_pd_refuses_n_below_one(self, capsys):
         # n = 0 once reached a numpy reshape error
         assert run_cli("sample-pd", "--group", "s3", "--n", "0") == 2
@@ -120,6 +130,40 @@ class TestSampleCertify:
         assert run_cli("certify", str(path)) == 2
         path.write_text("not json at all")
         assert run_cli("certify", str(path)) == 2
+
+
+def write_near_floor(tmp_path, s3) -> str:
+    """make_pd(random_matfun(s3, 2, 3)) with its smallest eigenvalue lambda_0
+    moved to -1e-7 ||H||_2, by subtracting (lambda_0 + 1e-7 s) / lambda_0 times
+    its spectral cut at lambda_0: PD within 1e-6, not within DEFAULT_PD_TOL."""
+    phi = make_pd(random_matfun(s3, 2, 3))
+    spectrum = fourier_spectrum(phi)
+    lam0 = float(spectrum.eigenvalues[0])
+    near = subtract(phi, scale((lam0 + 1e-7 * spectrum.operator_norm) / lam0, spectrum.cut(lam0)))
+    path = tmp_path / "near-floor.json"
+    path.write_text(json.dumps(matfun_to_json(near)))
+    return str(path)
+
+
+class TestOneVerdict:
+    """certify, sqrt and truncate judge positive definiteness at one tolerance."""
+
+    def test_near_floor_file(self, tmp_path, s3, capsys):
+        path = write_near_floor(tmp_path, s3)
+        assert run_cli("certify", path) == 1
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["verdict"] == "not_positive_definite"
+        assert cert["min_eigenvalue"] == pytest.approx(-1e-7 * cert["operator_norm"], rel=1e-6)
+        for argv in (["sqrt", path], ["sqrt", path, "--method", "iterative"], ["truncate", path, "-t", "1.0"]):
+            assert run_cli(*argv) == 2, argv
+            assert "input is not positive definite" in capsys.readouterr().err
+
+    def test_certify_has_no_tol(self, tmp_path, s3, capsys):
+        # certify --tol 1e-6 once passed the near-floor file that sqrt and truncate refuse
+        with pytest.raises(SystemExit) as exc:
+            run_cli("certify", write_near_floor(tmp_path, s3), "--tol", "1e-6")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestCustomTable:
@@ -243,14 +287,6 @@ class TestSqrt:
 class TestInvalidTolerances:
     """A tolerance or threshold no check can use is an input error (exit 2), not a verdict."""
 
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_certify(self, tmp_path, s3, capsys, tol):
-        # random_matfun is neither Hermitian nor PD: --tol inf used to certify it
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps(matfun_to_json(random_matfun(s3, 2, 3))))
-        assert run_cli("certify", str(path), "--tol", tol) == 2
-        assert "tol must be nonnegative and finite" in capsys.readouterr().err
-
     @pytest.mark.parametrize("method", ["spectral", "iterative"])
     @pytest.mark.parametrize("tol", ["nan", "0", "inf"])
     def test_sqrt(self, tmp_path, z2, capsys, method, tol):
@@ -335,8 +371,9 @@ class TestSuite:
 
     def test_parser_defaults_are_the_librarys(self):
         parser = build_parser()
-        pd_tol = inspect.signature(is_positive_definite).parameters["tol"].default
-        assert parser.parse_args(["certify", "phi.json"]).tol == pd_tol == DEFAULT_PD_TOL
+        # every PD verdict is at DEFAULT_PD_TOL: neither certify nor the library sets another
+        assert "tol" not in vars(parser.parse_args(["certify", "phi.json"]))
+        assert list(inspect.signature(is_positive_definite).parameters) == ["a"]
         root_tols = {inspect.signature(f).parameters["tol"].default
                      for f in (sqrt_spectral, sqrt_iterative, check_theorem_a)}
         for method in ("spectral", "iterative"):
@@ -377,6 +414,16 @@ class TestRepDemo:
         assert peak < 10 * 2**20
         captured = capsys.readouterr()
         assert captured.out == "" and "over the 2 GiB limit" in captured.err
+
+    def test_draw_over_the_size_limit_is_input_error(self, s3, monkeypatch, capsys):
+        # --n 200000000 on s3 once died in numpy on a 17.9 GiB draw; with the limit
+        # at s3's regular representation, 37 vectors of dimension 6 pass it
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", s3.order**3 * 16)
+        assert run_cli("rep-demo", "--group", "s3", "--n", "36") == 0
+        capsys.readouterr()
+        assert run_cli("rep-demo", "--group", "s3", "--n", "37") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "complex Gaussian draw needs" in captured.err
 
     def test_regular_too_large_is_input_error(self, capsys):
         # z1000's regular representation would take 14.9 GiB; it once reached

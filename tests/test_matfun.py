@@ -464,6 +464,18 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^MatFun dimension n must be an integer, got {n!r}$"):
                 build(z2, n)
 
+    @pytest.mark.parametrize("build", [zero_matfun, delta_identity, lambda g, n: random_matfun(g, n, 0)],
+                             ids=["zero_matfun", "delta_identity", "random_matfun"])
+    def test_size_limit_is_checked_before_allocating(self, s3, monkeypatch, build):
+        # n = 20000 on s3 once asked numpy for 35.8 GiB; a limit one byte below
+        # the n = 2 function shows the refusal without a large array
+        size = s3.order * 2 * 2 * 16
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size)
+        assert build(s3, 2).n == 2
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size - 1)
+        with pytest.raises(ValueError, match="GiB complex128 array, over the 0 GiB limit"):
+            build(s3, 2)
+
     def test_numpy_dimension_is_kept_as_a_plain_int(self, s3):
         # an np.int64 n once stayed on the MatFun, and json.dumps raised TypeError
         phi = random_matfun(s3, np.int64(2), 1)
@@ -691,6 +703,22 @@ class TestMalformedValues:
         both = {"values_b64": _PHI21_B64, "values": legacy_json(phi_21(z2))["values"]}
         obj = {"group_id": "cyclic:2", "n": 1, **{key: both[key] for key in keys}}
         self.assert_refused(obj, tmp_path, capsys, "malformed MatFun JSON: expected exactly one of values_b64 and values")
+
+    @pytest.mark.parametrize("entry, refusal", [
+        ("x", "values must hold JSON numbers, not str"),
+        ("1.23", "values must hold JSON numbers, not str"),
+        (False, "values must hold JSON numbers, not bool"),
+        ([0.0], "values must hold JSON numbers, not list"),
+        (1, None),
+    ], ids=["string", "numeric-string", "bool", "ragged", "int"])
+    def test_legacy_values_must_be_json_numbers(self, entry, refusal, z2, tmp_path, capsys):
+        # numpy once parsed "1.23" and read false as 0.0, so certify passed such files
+        obj = legacy_json(phi_21(z2))
+        obj["values"][1][0][0][1] = entry  # the imaginary part of phi(1)
+        if refusal is None:
+            assert matfun_from_json(obj).values[1, 0, 0] == 1.0 + 1.0j
+        else:
+            self.assert_refused(obj, tmp_path, capsys, f"^malformed MatFun JSON: {refusal}$")
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_n_must_be_positive(self, n, tmp_path, capsys):

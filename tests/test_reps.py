@@ -57,9 +57,9 @@ class TestRegularRep:
 
     def test_size_limit_is_inclusive(self, q8, monkeypatch):
         size = q8.order * q8.order**2 * 16
-        monkeypatch.setattr(godement.reps, "_MAX_ARRAY_BYTES", size)
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size)
         assert regular_rep(q8).dim == 8
-        monkeypatch.setattr(godement.reps, "_MAX_ARRAY_BYTES", size - 1)
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size - 1)
         with pytest.raises(ValueError, match="limit"):
             regular_rep(q8)
 
@@ -105,9 +105,9 @@ class TestTensorProduct:
     def test_size_limit_is_inclusive(self, q8, monkeypatch):
         reg = regular_rep(q8)
         size = q8.order * (reg.dim * reg.dim) ** 2 * 16
-        monkeypatch.setattr(godement.reps, "_MAX_ARRAY_BYTES", size)
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size)
         assert tensor_product(reg, reg).dim == 64
-        monkeypatch.setattr(godement.reps, "_MAX_ARRAY_BYTES", size - 1)
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size - 1)
         with pytest.raises(ValueError, match="limit"):
             tensor_product(reg, reg)
 

@@ -58,7 +58,7 @@ from godement import (
 )
 from godement.cli import main
 from godement.theorems import _classify_magnitude, _in_range, _merge, derive_seed
-from conftest import phi_21, random_pd
+from conftest import ARRAY_LEVEL_SPECS, phi_21, random_pd
 
 
 class TestTheoremA:
@@ -228,7 +228,7 @@ class TestTheoremA:
     @pytest.mark.parametrize("bad", [0.0, -1e-9, float("nan"), float("inf")])
     def test_bad_tolerance_raises_before_any_work(self, s3, monkeypatch, name, bad):
         # an invalid argument is the caller's error, not a failed theorem with phi as its counterexample
-        monkeypatch.setattr(godement.theorems, "fourier_spectrum", lambda *a, **k: pytest.fail("work was done"))
+        monkeypatch.setattr(godement.theorems, "_certified_spectrum", lambda *a, **k: pytest.fail("work was done"))
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
             check_theorem_a(random_pd(s3, 2, seed=1), **{name: bad})
 
@@ -272,13 +272,12 @@ class TestTheoremA:
     (pd_order_leq, ["a", "b"]),
     (decompose, ["op"]),
     (SpectralDecomposition.certificate, ["self"]),
-    (is_positive_definite, ["a", "tol"]),
+    (is_positive_definite, ["a"]),
 ])
 def test_checks_take_only_the_tolerances_they_use(check, params):
     # Theorem A's agreement bound is derived and the pair checks judge at
     # _PAIR_TOL; the two root tolerances left are each used (test_each_tolerance_is_used).
-    # Below the tolerances a caller sets (certify --tol, sqrt --tol) every PD
-    # verdict is at DEFAULT_PD_TOL.
+    # Every PD verdict is at DEFAULT_PD_TOL, so certify, sqrt and truncate agree on it.
     assert list(inspect.signature(check).parameters) == params
 
 
@@ -288,10 +287,6 @@ def loop_trace_checks(trace, phi_trace):
     monotone = all(trace[i + 1] - trace[i] >= dip_floor for i in range(len(trace) - 1))
     bounded = all(v * v <= phi_trace * (1.0 + 1e-12) for v in trace)
     return monotone, bounded
-
-
-# one spec per family and product shape
-ARRAY_LEVEL_SPECS = ("z2", "z6", "klein", "d3", "d4", "q8", "s3", "s4", "z2xz3", "z2xd6")
 
 
 @pytest.mark.parametrize("spec", ARRAY_LEVEL_SPECS + ("s5",))
