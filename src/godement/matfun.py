@@ -87,12 +87,15 @@ def _conv_index(group: GroupTable, n: int) -> np.ndarray:
     idx[x, y] n^2 + i n + k with idx = mult[:, inv].  Built once per
     (table, n) and cached on the table instance under the key n; threads
     that race on a first build compute equal arrays and setdefault keeps
-    one of them.
+    one of them.  The first build raises ValueError when the complex128
+    operator the index gathers would pass groups._MAX_ARRAY_BYTES.
     """
     cache = group._cache
     index = cache.get(n)
     if index is None:
         order = group.order
+        _check_array_size(16 * (order * n) ** 2, f"a convolution operator of dimension {n} on {order} elements",
+                          "complex128 matrix")
         blocks = group.mult[:, group.inv] * (n * n)
         within = np.arange(n)[:, None] * n + np.arange(n)[None, :]
         index = (blocks[:, None, :, None] + within[None, :, None, :]).reshape(order * n, order * n)

@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .fourier import FourierSpectrum, count_leq, fourier_spectrum
+from .fourier import FourierSpectrum, fourier_spectrum
 from .groups import GroupTable, _generating_set
-from .matfun import MatFun, _adjoint, _conv_operator, _power_of_two_unit, subtract
+from .matfun import MatFun, _adjoint, _conv_operator, _power_of_two_unit
 
 __all__ = [
     "ConvMatrix",
@@ -33,11 +33,9 @@ __all__ = [
     "is_positive_definite",
     "gram_pd_check",
     "hermitian_symmetry_residual",
-    "right_translation_matrix",
     "translation_commutant_residual",
     "extract_kernel",
     "spectral_truncate",
-    "pd_order_leq",
     "DEFAULT_PD_TOL",
 ]
 
@@ -91,12 +89,6 @@ class SpectralDecomposition:
     def certificate(self) -> "PDCertificate":
         """The PD verdict of C, as is_positive_definite gives it."""
         return _certificate(self)
-
-    def projector_leq(self, t: float) -> np.ndarray:
-        """Orthogonal projector onto eigenvectors with eigenvalue <= t,
-        widened to whole clusters of degenerate eigenvalues (fourier.count_leq)."""
-        cols = self.eigenvectors[:, :count_leq(self.eigenvalues, t)]
-        return cols @ cols.conj().T
 
 
 @dataclass(frozen=True)
@@ -216,16 +208,6 @@ def hermitian_symmetry_residual(a: MatFun) -> float:
     return float(np.max(np.linalg.norm(gap, axis=(1, 2)))) if a.group.order else 0.0
 
 
-def right_translation_matrix(group: GroupTable, n: int, x: int) -> ConvMatrix:
-    """Unitary permutation-block matrix of (R(x) u)(g) = u(g x)."""
-    if not 0 <= x < group.order:
-        raise ValueError(f"element index {x} out of range")
-    perm = group.mult[:, x]  # row g picks up the value at g*x
-    p = np.zeros((group.order, group.order))
-    p[np.arange(group.order), perm] = 1.0
-    return ConvMatrix(group, n, np.kron(p, np.eye(n)))
-
-
 def _translated(data: np.ndarray, group: GroupTable, n: int, x: int) -> np.ndarray:
     # R(x) T R(x)^-1 re-indexes blocks: result[g, h] = T[g x, h x]; no arithmetic.
     flat = (group.mult[:, x][:, None] * n + np.arange(n)[None, :]).reshape(-1)
@@ -282,17 +264,3 @@ def spectral_truncate(a: MatFun, t: float) -> MatFun:
     if not math.isfinite(t):
         raise ValueError(f"threshold must be finite, got {t!r}")
     return _certified_spectrum(a).cut(t)
-
-
-def pd_order_leq(a: MatFun, b: MatFun) -> bool:
-    """True iff b - a is positive definite (the PD cone ordering) at DEFAULT_PD_TOL.
-
-    The reference size of the verdict is the larger operand's operator
-    norm as is_positive_definite measures it, not that of the difference
-    itself: when a and b agree to rounding, the difference is pure noise
-    and must still count as comparable.
-    """
-    scale = max(is_positive_definite(a).operator_norm, is_positive_definite(b).operator_norm)
-    spectrum = fourier_spectrum(subtract(b, a), vectors=False)
-    min_eig = float(spectrum.eigenvalues[0])
-    return _verdict(min_eig, spectrum.hermitian_gap, scale) == "positive_definite"

@@ -62,8 +62,8 @@ def regular_rep(group: GroupTable) -> UnitaryRep:
     order = group.order
     _check_rep_size(order, order)
     mats = np.zeros((order, order, order), dtype=np.complex128)
-    for g in range(order):
-        mats[g, group.mult[g], np.arange(order)] = 1.0
+    elements = np.arange(order)
+    mats[elements[:, None], group.mult, elements] = 1.0
     return UnitaryRep(group, order, mats)
 
 
@@ -126,9 +126,7 @@ def matrix_coeff_fun(rep: UnitaryRep, vectors: list[np.ndarray] | np.ndarray) ->
         raise ValueError("vectors must be a list of equal-length 1-d arrays")
     if u.shape[1] != rep.dim:
         raise ValueError(f"vector length {u.shape[1]} does not match dim {rep.dim}")
-    basis = u.T  # columns are the vectors
-    vals = np.einsum("ri,grc,cj->gij", np.conj(basis), rep.matrices, basis, optimize=True)
-    return MatFun(rep.group, u.shape[0], vals)
+    return MatFun(rep.group, u.shape[0], u.conj() @ rep.matrices @ u.T)  # U = u.T
 
 
 def check_tensor_nonneg(

@@ -1,4 +1,4 @@
-"""Convolution square roots and spectral cuts in the group algebra.
+"""Convolution square roots in the group algebra.
 
 Every positive definite phi has a unique positive definite psi with
 phi = psi * psi (convolution).  Two independent constructions are
@@ -41,7 +41,6 @@ __all__ = [
     "ConvergenceError",
     "sqrt_spectral",
     "sqrt_iterative",
-    "truncation_sequence",
 ]
 
 
@@ -255,19 +254,3 @@ def _block_steps(phi: MatFun, basis: FourierBasis, s: float, tol: float, cap: in
     trace_scale = root_scale / math.sqrt(phi.group.order)
     values = basis.kernel([y[rows, cols, cols] for rows, cols in corners])
     return root_scale * values, residual, [trace_scale * v for v in norms]
-
-
-def truncation_sequence(phi: MatFun, thresholds: list[float]) -> list[MatFun]:
-    """Spectral cuts of phi at an ascending list of thresholds.
-
-    All cuts share one Fourier spectrum, which also certifies phi, so
-    their convolution operators commute exactly and the sequence
-    increases toward phi in the PD ordering as the thresholds pass the
-    top eigenvalue.  Every threshold must be finite.
-    """
-    if not all(math.isfinite(t) for t in thresholds):
-        raise ValueError(f"thresholds must be finite, got {list(thresholds)!r}")
-    if list(thresholds) != sorted(thresholds):
-        raise ValueError("thresholds must be ascending")
-    spectrum = _certified_spectrum(phi)
-    return [spectrum.cut(t) for t in thresholds]

@@ -26,7 +26,6 @@ from godement import (
     l2_norm,
     make_pd,
     matrix_coeff_fun,
-    pd_order_leq,
     random_matfun,
     regular_rep,
     scale,
@@ -40,6 +39,7 @@ from godement import (
 )
 from godement.reps import check_tensor_nonneg
 from godement.theorems import derive_seed
+from dense_oracle import pd_order_leq, projector_leq
 
 ACCEPTANCE_SEED = 20240831
 
@@ -188,7 +188,7 @@ def test_criterion_5_truncation_machinery():
         thresholds = [float(t) for t in np.quantile(sd.eigenvalues, [0.15, 0.35, 0.55, 0.75, 1.0])]
         cuts = [spectral_truncate(phi, t) for t in thresholds]
         for t, cut in zip(thresholds, cuts):
-            target = sd.projector_leq(t) @ op.data
+            target = projector_leq(sd, t) @ op.data
             assert np.linalg.norm(conv_matrix(cut).data - target) <= 1e-10 * norm
         for i in range(len(cuts) - 1):
             assert pd_order_leq(cuts[i], cuts[i + 1])

@@ -112,6 +112,16 @@ class TestSampleCertify:
         captured = capsys.readouterr()
         assert captured.out == "" and "complex Gaussian draw needs" in captured.err
 
+    def test_sample_pd_over_the_operator_size_limit_is_input_error(self, monkeypatch, capsys):
+        # --n 3000 on s3 passed the 824 MiB draw's check and died in numpy on the
+        # 2.41 GiB convolution index, exit 1; a fresh s3 table has no index cached,
+        # and a limit between the n = 2 draw and its operator shows the refusal
+        monkeypatch.setattr(godement.groups, "_SPEC_TABLES", {})
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", 16 * (6 * 2) ** 2 - 1)
+        assert run_cli("sample-pd", "--group", "s3", "--n", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "convolution operator of dimension 2 on 6 elements needs" in captured.err
+
     def test_sample_pd_refuses_n_below_one(self, capsys):
         # n = 0 once reached a numpy reshape error
         assert run_cli("sample-pd", "--group", "s3", "--n", "0") == 2

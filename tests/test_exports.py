@@ -9,7 +9,7 @@ import itertools
 import pytest
 
 import godement
-from godement import GroupTable, MatFun, UnitaryRep
+from godement import GroupTable, MatFun, SpectralDecomposition, UnitaryRep
 
 MODULES = ("groups", "matfun", "fourier", "operators", "reps", "roots", "theorems")
 
@@ -49,9 +49,11 @@ def test_module_exports_are_disjoint():
         assert not shared, f"godement.{first} and godement.{second} both export {sorted(shared)}"
 
 
-# removed public names: each was reached only by tests
+# removed public names: each was reached only by tests (dense_oracle keeps
+# the ones the tests still use)
 RETIRED = {
-    "roots": ("poly_apply", "PolySpec"),
+    "roots": ("poly_apply", "PolySpec", "truncation_sequence"),
+    "operators": ("pd_order_leq", "right_translation_matrix"),
     "matfun": ("l1_norm", "VecFun", "convolve_vec", "random_vecfun"),
     "groups": ("build_trivial", "build_klein", "is_abelian"),
     "reps": ("trivial_rep", "rep_to_json"),
@@ -66,11 +68,13 @@ def test_retired_names_stay_out_of_the_api(name):
         assert not hasattr(module, sym) and not hasattr(godement, sym), f"godement.{name}.{sym}"
 
 
-# removed methods: each was a one-line alias of an array lookup that only tests called
+# removed methods: each was a one-line alias of an array lookup, or a dense
+# helper, that only tests called
 RETIRED_METHODS = {
     GroupTable: ("mul", "invert", "elements"),
     MatFun: ("at",),
     UnitaryRep: ("at", "character"),
+    SpectralDecomposition: ("projector_leq",),
 }
 
 

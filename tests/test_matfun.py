@@ -476,6 +476,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="GiB complex128 array, over the 0 GiB limit"):
             build(s3, 2)
 
+    def test_convolution_operator_size_is_checked_before_its_index(self, monkeypatch):
+        # make_pd on s3 at n = 3000 passed the 824 MiB draw's check and died in
+        # numpy on the 2.41 GiB gather index; the index is cached per table and
+        # n, so a fresh table shows the refusal at a limit one byte below n = 2
+        s3 = build_symmetric(3)
+        f = random_matfun(s3, 2, 0)
+        size = 16 * (s3.order * 2) ** 2
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size - 1)
+        with pytest.raises(ValueError, match="convolution operator of dimension 2 on 6 elements needs"):
+            make_pd(f)
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size)
+        assert np.array_equal(make_pd(f).values, convolve(star(f), f).values)
+
     def test_numpy_dimension_is_kept_as_a_plain_int(self, s3):
         # an np.int64 n once stayed on the MatFun, and json.dumps raised TypeError
         phi = random_matfun(s3, np.int64(2), 1)

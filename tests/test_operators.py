@@ -26,22 +26,20 @@ from godement import (
     is_positive_definite,
     l2_norm,
     parse_group_spec,
-    pd_order_leq,
     random_matfun,
-    right_translation_matrix,
     scale,
     spectral_truncate,
     sqrt_spectral,
     star,
     subtract,
     translation_commutant_residual,
-    truncation_sequence,
 )
 from godement.fourier import fourier_basis
 from godement.groups import _generating_set, _word_plan
 from godement.matfun import _complex_normals
 from godement.theorems import SuiteConfig, _trial_c
 from conftest import ARRAY_LEVEL_SPECS, phi_21, random_pd
+from dense_oracle import pd_order_leq, projector_leq, right_translation_matrix
 
 
 def vector_action(a: MatFun, u: np.ndarray) -> np.ndarray:
@@ -186,25 +184,22 @@ class TestHermitianSymmetry:
 class TestRightTranslation:
     def test_identity_element_exact(self, s3):
         L = conv_matrix(random_matfun(s3, 2, seed=11)).data
-        r = right_translation_matrix(s3, 2, s3.identity).data
+        r = right_translation_matrix(s3, 2, s3.identity)
         assert np.array_equal(r, np.eye(12))
         assert np.linalg.norm(r @ L @ r.conj().T - L) == 0.0
 
     def test_unitary_and_inverse(self, d4):
         for x in range(d4.order):
-            r = right_translation_matrix(d4, 2, x).data
-            rinv = right_translation_matrix(d4, 2, int(d4.inv[x])).data
+            r = right_translation_matrix(d4, 2, x)
+            rinv = right_translation_matrix(d4, 2, int(d4.inv[x]))
             assert np.allclose(r @ r.conj().T, np.eye(16))
             assert np.allclose(r @ rinv, np.eye(16))
 
     def test_right_action_homomorphism(self, s3):
         for x in (1, 3, 5):
             for y in (2, 4):
-                lhs = (
-                    right_translation_matrix(s3, 1, x).data
-                    @ right_translation_matrix(s3, 1, y).data
-                )
-                rhs = right_translation_matrix(s3, 1, int(s3.mult[x, y])).data
+                lhs = right_translation_matrix(s3, 1, x) @ right_translation_matrix(s3, 1, y)
+                rhs = right_translation_matrix(s3, 1, int(s3.mult[x, y]))
                 assert np.array_equal(lhs, rhs)
 
     def test_equivariance_for_every_element(self, s3):
@@ -216,8 +211,8 @@ class TestRightTranslation:
         a = random_matfun(d3, 2, seed=13)
         L = conv_matrix(a).data
         x = 4
-        r = right_translation_matrix(d3, 2, x).data
-        rinv = right_translation_matrix(d3, 2, int(d3.inv[x])).data
+        r = right_translation_matrix(d3, 2, x)
+        rinv = right_translation_matrix(d3, 2, int(d3.inv[x]))
         assert np.allclose(r @ L @ rinv, L)
 
     def test_out_of_range(self, z2):
@@ -295,7 +290,7 @@ class TestSpectralTruncate:
             norm = np.linalg.norm(L.data, 2)
             for t in np.quantile(sd.eigenvalues, [0.2, 0.5, 0.8]):
                 cut = spectral_truncate(phi, float(t))
-                target = sd.projector_leq(float(t)) @ L.data
+                target = projector_leq(sd, float(t)) @ L.data
                 assert np.linalg.norm(conv_matrix(cut).data - target) <= 1e-10 * norm
 
     def test_monotone_in_threshold_and_below_input(self, d4):
@@ -315,6 +310,8 @@ class TestSpectralTruncate:
 
 
 class TestPdOrder:
+    """The dense order test of the monotone-cut tests (dense_oracle.pd_order_leq)."""
+
     def test_reflexive(self, z6):
         phi = random_pd(z6, 2, seed=20)
         assert pd_order_leq(phi, phi)
@@ -362,8 +359,8 @@ class TestSpectralDecomposition:
 
     def test_projector_edges(self, z2):
         sd = decompose(conv_matrix(phi_21(z2)))
-        assert np.allclose(sd.projector_leq(3.0), np.eye(2))
-        assert np.allclose(sd.projector_leq(0.5), np.zeros((2, 2)))
+        assert np.allclose(projector_leq(sd, 3.0), np.eye(2))
+        assert np.allclose(projector_leq(sd, 0.5), np.zeros((2, 2)))
 
 
 class TestOperatorNorm:
@@ -460,10 +457,10 @@ class TestSinglePass:
         phi = random_pd(d4, 2, seed=31)
         fourier_basis(d4)
         calls.clear()
-        spectral_truncate(phi, 1.0)
-        truncation_sequence(phi, [0.5, 1.0, 2.0])
+        for t in (1.0, 0.5, 2.0):
+            spectral_truncate(phi, t)
         sizes = len(fourier_basis(d4).classes)
-        assert len(self.solves(calls, "eigh")) == 2 * sizes
+        assert len(self.solves(calls, "eigh")) == 3 * sizes
         assert self.solves(calls, "eigvalsh") == [] and self.solves(calls, "svd") == []
 
     def test_certificate_batched_block_eigvalsh(self, calls, q8):
@@ -482,10 +479,10 @@ class TestSinglePass:
         calls.clear()
         ev = is_positive_definite(phi)
         sqrt_spectral(phi)
-        spectral_truncate(phi, ev.operator_norm / 2)
-        truncation_sequence(phi, [ev.operator_norm / 4, ev.operator_norm / 2])
+        for t in (ev.operator_norm / 4, ev.operator_norm / 2):
+            spectral_truncate(phi, t)
         build_orthogonal_pd_pair(phi, ev.operator_norm / 2)
-        pd_order_leq(scale(0.5, phi), phi)
+        is_positive_definite(subtract(phi, scale(0.5, phi)))
         _trial_c(grp, 3, 35, SuiteConfig())
         sides = [side for fn, side in calls if fn in ("eigh", "eigvalsh")]
         # the largest S4 subspace has dimension 3: blocks of side 9, never 72
@@ -517,7 +514,7 @@ class TestSinglePass:
     def test_gram_and_order_use_no_svd(self, calls, z6):
         phi = random_pd(z6, 2, seed=33)
         assert gram_pd_check(phi)
-        assert pd_order_leq(scale(0.5, phi), phi)
+        assert is_positive_definite(subtract(phi, scale(0.5, phi))).ok
         assert self.solves(calls, "svd") == []
 
 
@@ -559,7 +556,7 @@ def brute_commutant_residual(op: ConvMatrix) -> float:
     """max over every x of ||R(x) T R(x)^H - T||_F with explicit permutation matrices."""
     worst = 0.0
     for x in range(op.group.order):
-        r = right_translation_matrix(op.group, op.n, x).data
+        r = right_translation_matrix(op.group, op.n, x)
         worst = max(worst, float(np.linalg.norm(r @ op.data @ r.conj().T - op.data)))
     return worst
 
@@ -586,11 +583,11 @@ class TestCommutantOnGenerators:
         rg = np.random.default_rng(36)
         size = grp.order
         data = rg.standard_normal((size, size)) + 1j * rg.standard_normal((size, size))
-        translates = [right_translation_matrix(grp, 1, h).data for h in members]
+        translates = [right_translation_matrix(grp, 1, h) for h in members]
         averaged = sum(r @ data @ r.conj().T for r in translates) / len(translates)
         # commutes with every generator but the last, so only the last one catches it
         for x in gens[:-1]:
-            r = right_translation_matrix(grp, 1, int(x)).data
+            r = right_translation_matrix(grp, 1, int(x))
             assert np.linalg.norm(r @ averaged @ r.conj().T - averaged) <= 1e-12 * np.linalg.norm(averaged)
         with pytest.raises(EquivarianceError):
             extract_kernel(ConvMatrix(grp, 1, averaged))

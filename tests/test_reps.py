@@ -55,6 +55,15 @@ class TestRegularRep:
         assert homomorphism_residual(reg) <= 1e-10
         assert np.allclose(reg.matrices[s3.identity], np.eye(6))
 
+    @pytest.mark.parametrize("spec", ["s3", "q8", "z2xd6"])
+    def test_matches_a_loop_over_elements(self, spec):
+        grp = parse_group_spec(spec)
+        want = np.zeros((grp.order, grp.order, grp.order))
+        for g in range(grp.order):
+            for h in range(grp.order):
+                want[g, grp.mult[g, h], h] = 1.0  # M(g) e_h = e_{g h}
+        assert np.array_equal(regular_rep(grp).matrices, want)
+
     def test_size_limit_is_inclusive(self, q8, monkeypatch):
         size = q8.order * q8.order**2 * 16
         monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", size)
@@ -141,6 +150,16 @@ class TestMatrixCoeff:
         rep = tensor_product(regular_rep(s3), regular_rep(s3))
         out = matrix_coeff_fun(rep, random_vectors(3, 36, seed=5))
         assert is_positive_definite(out).ok
+
+    @pytest.mark.parametrize("tensor", [False, True], ids=["regular", "regular-x-regular"])
+    def test_matches_a_loop_over_elements(self, s3, tensor):
+        rep = regular_rep(s3)
+        rep = tensor_product(rep, rep) if tensor else rep
+        u = random_vectors(3, rep.dim, seed=8)
+        basis = u.T  # U, whose columns are the vectors
+        want = np.stack([basis.conj().T @ m @ basis for m in rep.matrices])
+        got = matrix_coeff_fun(rep, u).values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dimension_mismatch(self, d3):
         with pytest.raises(ValueError, match="does not match dim"):

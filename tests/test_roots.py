@@ -19,16 +19,16 @@ from godement import (
     is_positive_definite,
     l2_norm,
     parse_group_spec,
-    pd_order_leq,
     scale,
+    spectral_truncate,
     sqrt_iterative,
     sqrt_spectral,
     subtract,
-    truncation_sequence,
     zero_matfun,
 )
 from godement.cli import build_parser
 from conftest import phi_21, random_pd
+from dense_oracle import pd_order_leq
 
 SQRT3 = np.sqrt(3.0)
 
@@ -374,15 +374,18 @@ class TestSqrtIterative:
 
 
 class TestTruncationSequence:
+    """spectral_truncate at ascending thresholds: the cuts increase toward phi
+    in the PD order and commute."""
+
     def test_single_threshold_at_top(self, d3):
         phi = random_pd(d3, 2, seed=12)
         top = float(np.linalg.eigvalsh(conv_matrix(phi).data)[-1])
-        (only,) = truncation_sequence(phi, [top])
+        only = spectral_truncate(phi, top)
         assert l2_norm(subtract(only, phi)) <= 1e-10 * l2_norm(phi)
 
     def test_z2_worked_example(self, z2):
         phi = phi_21(z2)
-        cuts = truncation_sequence(phi, [2.0, 3.0])
+        cuts = [spectral_truncate(phi, t) for t in (2.0, 3.0)]
         assert np.allclose(cuts[0].values.ravel(), [0.5, -0.5], atol=1e-12)
         assert np.allclose(cuts[1].values.ravel(), [2.0, 1.0], atol=1e-12)
 
@@ -390,7 +393,7 @@ class TestTruncationSequence:
         phi = random_pd(q8, 2, seed=13)
         ev = np.linalg.eigvalsh(conv_matrix(phi).data)
         thresholds = sorted(set(np.quantile(ev, [0.25, 0.5, 0.75, 1.0]).tolist()))
-        cuts = truncation_sequence(phi, thresholds)
+        cuts = [spectral_truncate(phi, t) for t in thresholds]
         mats = [conv_matrix(c).data for c in cuts]
         norm = np.linalg.norm(conv_matrix(phi).data, 2)
         for i in range(len(cuts)):
@@ -404,7 +407,7 @@ class TestTruncationSequence:
     def test_norm_monotonicity_along_chain(self, d4):
         phi = random_pd(d4, 2, seed=14)
         ev = np.linalg.eigvalsh(conv_matrix(phi).data)
-        cuts = truncation_sequence(phi, np.quantile(ev, [0.3, 0.6, 0.9, 1.0]).tolist())
+        cuts = [spectral_truncate(phi, float(t)) for t in np.quantile(ev, [0.3, 0.6, 0.9, 1.0])]
         for i in range(len(cuts) - 1):
             for j in range(i + 1, len(cuts)):
                 ni, nj = l2_norm(cuts[i]), l2_norm(cuts[j])
@@ -413,14 +416,10 @@ class TestTruncationSequence:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_threshold_that_is_not_finite(self, z6, bad):
-        with pytest.raises(ValueError, match="thresholds must be finite"):
-            truncation_sequence(random_pd(z6, 1, seed=15), [1.0, bad])
-
-    def test_rejects_unsorted(self, z6):
-        with pytest.raises(ValueError, match="ascending"):
-            truncation_sequence(random_pd(z6, 1, seed=15), [3.0, 1.0])
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            spectral_truncate(random_pd(z6, 1, seed=15), bad)
 
     def test_rejects_non_pd(self, z2):
         phi = MatFun(z2, 1, np.array([[[1.0]], [[2.0]]], dtype=complex))
         with pytest.raises(NotPositiveDefiniteError):
-            truncation_sequence(phi, [1.0])
+            spectral_truncate(phi, 1.0)
