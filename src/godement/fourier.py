@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,51 @@ class _SizeClass:
 
 
 @dataclass(frozen=True, eq=False)
+class _Plan:
+    """Where the blocks of one (basis, n) sit, as flat gather indices.
+
+    blocks holds, class after class, the (k, m n, m n) blocks of every type
+    flattened: blocks = coefficients.ravel()[gather], for the (sum k m^2,
+    n^2) coefficients of forward @ a, and the coefficients are
+    blocks[scatter].  block_spans gives each class's (start, stop, k, m n)
+    in blocks, and value_spans each class's (start, stop) in the flat block
+    eigenvalues, whose gather through repeat lists each type's eigenvalues
+    once per copy, as np.repeat by the multiplicities would.
+    """
+
+    gather: np.ndarray  # (sum k (m n)^2,)
+    scatter: np.ndarray  # (sum k m^2, n^2)
+    repeat: np.ndarray  # (|G| n,)
+    block_spans: tuple[tuple[int, int, int, int], ...]
+    value_spans: tuple[tuple[int, int], ...]
+
+
+def _build_plan(classes: tuple[_SizeClass, ...], n: int) -> _Plan:
+    """The layout of n x n blocks: the per-class reshapes and transposes of
+    blocks and kernel, and the repeat of a spectrum, run once on indices."""
+    rows = sum(len(c.reps) * c.reps.shape[2] ** 2 for c in classes)
+    coeff_at = np.arange(rows * n * n).reshape(rows, n * n)
+    gather, scatter, repeat, block_spans, value_spans = [], [], [], [], []
+    start = block_at = value_at = 0
+    for c in classes:
+        k, m = c.reps.shape[0], c.reps.shape[2]
+        side = m * n
+        # row (t, alpha, beta), column (i, j) -> block t, entry (alpha n + i, beta n + j)
+        gather.append(coeff_at[start:start + k * m * m].reshape(k, m, m, n, n).transpose(0, 1, 3, 2, 4).ravel())
+        block_cells = np.arange(block_at, block_at + k * side * side).reshape(k, m, n, m, n)
+        scatter.append(block_cells.transpose(0, 1, 3, 2, 4).reshape(-1, n * n))
+        repeat.append(np.repeat(np.arange(value_at, value_at + k * side).reshape(k, side), c.multiplicities, axis=0))
+        block_spans.append((block_at, block_at + k * side * side, k, side))
+        value_spans.append((value_at, value_at + k * side))
+        start, block_at, value_at = start + k * m * m, block_at + k * side * side, value_at + k * side
+    plan = _Plan(np.concatenate(gather), np.concatenate(scatter), np.concatenate(repeat, axis=None),
+                 tuple(block_spans), tuple(value_spans))
+    for array in (plan.gather, plan.scatter, plan.repeat):
+        array.flags.writeable = False
+    return plan
+
+
+@dataclass(frozen=True, eq=False)
 class FourierBasis:
     """Invariant subspaces of the left regular representation, by size and type.
 
@@ -86,34 +132,43 @@ class FourierBasis:
     element g, so the blocks of every type come from one product
     forward @ a.  inverse maps blocks back: its column (t, alpha, beta)
     holds sum_c V_c[x, alpha] V_c[e, beta] over the copies c of t, the
-    identity block columns of all copies at once.
+    identity block columns of all copies at once.  Between the products
+    and the blocks sits the layout plan of each n (_Plan), built on
+    first use and cached read-only on the basis: blocks is one gather
+    from the forward product, and kernel one gather back.
     """
 
     classes: tuple[_SizeClass, ...]
     forward: np.ndarray  # (sum k m^2, |G|)
     inverse: np.ndarray  # (|G|, sum k m^2)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _plan(self, n: int) -> _Plan:
+        """The layout plan of n x n blocks; threads that race on a first
+        build compute equal plans and setdefault keeps one of them."""
+        plan = self._plans.get(n)
+        if plan is None:
+            plan = self._plans.setdefault(n, _build_plan(self.classes, n))
+        return plan
 
     def blocks(self, values: np.ndarray) -> list[np.ndarray]:
         """B_t = sum_g pi_t(g) (x) a(g) of raw values a (|G|, n, n), one
-        (k, m n, m n) array per class, all from one product."""
+        (k, m n, m n) array per class, all from one product and one
+        gather: the arrays are views of one flat array."""
         order, n = values.shape[0], values.shape[1]
         flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(order, n * n)
         coeffs = (self.forward @ flat.view(np.float64)).view(np.complex128)
-        blocks, start = [], 0
-        for cls in self.classes:
-            k, m = cls.reps.shape[0], cls.reps.shape[2]
-            rows = coeffs[start:start + k * m * m]
-            start += k * m * m
-            blocks.append(rows.reshape(k, m, m, n, n).transpose(0, 1, 3, 2, 4).reshape(k, m * n, m * n))
-        return blocks
+        plan = self._plan(n)
+        blocks = coeffs.reshape(-1)[plan.gather]
+        return [blocks[a:b].reshape(k, side, side) for a, b, k, side in plan.block_spans]
 
     def kernel(self, blocks: list[np.ndarray]) -> np.ndarray:
         """Raw values (|G|, n, n) of the function whose convolution operator
         has the given blocks, one (k, m n, m n) array per class as blocks
-        returns them: the inverse of blocks, from one product."""
+        returns them: the inverse of blocks, one gather and one product."""
         n = blocks[0].shape[1] // self.classes[0].reps.shape[2]
-        rows = np.concatenate([b.reshape(b.shape[0], b.shape[1] // n, n, -1, n).transpose(0, 1, 3, 2, 4)
-                               .reshape(-1, n * n) for b in blocks])
+        flat = np.concatenate(blocks, axis=None, dtype=np.complex128)
+        rows = flat[self._plan(n).scatter]
         values = (self.inverse @ rows.view(np.float64)).view(np.complex128)
         return values.reshape(self.inverse.shape[0], n, n)
 
@@ -291,19 +346,23 @@ class FourierSpectrum:
     eigenvalues: np.ndarray
     hermitian_gap: float
 
-    @property
+    @cached_property
     def operator_norm(self) -> float:
-        """||H||_2 = max(|lambda_min|, |lambda_max|)."""
+        """||H||_2 = max(|lambda_min|, |lambda_max|), taken once: a root, its
+        floor and the certificate all read it."""
         return max(abs(float(self.eigenvalues[0])), abs(float(self.eigenvalues[-1])))
 
     def apply(self, f) -> MatFun:
-        """The function whose convolution operator is f(H), for f acting
-        elementwise on eigenvalue arrays.  f must take one value, up to
-        rounding, on each cluster of count_leq: the solver splits a
+        """The function whose convolution operator is f(H), for a real f
+        acting elementwise on eigenvalue arrays.  f must take one value, up
+        to rounding, on each cluster of count_leq: the solver splits a
         degenerate eigenvalue at rounding level, and an f that separates
         it (a step inside a q8 cluster) gives a function that is not
-        Hermitian.  cut and the square root respect this."""
-        parts = [(vectors * f(values)[:, None, :]) @ vectors.conj().swapaxes(1, 2) for values, vectors in self.blocks]
+        Hermitian.  cut and the square root respect this.  A 1 x 1 block
+        is f of its eigenvalue: the product with the eigenvector 1 would
+        change only the sign of a zero, which + 0.0 changes as it does."""
+        parts = [f(values)[:, :, None] + 0.0 if vectors.shape[1] == 1
+                 else (vectors * f(values)[:, None, :]) @ vectors.conj().swapaxes(1, 2) for values, vectors in self.blocks]
         return MatFun(self.group, self.n, self.basis.kernel(parts))
 
     def cut(self, t: float) -> MatFun:
@@ -314,13 +373,25 @@ class FourierSpectrum:
         return self.apply(lambda ev: np.where(ev <= top, ev, 0.0))
 
 
+def _solve(b: np.ndarray, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """np.linalg.eigh of a stack b of Hermitian blocks (eigvalsh without
+    vectors).  A 1 x 1 block needs no solver: its eigenvalue is its real
+    entry and its eigenvector 1, which is what LAPACK's ?heevd returns for
+    N = 1, bit for bit."""
+    if b.shape[1] == 1:
+        return b.real[:, 0], np.ones(b.shape, dtype=np.complex128) if vectors else None
+    return np.linalg.eigh(b) if vectors else (np.linalg.eigvalsh(b), None)
+
+
 def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     """Spectrum of the Hermitian part of the convolution operator of a, block by block.
 
     a is first divided by the power of two near its largest entry, so
-    neither the gap nor the blocks can overflow; one product builds the
-    block of every type and one batched eigh (eigvalsh without vectors)
-    per block size solves them.
+    neither the gap nor the blocks can overflow; one product and one
+    gather through the basis's layout plan build the block of every type,
+    and one batched eigh (eigvalsh without vectors) per block size solves
+    them, except blocks of side 1, which need none.  The plan's repeat
+    index lists each type's eigenvalues once per copy, for the sort.
     """
     group, n = a.group, a.n
     basis = fourier_basis(group)
@@ -329,13 +400,8 @@ def fourier_spectrum(a: MatFun, vectors: bool = True) -> FourierSpectrum:
     adjoint = _adjoint(group, scaled)
     gap = math.sqrt(group.order) * _frobenius(scaled - adjoint) * unit  # entries below 4: no overflow
     herm = (scaled + adjoint) / 2.0
-    blocks = []
-    for b in basis.blocks(herm):
-        if vectors:
-            values, vecs = np.linalg.eigh(b)
-            blocks.append((values * unit, vecs))
-        else:
-            blocks.append((np.linalg.eigvalsh(b) * unit, None))
-    eigenvalues = np.sort(np.concatenate([np.repeat(values, cls.multiplicities, axis=0).ravel()
-                                          for cls, (values, _) in zip(basis.classes, blocks)]))
-    return FourierSpectrum(basis, group, n, tuple(blocks), eigenvalues, gap)
+    solved = [_solve(b, vectors) for b in basis.blocks(herm)]
+    flat = np.concatenate([values for values, _ in solved], axis=None) * unit
+    plan = basis._plan(n)
+    blocks = tuple((flat[lo:hi].reshape(values.shape), vecs) for (lo, hi), (values, vecs) in zip(plan.value_spans, solved))
+    return FourierSpectrum(basis, group, n, blocks, np.sort(flat[plan.repeat]), gap)

@@ -18,13 +18,13 @@ from functools import partial
 
 import numpy as np
 
-from .groups import GroupTable, canonical_spec, parse_group_spec
+from .groups import GroupTable, _spec_order, parse_group_spec
 from .matfun import (
     MatFun,
-    _adjoint,
     _complex_normals,
     _conv_kernel,
     _l2,
+    _pd_values,
     _power_of_two_unit,
     inner,
     l2_norm,
@@ -78,7 +78,7 @@ class TheoremReport:
 
 def _worst(a: float, b: float) -> float:
     """max(a, b) that keeps a NaN: max() compares false against it and drops it."""
-    return a if np.isnan(a) or a > b else b
+    return a if math.isnan(a) or a > b else b
 
 
 def _merge(target: TheoremReport, trial: TheoremReport) -> None:
@@ -131,12 +131,12 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
         "psi_not_pd": 0.0 if psi_cert.ok else np.inf,
         "method_agreement": agreement / bound if bound > 0.0 else (0.0 if agreement == 0.0 else np.inf),
     }
-    phi_trace = float(np.trace(phi.values[group.identity]).real)
+    phi_trace = float(phi.values[group.identity].trace().real)
     monotone_ok, bound_ok = _trace_checks(iterative.monotone_trace or (), phi_trace)
     residuals["trace_monotone"] = 0.0 if monotone_ok else np.inf
     residuals["trace_bound"] = 0.0 if bound_ok else np.inf
 
-    worst_key = max(residuals, key=lambda k: (np.isnan(residuals[k]), residuals[k]))
+    worst_key = max(residuals, key=lambda k: (math.isnan(residuals[k]), residuals[k]))
     report.worst_residual = float(residuals[worst_key])
     report.details = {
         "spectral_residual": spectral.residual,
@@ -156,12 +156,14 @@ def _failed_a(report: TheoremReport, phi: MatFun, failure: str) -> TheoremReport
 
 def _trace_checks(trace, phi_trace: float) -> tuple[bool, bool]:
     """Whether the trace ||psi_k|| of the iteration is monotone up to a dip of
-    1e-12 of its largest value, and whether every ||psi_k||^2 stays within
-    Tr phi(e) up to 1e-12 of it."""
-    trace = np.asarray(trace, dtype=np.float64)
-    monotone = (np.diff(trace) >= -1e-12 * trace.max(initial=0.0)).all()
-    bounded = (trace * trace <= phi_trace * (1.0 + 1e-12)).all()
-    return bool(monotone), bool(bounded)
+    1e-12 of its largest value (and 0), and whether every ||psi_k||^2 stays
+    within Tr phi(e) up to 1e-12 of it, on Python floats.  A NaN is never
+    the largest value here, as it is to numpy's max, but it fails both
+    checks wherever it has a neighbour or is squared, so the verdicts agree."""
+    dip = -1e-12 * max((0.0, *trace))
+    monotone = all(b - a >= dip for a, b in zip(trace, trace[1:]))
+    bound = phi_trace * (1.0 + 1e-12)
+    return monotone, all(v * v <= bound for v in trace)
 
 
 # Norms in this range multiply, in inner products and convolutions of a
@@ -312,18 +314,23 @@ class SuiteConfig:
 
     def validate(self) -> None:
         """Raise ValueError before any trial: an empty grid would pass
-        without checking anything, and a bad spec would fail midway."""
+        without checking anything, and a bad spec or a cell whose operator
+        has one eigenvalue would fail midway.  Orders come from the specs
+        (groups._spec_order), so no table is built."""
         if not self.groups:
             raise ValueError("no groups given")
         if not self.dims:
             raise ValueError("no dimensions given")
-        for spec in self.groups:
-            canonical_spec(spec)
+        orders = {spec: _spec_order(spec) for spec in self.groups}
         if type(self.trials) is not int or self.trials < 1:  # the rule matfun_from_json applies to n
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         _check_tol(self.tol)
         if any(type(n) is not int or n < 1 for n in self.dims):
             raise ValueError(f"dimensions must be ints >= 1, got {self.dims!r}")
+        for spec, order in orders.items():
+            if order * min(self.dims) < 2:
+                raise ValueError(f"group {spec!r} of order {order} at n = {min(self.dims)}: the operator has one "
+                                 "eigenvalue, and Theorem C needs two to split the spectrum (|G| n >= 2)")
 
 
 def derive_seed(*parts) -> int:
@@ -332,11 +339,19 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _trial_seeds(cell: tuple, trials: int):
+    """derive_seed(*cell, t) for t in range(trials), with the cell's prefix hashed once."""
+    prefix = hashlib.sha256("".join(f"{part!s}:" for part in cell).encode())
+    for t in range(trials):
+        digest = prefix.copy()
+        digest.update(str(t).encode())
+        yield int.from_bytes(digest.digest()[:8], "big")
+
+
 def _random_pd(group: GroupTable, n: int, seed: int) -> MatFun:
     """make_pd(random_matfun(group, n, seed)), bit for bit, drawn and convolved
     on raw arrays so that only the result is built and validated as a MatFun."""
-    f = _complex_normals(seed, (group.order, n, n))[0]
-    return MatFun(group, n, _conv_kernel(group, _adjoint(group, f), f))
+    return MatFun(group, n, _pd_values(group, _complex_normals(seed, (group.order, n, n))[0]))
 
 
 def _split_point(eigenvalues: np.ndarray) -> float:
@@ -406,8 +421,7 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
         for n in config.dims:
             for theorem, trial_fn in _TRIALS.items():
                 aggregate = TheoremReport(theorem, 0, group.name, n, 0.0, True)
-                for t in range(config.trials):
-                    seed = derive_seed(config.seed, theorem, group.name, n, t)
+                for t, seed in enumerate(_trial_seeds((config.seed, theorem, group.name, n), config.trials)):
                     trial_report, _ = trial_fn(group, n, seed, config)
                     _merge(aggregate, trial_report)
                     if collect_trials:

@@ -379,6 +379,16 @@ class TestSuite:
     def test_bad_group_spec(self):
         assert run_cli("suite", "--groups", "zz,,9", "--trials", "1") == 2
 
+    @pytest.mark.parametrize("spec", ["trivial", "cyclic:1"])
+    def test_one_eigenvalue_cell_is_input_error_before_any_trial(self, monkeypatch, capsys, spec):
+        # once ran every Theorem A and B trial, then exited 2 on Theorem C's split
+        ran = []
+        monkeypatch.setattr(godement.theorems, "_TRIALS", {"A": lambda *args: ran.append(args)})
+        assert run_cli("suite", "--groups", spec, "--dims", "1", "--trials", "2") == 2
+        captured = capsys.readouterr()
+        assert ran == [] and captured.out == ""
+        assert "one eigenvalue, and Theorem C needs two to split the spectrum" in captured.err
+
     def test_parser_defaults_are_the_librarys(self):
         parser = build_parser()
         # every PD verdict is at DEFAULT_PD_TOL: neither certify nor the library sets another

@@ -1,5 +1,6 @@
 """The Fourier block route against the dense convolution matrix as oracle."""
 
+import dataclasses
 import sys
 import threading
 
@@ -8,6 +9,7 @@ import pytest
 
 import godement.fourier
 import godement.groups
+import godement.matfun
 from godement import (
     ConvMatrix,
     build_dihedral,
@@ -213,6 +215,159 @@ def test_blocks_and_kernel_are_inverse():
         for n in (1, 2):
             a = random_matfun(grp, n, seed=960 + n)
             assert rel_err(basis.kernel(basis.blocks(a.values)), a.values) <= 1e-13
+
+
+def same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def blocks_by_class(basis, values):
+    """FourierBasis.blocks as a reshape and transpose per class, which the
+    layout plan's one gather replaced."""
+    order, n = values.shape[0], values.shape[1]
+    flat = np.ascontiguousarray(values, dtype=np.complex128).reshape(order, n * n)
+    coeffs = (basis.forward @ flat.view(np.float64)).view(np.complex128)
+    blocks, start = [], 0
+    for cls in basis.classes:
+        k, m = cls.reps.shape[0], cls.reps.shape[2]
+        rows = coeffs[start:start + k * m * m]
+        start += k * m * m
+        blocks.append(rows.reshape(k, m, m, n, n).transpose(0, 1, 3, 2, 4).reshape(k, m * n, m * n))
+    return blocks
+
+
+def kernel_by_class(basis, blocks):
+    """FourierBasis.kernel as a transpose per class and a concatenation."""
+    n = blocks[0].shape[1] // basis.classes[0].reps.shape[2]
+    rows = np.concatenate([b.reshape(b.shape[0], b.shape[1] // n, n, -1, n).transpose(0, 1, 3, 2, 4)
+                           .reshape(-1, n * n) for b in blocks])
+    values = (basis.inverse @ rows.view(np.float64)).view(np.complex128)
+    return values.reshape(basis.inverse.shape[0], n, n)
+
+
+def spectrum_by_class(a, vectors):
+    """fourier_spectrum's blocks and eigenvalues with a solver call on every
+    block and the multiplicities repeated per class."""
+    basis = fourier_basis(a.group)
+    unit = godement.matfun._power_of_two_unit(a.values)
+    scaled = a.values / unit
+    herm = (scaled + godement.matfun._adjoint(a.group, scaled)) / 2.0
+    blocks = []
+    for b in blocks_by_class(basis, herm):
+        if vectors:
+            values, vecs = np.linalg.eigh(b)
+            blocks.append((values * unit, vecs))
+        else:
+            blocks.append((np.linalg.eigvalsh(b) * unit, None))
+    eigenvalues = np.sort(np.concatenate([np.repeat(values, cls.multiplicities, axis=0).ravel()
+                                          for cls, (values, _) in zip(basis.classes, blocks)]))
+    return blocks, eigenvalues
+
+
+@pytest.mark.parametrize("spec", STANDARD + LARGE + ("z2xs5", "custom"))
+def test_layout_plan_is_the_per_class_layout_bitwise(spec):
+    # blocks and kernel gather through one cached index each, and a spectrum
+    # repeats its eigenvalues through a third; every result is the per-class
+    # expression's, bit for bit
+    grp = group_of(spec)
+    basis = fourier_basis(grp)
+    for n in (1, 2, 3):
+        a = random_matfun(grp, n, seed=980 + n)
+        blocks = basis.blocks(a.values)
+        want = blocks_by_class(basis, a.values)
+        assert len(blocks) == len(want) and all(same_bits(b, w) for b, w in zip(blocks, want)), n
+        assert all(b.base is blocks[0].base for b in blocks)  # views of one gathered array
+        assert same_bits(basis.kernel(blocks), kernel_by_class(basis, want)), n
+        # the block root hands kernel corners of a zero-padded stack, which are not contiguous
+        side = max(b.shape[1] for b in want)
+        padded = [np.zeros((len(b), side + 1, side + 1), dtype=np.complex128) for b in want]
+        for p, b in zip(padded, want):
+            p[:, :b.shape[1], :b.shape[1]] = b
+        corners = [p[:, :b.shape[1], :b.shape[1]] for p, b in zip(padded, want)]
+        assert same_bits(basis.kernel(corners), kernel_by_class(basis, want)), n
+        phi = random_pd(grp, n, seed=990 + n)
+        for vectors in (True, False):
+            spectrum = fourier_spectrum(phi, vectors=vectors)
+            want_blocks, want_eigenvalues = spectrum_by_class(phi, vectors)
+            assert same_bits(spectrum.eigenvalues, want_eigenvalues), (n, vectors)
+            for (values, vecs), (want_values, want_vecs) in zip(spectrum.blocks, want_blocks, strict=True):
+                assert same_bits(values, want_values), (n, vectors)
+                assert vecs is want_vecs is None or same_bits(vecs, want_vecs), (n, vectors)
+    assert basis._plan(2) is basis._plan(2) and not basis._plan(2).gather.flags.writeable
+
+
+def test_plan_and_draw_index_first_build_race():
+    # more threads than cores race on the first build of a fresh table's
+    # layout plan and composite draw index; each keeps one object and every
+    # thread gets the same bits
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            grp = build_symmetric(4)  # fresh: parse_group_spec would share one built table
+            basis = fourier_basis(grp)
+            f = random_matfun(grp, 3, seed=975)
+            barrier, got = threading.Barrier(8), []
+
+            def worker():
+                barrier.wait(timeout=10)
+                got.append((basis._plan(3), godement.matfun._pd_values(grp, f.values), fourier_spectrum(f)))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 8 and all(plan is basis._plan(3) for plan, _, _ in got)
+            assert all(same_bits(pd, got[0][1]) for _, pd, _ in got)
+            assert all(same_bits(sp.eigenvalues, got[0][2].eigenvalues) for _, _, sp in got)
+            want = godement.matfun._conv_kernel(grp, godement.matfun._adjoint(grp, f.values), f.values)
+            assert same_bits(got[0][1], want)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+# entries at the edges of float64: signed zeros, subnormals and near-overflow
+SIDE_ONE = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.5, -2.25])
+
+
+@pytest.mark.parametrize("imag", [0.0, -0.0, 1e-300, 3.0], ids=["zero", "negative-zero", "tiny", "three"])
+def test_side_one_blocks_need_no_solver(imag):
+    # ?heevd returns the real entry and the eigenvector 1 for N = 1; the
+    # imaginary part of a Hermitian 1 x 1 block is never read
+    b = np.empty((SIDE_ONE.size, 1, 1), dtype=np.complex128)
+    b.real[:, 0, 0], b.imag[:, 0, 0] = SIDE_ONE, imag
+    values, vectors = godement.fourier._solve(b, True)
+    want_values, want_vectors = np.linalg.eigh(b)
+    assert same_bits(values, want_values) and same_bits(vectors, want_vectors)
+    values, vectors = godement.fourier._solve(b, False)
+    assert same_bits(values, np.linalg.eigvalsh(b)) and vectors is None
+
+
+@pytest.mark.parametrize("spec", ("z1", "z2xz2xz2", "q8", "z2xq8"))
+def test_side_one_apply_is_the_product_bitwise(spec, monkeypatch):
+    # a 1 x 1 block's part is f of its eigenvalue, as the product with its
+    # eigenvector 1 computes it, signed zeros included: the parts kernel
+    # receives are the products' bits, and so is the function
+    grp = parse_group_spec(spec)
+    spectrum = fourier_spectrum(random_pd(grp, 1, seed=995))
+    functions = (lambda ev: ev, lambda ev: -ev, lambda ev: np.where(ev <= 0.0, 0.0, ev),
+                 lambda ev: np.sqrt(np.abs(ev)), lambda ev: np.where(ev <= 1.0, ev, 0.0))
+    kernel, seen = godement.fourier.FourierBasis.kernel, []
+    monkeypatch.setattr(godement.fourier.FourierBasis, "kernel", lambda basis, parts: seen.append(parts)
+                        or kernel(basis, parts))
+    for shift in range(SIDE_ONE.size):
+        blocks = tuple((np.resize(np.roll(SIDE_ONE, shift), values.shape) if vectors.shape[1] == 1 else values, vectors)
+                       for values, vectors in spectrum.blocks)
+        assert any(vectors.shape[1] == 1 for _, vectors in blocks)
+        patched = dataclasses.replace(spectrum, blocks=blocks)
+        for f in functions:
+            parts = [(vectors * f(values)[:, None, :]) @ vectors.conj().swapaxes(1, 2) for values, vectors in blocks]
+            seen.clear()
+            got = patched.apply(f).values
+            assert all(same_bits(np.asarray(g, dtype=np.complex128), w) for g, w in zip(seen[0], parts, strict=True))
+            assert same_bits(got, kernel(spectrum.basis, parts)), shift
 
 
 def test_copy_failing_alignment_stays_its_own_type(monkeypatch):

@@ -37,8 +37,8 @@ from godement import (
 )
 from godement.cli import main
 from godement.groups import _standard_spec
-from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _frobenius, _plain_norm,
-                             _power_of_two_unit)
+from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _conv_operator, _frobenius,
+                             _pd_values, _plain_norm, _power_of_two_unit)
 from godement.theorems import derive_seed
 from conftest import legacy_json, phi_21, random_pd, relabeled_s3
 
@@ -119,6 +119,16 @@ class TestKernel:
             expected_vec = naive_convolve(grp, a.values, u)
             got_vec = _conv_kernel(grp, a.values, u)
             assert np.linalg.norm(got_vec - expected_vec) <= 1e-13 * np.linalg.norm(expected_vec)
+
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom",))
+    def test_dot_is_the_matmul_bitwise(self, spec):
+        # _conv_kernel multiplies with np.dot, which costs less than @ on 2-D complex
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
+        for n in (1, 2, 3):
+            a = random_matfun(grp, n, seed=34).values
+            for b in (random_matfun(grp, n, seed=35).values, _complex_normals(36, (grp.order, n))[0]):
+                want = (_conv_operator(grp, a) @ b.reshape(grp.order * n, -1)).reshape(b.shape)
+                assert _conv_kernel(grp, a, b).tobytes() == want.tobytes(), (n, b.shape)
 
     def test_index_cached_per_table_not_per_order(self):
         tables = [parse_group_spec(spec) for spec in ("z8", "d4", "q8")]
@@ -319,6 +329,21 @@ class TestRandomAndPd:
         for n in (1, 2, 3):
             f = random_matfun(grp, n, seed=derive_seed(spec, n))
             assert np.array_equal(make_pd(f).values, convolve(star(f), f).values), (spec, n)
+
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom",))
+    def test_draw_is_one_gather_of_the_adjoint_kernel_bitwise(self, spec):
+        # make_pd and the suite's draw gather the adjoint's convolution matrix
+        # from conj(f) through one composite index, cached read-only per table and n
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
+        for n in (1, 2, 3):
+            f = random_matfun(grp, n, seed=derive_seed("draw", spec, n))
+            want = _conv_kernel(grp, _adjoint(grp, f.values), f.values)
+            assert _pd_values(grp, f.values).tobytes() == want.tobytes(), n
+            assert make_pd(f).values.tobytes() == want.tobytes(), n
+            index = grp._cache[("pd", n)]
+            assert not index.flags.writeable
+            _pd_values(grp, f.values)
+            assert grp._cache[("pd", n)] is index
 
     def test_make_pd_of_delta(self, z6):
         delta = delta_identity(z6, 2)

@@ -336,6 +336,30 @@ class TestArrayLevelQuantities:
                 seen.add(got)
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_trace_checks_are_the_numpy_expression(self):
+        # _trace_checks runs on Python floats; it gives the verdicts of the
+        # numpy expression it replaced, NaN, infinities and ties included
+        def numpy_checks(trace, phi_trace):
+            trace = np.asarray(trace, dtype=np.float64)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and squares past the range
+                monotone = (np.diff(trace) >= -1e-12 * trace.max(initial=0.0)).all()
+                bounded = (trace * trace <= phi_trace * (1.0 + 1e-12)).all()
+            return bool(monotone), bool(bounded)
+
+        nan, inf = float("nan"), float("inf")
+        traces = [(), (0.0,), (2.0,), (nan,), (inf,), (-inf,), (1e200,), (1.0, 1.0), (2.0, 2.0, 2.0), (0.0, -0.0),
+                  (-0.0, 0.0), (1.0, nan), (nan, 1.0), (1.0, nan, 2.0), (nan, nan), (inf, inf), (1.0, inf),
+                  (inf, 1.0), (-inf, 1.0), (1.0, -inf), (-inf, -inf), (-1.0, -2.0), (-2.0, -2.0), (-1.0, -0.5, -0.5), (3.0, 3.0 - 3e-12),
+                  (3.0, 3.0 - 3e-13), (1.0, 2.0, 2.0, 3.0)]
+        seen = set()
+        for trace in traces:
+            for phi_trace in (0.0, 1.0, 4.0, 9.0, 1e300, inf, nan, -1.0):
+                got = godement.theorems._trace_checks(trace, phi_trace)
+                assert got == numpy_checks(trace, phi_trace), (trace, phi_trace)
+                assert all(type(v) is bool for v in got)
+                seen.add(got)
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
     @pytest.mark.parametrize("spec", ARRAY_LEVEL_SPECS)
     def test_pair_checks(self, spec):
         grp = parse_group_spec(spec)
@@ -672,6 +696,43 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="nope"):
             run_suite(SuiteConfig(groups=("s3", "nope"), dims=(1,), trials=1))
         assert built == []
+
+    @pytest.mark.parametrize("spec", ["trivial", "cyclic:1", "z1xz1"])
+    def test_one_eigenvalue_cells_are_refused_before_any_table(self, monkeypatch, spec):
+        # |G| n = 1 ran every Theorem A and B trial, then Theorem C's split raised
+        built = []
+        monkeypatch.setattr(godement.theorems, "parse_group_spec", built.append)
+        with pytest.raises(ValueError, match="operator has one eigenvalue, and Theorem C needs two"):
+            run_suite(SuiteConfig(groups=("s3", spec), dims=(1, 2), trials=1))
+        assert built == []
+
+    def test_a_factor_its_builder_refuses_is_checked_before_any_trial(self, monkeypatch):
+        # the orders come from groups._spec_order, which raises as the builder would
+        built = []
+        monkeypatch.setattr(godement.theorems, "parse_group_spec", built.append)
+        with pytest.raises(ValueError, match="dihedral parameter must be >= 2, got 1"):
+            run_suite(SuiteConfig(groups=("s3", "d1"), dims=(1,), trials=1))
+        assert built == []
+
+    def test_one_element_groups_run_from_n_two(self):
+        result = run_suite(SuiteConfig(groups=("trivial",), dims=(2,), trials=2))
+        assert result["passed"] and len(result["reports"]) == 4
+
+    def test_trial_seeds_are_derive_seed(self, monkeypatch):
+        # run_suite hashes each cell's prefix once and appends the trial index
+        seen = []
+        for theorem, fn in list(godement.theorems._TRIALS.items()):
+            monkeypatch.setitem(godement.theorems._TRIALS, theorem,
+                                lambda g, n, seed, cfg, theorem=theorem, fn=fn: seen.append((theorem, g.name, n, seed))
+                                or fn(g, n, seed, cfg))
+        config = SuiteConfig(groups=("z2", "s3"), dims=(1, 2), trials=12, seed=-31)
+        run_suite(config)
+        assert len(seen) == 2 * 2 * 4 * 12
+        trials = {}
+        for theorem, name, n, seed in seen:
+            t = trials.setdefault((theorem, name, n), 0)
+            trials[(theorem, name, n)] += 1
+            assert seed == derive_seed(config.seed, theorem, name, n, t)
 
     def test_deterministic(self):
         config = SuiteConfig(groups=("cyclic:6",), dims=(1,), trials=3, seed=11, name="det")
