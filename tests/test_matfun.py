@@ -11,12 +11,15 @@ import pytest
 
 import godement.cli
 import godement.groups
+import godement.matfun
 from godement import (
     GroupTable,
     MatFun,
     add,
     build_cyclic,
     build_symmetric,
+    check_inner_trace,
+    check_theorem_c,
     conv_matrix,
     convolve,
     delta_identity,
@@ -31,14 +34,16 @@ from godement import (
     parse_group_spec,
     random_matfun,
     scale,
+    sqrt_iterative,
+    sqrt_spectral,
     star,
     subtract,
     zero_matfun,
 )
 from godement.cli import main
 from godement.groups import _standard_spec
-from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _conv_operator, _frobenius,
-                             _pd_values, _plain_norm, _power_of_two_unit)
+from godement.matfun import (_adjoint, _complex_normals, _conv_at, _conv_index, _conv_kernel, _conv_operator,
+                             _frobenius, _pd_values, _plain_norm, _power_of_two_unit)
 from godement.theorems import derive_seed
 from conftest import legacy_json, phi_21, random_pd, relabeled_s3
 
@@ -120,15 +125,58 @@ class TestKernel:
             got_vec = _conv_kernel(grp, a.values, u)
             assert np.linalg.norm(got_vec - expected_vec) <= 1e-13 * np.linalg.norm(expected_vec)
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom",))
-    def test_dot_is_the_matmul_bitwise(self, spec):
-        # _conv_kernel multiplies with np.dot, which costs less than @ on 2-D complex
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "z9"))
+    def test_dot_is_the_matmul_bitwise(self, spec, monkeypatch):
+        # _conv_kernel multiplies with np.dot, which costs less than @ on 2-D complex,
+        # and gives the same bits when it gathers and multiplies in row blocks
         grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
         for n in (1, 2, 3):
+            side = grp.order * n
             a = random_matfun(grp, n, seed=34).values
             for b in (random_matfun(grp, n, seed=35).values, _complex_normals(36, (grp.order, n))[0]):
-                want = (_conv_operator(grp, a) @ b.reshape(grp.order * n, -1)).reshape(b.shape)
-                assert _conv_kernel(grp, a, b).tobytes() == want.tobytes(), (n, b.shape)
+                want = (_conv_operator(grp, a) @ b.reshape(side, -1)).reshape(b.shape)
+                # the whole matrix; blocks of four rows (the fewest); of eight; of
+                # side - 1 rounded down to whole fours.  On z9 at n = 1 the blocks of
+                # four leave a single last row, which joins the block before it.
+                for budget in (godement.matfun._GATHER_BYTES, 0, 16 * 8 * side, 16 * (side - 1) * side):
+                    with monkeypatch.context() as m:
+                        m.setattr(godement.matfun, "_GATHER_BYTES", budget)
+                        assert _conv_kernel(grp, a, b).tobytes() == want.tobytes(), (n, b.shape, budget)
+
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "z9"))
+    def test_value_at_one_element_is_its_kernel_row_bitwise(self, spec):
+        # check_inner_trace takes (a*b)(e) from the identity block rows alone
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
+        for n in (1, 2, 3):
+            a = random_matfun(grp, n, seed=37).values
+            for b in (random_matfun(grp, n, seed=38).values, _complex_normals(39, (grp.order, n))[0]):
+                want = _conv_kernel(grp, a, b)
+                for x in range(grp.order):
+                    assert _conv_at(grp, a, b, x).tobytes() == want[x].tobytes(), (n, b.shape, x)
+            phi, psi = random_pd(grp, n, seed=40), random_pd(grp, n, seed=41)
+            trace = complex(np.trace(_conv_kernel(grp, phi.values, psi.values)[grp.identity]))
+            assert check_inner_trace(phi, psi).details["trace_at_identity"] == [trace.real, trace.imag], n
+
+    @pytest.mark.parametrize("spec", ("s5", "z2xs5"))
+    def test_traced_peak_of_a_call_stays_under_a_mebibyte(self, spec):
+        # numpy reports its buffers to tracemalloc; with the caches warm, no call
+        # holds the (|G| n)^2 convolution matrix (2.0 MiB on s5 and 7.9 MiB on
+        # z2xs5 at n = 3), only row blocks of at most _GATHER_BYTES
+        grp = parse_group_spec(spec)
+        f = random_matfun(grp, 3, seed=42)
+        phi, psi = make_pd(f), make_pd(random_matfun(grp, 3, seed=43))
+        calls = {"make_pd": lambda: make_pd(f), "sqrt_spectral": lambda: sqrt_spectral(phi),
+                 "sqrt_iterative": lambda: sqrt_iterative(phi), "check_theorem_c": lambda: check_theorem_c(phi, psi),
+                 "check_inner_trace": lambda: check_inner_trace(phi, psi)}
+        for name, call in calls.items():
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (name, peak)
 
     def test_index_cached_per_table_not_per_order(self):
         tables = [parse_group_spec(spec) for spec in ("z8", "d4", "q8")]
@@ -330,16 +378,21 @@ class TestRandomAndPd:
             f = random_matfun(grp, n, seed=derive_seed(spec, n))
             assert np.array_equal(make_pd(f).values, convolve(star(f), f).values), (spec, n)
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom",))
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "s5"))
     def test_draw_is_one_gather_of_the_adjoint_kernel_bitwise(self, spec):
         # make_pd and the suite's draw gather the adjoint's convolution matrix
-        # from conj(f) through one composite index, cached read-only per table and n
+        # from conj(f) through one composite index, cached read-only per table and
+        # n, for an operator within _GATHER_BYTES; s5 at n = 2, 3 lies above it,
+        # where the draw is the row-block convolution and caches no composite index
         grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
         for n in (1, 2, 3):
             f = random_matfun(grp, n, seed=derive_seed("draw", spec, n))
             want = _conv_kernel(grp, _adjoint(grp, f.values), f.values)
             assert _pd_values(grp, f.values).tobytes() == want.tobytes(), n
             assert make_pd(f).values.tobytes() == want.tobytes(), n
+            if 16 * (grp.order * n) ** 2 > godement.matfun._GATHER_BYTES:
+                assert ("pd", n) not in grp._cache, n
+                continue
             index = grp._cache[("pd", n)]
             assert not index.flags.writeable
             _pd_values(grp, f.values)
