@@ -89,9 +89,9 @@ def _conv_index(group: GroupTable, n: int) -> np.ndarray:
     that race on a first build compute equal arrays and setdefault keeps
     one of them.  The first build raises ValueError when the complex128
     operator the index gathers would pass groups._MAX_ARRAY_BYTES.  That
-    check bounds this 8 (|G| n)^2-byte index and conv_matrix, the one
-    caller that gathers the whole operator; a convolution gathers at most
-    _GATHER_BYTES of it at a time (_conv_kernel).
+    check bounds this 8 (|G| n)^2-byte index, conv_matrix and the whole
+    operator a convolution of n = 1 gathers; a convolution of n >= 2
+    gathers at most _GATHER_BYTES of it at a time (_conv_kernel).
     """
     cache = group._cache
     index = cache.get(n)
@@ -113,9 +113,14 @@ def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
 
 
 # The most bytes of complex128 convolution matrix that one gather of
-# _conv_kernel holds; larger operators are gathered and multiplied in row
-# blocks.  Every operator of side |G| n <= 181 stays one gather.
+# _conv_kernel holds; larger operators of n >= 2 are gathered and multiplied
+# in row blocks.  Every operator of side |G| n <= 181 stays one gather.
 _GATHER_BYTES = 512 * 1024
+
+
+def _fits_one_gather(side: int) -> bool:
+    """Whether the complex128 convolution matrix of side |G| n is within _GATHER_BYTES."""
+    return 16 * side * side <= _GATHER_BYTES
 
 
 def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,22 +133,25 @@ def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrix times several columns, which these shapes never give, would be
     taken as a scalar product and round otherwise.
 
-    A matrix of at most _GATHER_BYTES is gathered whole; a larger one in
-    blocks of consecutive rows, each multiplied into its rows of one output
-    array.  A block is the most whole groups of four rows within
-    _GATHER_BYTES (four rows at least, more than the budget only for a side
-    above 8192), and a last single row joins the block before it.  Blocks
-    so cut give the whole product's bits, as a test pins: numpy takes a
-    one-row product as a vector product, and OpenBLAS's matrix-vector
-    kernel, which the column-major index of n = 1 takes, rounds the last
-    rows % 4 rows of a product apart from the others.
+    A matrix within _GATHER_BYTES is gathered whole, and so is every matrix
+    of n = 1.  A larger one is gathered in blocks of consecutive rows, each
+    multiplied into its rows of one output array: the most rows within
+    _GATHER_BYTES, at least two, and a last single row joins the block
+    before it, since numpy takes a one-row product as a vector product and
+    rounds it otherwise.  For n >= 2 blocks so cut give the whole product's
+    bits, as a test pins.  At n = 1 the index is column-major, and
+    OpenBLAS's matrix-vector kernel for it rounds a row by its place in the
+    share of rows each thread takes, so the bits of a block would depend on
+    the BLAS thread count.  Gathering whole skips the loop's np.empty and
+    out=, 0.6-1.1 us of a 2-6 us call on the default suite's operators
+    (2-core x86 host).
     """
     order, n = a.shape[0], a.shape[1]
     side = order * n
     flat, index, cols = a.reshape(-1), _conv_index(group, n), b.reshape(side, -1)
-    if 16 * side * side <= _GATHER_BYTES:
+    if n == 1 or _fits_one_gather(side):
         return np.dot(flat[index], cols).reshape(b.shape)
-    rows = max(4, _GATHER_BYTES // (64 * side) * 4)
+    rows = max(2, _GATHER_BYTES // (16 * side))
     out = np.empty(cols.shape, dtype=np.complex128)
     start = 0
     while start < side:
@@ -151,20 +159,6 @@ def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.dot(flat[index[start:stop]], cols, out=out[start:stop])
         start = stop
     return out.reshape(b.shape)
-
-
-def _conv_at(group: GroupTable, a: np.ndarray, b: np.ndarray, x: int) -> np.ndarray:
-    """(a*b)(x) alone, bit for bit _conv_kernel(group, a, b)[x]: the block
-    row x of a's convolution matrix times the columns of b, widened to the
-    whole groups of four rows around it (a last single row with the group
-    before), for the reasons _conv_kernel gives."""
-    order, n = a.shape[0], a.shape[1]
-    side = order * n
-    lo, hi = x * n // 4 * 4, min(((x + 1) * n + 3) // 4 * 4, side)
-    if hi - lo == 1 and lo > 0:
-        lo -= 4
-    rows = np.dot(a.reshape(-1)[_conv_index(group, n)[lo:hi]], b.reshape(side, -1))
-    return rows[x * n - lo:(x + 1) * n - lo].reshape(b.shape[1:])
 
 
 def convolve(a: MatFun, b: MatFun) -> MatFun:
@@ -196,14 +190,14 @@ def _adjoint(group: GroupTable, a: np.ndarray) -> np.ndarray:
 
 def _pd_values(group: GroupTable, f: np.ndarray) -> np.ndarray:
     """star(f) * f on raw values f (|G|, n, n), bit for bit
-    _conv_kernel(group, _adjoint(group, f), f).  An operator that
-    _conv_kernel gathers whole takes one gather: the convolution matrix of
-    the adjoint is conj(f) gathered through the composite index
+    _conv_kernel(group, _adjoint(group, f), f).  An operator within
+    _GATHER_BYTES takes one gather: the convolution matrix of the adjoint
+    is conj(f) gathered through the composite index
     _adjoint_index[_conv_index], cached on the table beside both under the
     key ("pd", n).  A larger one is that _conv_kernel call, so no second
     index of its size stays cached."""
     order, n = f.shape[0], f.shape[1]
-    if 16 * (order * n) ** 2 > _GATHER_BYTES:
+    if not _fits_one_gather(order * n):
         return _conv_kernel(group, _adjoint(group, f), f)
     cache = group._cache
     index = cache.get(("pd", n))

@@ -22,7 +22,6 @@ from .groups import GroupTable, _spec_order, parse_group_spec
 from .matfun import (
     MatFun,
     _complex_normals,
-    _conv_at,
     _conv_kernel,
     _l2,
     _pd_values,
@@ -266,13 +265,11 @@ def check_inner_trace(phi: MatFun, psi: MatFun) -> TheoremReport:
     """Verify <phi, psi> = Tr((phi * psi)(e)) for positive definite pairs.
 
     The residual is relative to ||phi|| ||psi|| (_pair_check), so it holds
-    at any scale; the reported values are scaled back.  (phi * psi)(e) is
-    taken from the identity block rows of phi's convolution matrix alone
-    (matfun._conv_at), not from the whole convolution.
+    at any scale; the reported values are scaled back.
     """
     def measure(phi_u, psi_u, scale, unit):
         lhs = inner(phi_u, psi_u)
-        rhs = complex(np.trace(_conv_at(phi.group, phi_u.values, psi_u.values, phi.group.identity)))
+        rhs = complex(np.trace(_conv_kernel(phi.group, phi_u.values, psi_u.values)[phi.group.identity]))
         residual = abs(lhs - rhs) / scale
         lhs, rhs = lhs * unit, rhs * unit
         details = {"inner": [lhs.real, lhs.imag], "trace_at_identity": [rhs.real, rhs.imag]}

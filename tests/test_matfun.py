@@ -42,8 +42,8 @@ from godement import (
 )
 from godement.cli import main
 from godement.groups import _standard_spec
-from godement.matfun import (_adjoint, _complex_normals, _conv_at, _conv_index, _conv_kernel, _conv_operator,
-                             _frobenius, _pd_values, _plain_norm, _power_of_two_unit)
+from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _conv_operator,
+                             _fits_one_gather, _frobenius, _pd_values, _plain_norm, _power_of_two_unit)
 from godement.theorems import derive_seed
 from conftest import legacy_json, phi_21, random_pd, relabeled_s3
 
@@ -125,7 +125,7 @@ class TestKernel:
             got_vec = _conv_kernel(grp, a.values, u)
             assert np.linalg.norm(got_vec - expected_vec) <= 1e-13 * np.linalg.norm(expected_vec)
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "z9"))
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "z9", "z2xs5"))
     def test_dot_is_the_matmul_bitwise(self, spec, monkeypatch):
         # _conv_kernel multiplies with np.dot, which costs less than @ on 2-D complex,
         # and gives the same bits when it gathers and multiplies in row blocks
@@ -135,33 +135,21 @@ class TestKernel:
             a = random_matfun(grp, n, seed=34).values
             for b in (random_matfun(grp, n, seed=35).values, _complex_normals(36, (grp.order, n))[0]):
                 want = (_conv_operator(grp, a) @ b.reshape(side, -1)).reshape(b.shape)
-                # the whole matrix; blocks of four rows (the fewest); of eight; of
-                # side - 1 rounded down to whole fours.  On z9 at n = 1 the blocks of
-                # four leave a single last row, which joins the block before it.
-                for budget in (godement.matfun._GATHER_BYTES, 0, 16 * 8 * side, 16 * (side - 1) * side):
+                # the budget (row blocks on z2xs5 at n = 2, 3); blocks of two rows
+                # (the fewest); of three; of side - 2 and 2.  An odd side (z9 and
+                # trivial at n = 3) and blocks of three on a side of 3k + 1 leave a
+                # single last row, which joins the block before it.  n = 1 is
+                # gathered whole at every budget.
+                for budget in (godement.matfun._GATHER_BYTES, 0, 16 * 3 * side, 16 * (side - 2) * side):
                     with monkeypatch.context() as m:
                         m.setattr(godement.matfun, "_GATHER_BYTES", budget)
                         assert _conv_kernel(grp, a, b).tobytes() == want.tobytes(), (n, b.shape, budget)
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "z9"))
-    def test_value_at_one_element_is_its_kernel_row_bitwise(self, spec):
-        # check_inner_trace takes (a*b)(e) from the identity block rows alone
-        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
-        for n in (1, 2, 3):
-            a = random_matfun(grp, n, seed=37).values
-            for b in (random_matfun(grp, n, seed=38).values, _complex_normals(39, (grp.order, n))[0]):
-                want = _conv_kernel(grp, a, b)
-                for x in range(grp.order):
-                    assert _conv_at(grp, a, b, x).tobytes() == want[x].tobytes(), (n, b.shape, x)
-            phi, psi = random_pd(grp, n, seed=40), random_pd(grp, n, seed=41)
-            trace = complex(np.trace(_conv_kernel(grp, phi.values, psi.values)[grp.identity]))
-            assert check_inner_trace(phi, psi).details["trace_at_identity"] == [trace.real, trace.imag], n
-
     @pytest.mark.parametrize("spec", ("s5", "z2xs5"))
     def test_traced_peak_of_a_call_stays_under_a_mebibyte(self, spec):
         # numpy reports its buffers to tracemalloc; with the caches warm, no call
-        # holds the (|G| n)^2 convolution matrix (2.0 MiB on s5 and 7.9 MiB on
-        # z2xs5 at n = 3), only row blocks of at most _GATHER_BYTES
+        # at n = 3 holds the (|G| n)^2 convolution matrix (2.0 MiB on s5 and
+        # 7.9 MiB on z2xs5), only row blocks of at most _GATHER_BYTES
         grp = parse_group_spec(spec)
         f = random_matfun(grp, 3, seed=42)
         phi, psi = make_pd(f), make_pd(random_matfun(grp, 3, seed=43))
@@ -378,19 +366,20 @@ class TestRandomAndPd:
             f = random_matfun(grp, n, seed=derive_seed(spec, n))
             assert np.array_equal(make_pd(f).values, convolve(star(f), f).values), (spec, n)
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "s5"))
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "s5", "z2xs5"))
     def test_draw_is_one_gather_of_the_adjoint_kernel_bitwise(self, spec):
         # make_pd and the suite's draw gather the adjoint's convolution matrix
         # from conj(f) through one composite index, cached read-only per table and
-        # n, for an operator within _GATHER_BYTES; s5 at n = 2, 3 lies above it,
-        # where the draw is the row-block convolution and caches no composite index
+        # n, for an operator within _GATHER_BYTES; s5 at n = 2, 3 and z2xs5 at
+        # n = 1-3 lie above it, where the draw is that _conv_kernel call and
+        # caches no composite index
         grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
         for n in (1, 2, 3):
             f = random_matfun(grp, n, seed=derive_seed("draw", spec, n))
             want = _conv_kernel(grp, _adjoint(grp, f.values), f.values)
             assert _pd_values(grp, f.values).tobytes() == want.tobytes(), n
             assert make_pd(f).values.tobytes() == want.tobytes(), n
-            if 16 * (grp.order * n) ** 2 > godement.matfun._GATHER_BYTES:
+            if not _fits_one_gather(grp.order * n):
                 assert ("pd", n) not in grp._cache, n
                 continue
             index = grp._cache[("pd", n)]
