@@ -118,20 +118,16 @@ def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
 _GATHER_BYTES = 512 * 1024
 
 
-def _fits_one_gather(side: int) -> bool:
-    """Whether the complex128 convolution matrix of side |G| n is within _GATHER_BYTES."""
-    return 16 * side * side <= _GATHER_BYTES
-
-
 def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(a*b)(x) = sum_g a(g) b(g^-1 x) on raw arrays, as a matrix product.
 
     a is (|G|, n, n) and b is (|G|, n, n) or (|G|, n); the columns of b,
     flattened with index g*n + component, are multiplied by the convolution
-    matrix of a, since sum_y a(x y^-1) b(y) is the same sum.  np.dot costs
-    less than @ here and gives the same bits, as a test pins; only a 1 x 1
-    matrix times several columns, which these shapes never give, would be
-    taken as a scalar product and round otherwise.
+    matrix of a, since sum_y a(x y^-1) b(y) is the same sum.  make_pd and
+    the suite's draws take star(f) * f as a = _adjoint(group, f), b = f.
+    np.dot costs less than @ here and gives the same bits, as a test pins;
+    only a 1 x 1 matrix times several columns, which these shapes never
+    give, would be taken as a scalar product and round otherwise.
 
     A matrix within _GATHER_BYTES is gathered whole, and so is every matrix
     of n = 1.  A larger one is gathered in blocks of consecutive rows, each
@@ -149,7 +145,7 @@ def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     order, n = a.shape[0], a.shape[1]
     side = order * n
     flat, index, cols = a.reshape(-1), _conv_index(group, n), b.reshape(side, -1)
-    if n == 1 or _fits_one_gather(side):
+    if n == 1 or 16 * side * side <= _GATHER_BYTES:
         return np.dot(flat[index], cols).reshape(b.shape)
     rows = max(2, _GATHER_BYTES // (16 * side))
     out = np.empty(cols.shape, dtype=np.complex128)
@@ -186,26 +182,6 @@ def _adjoint(group: GroupTable, a: np.ndarray) -> np.ndarray:
     C-contiguous array: one gather, so that _conv_operator can reshape it
     without a copy."""
     return np.conj(a.reshape(-1)[_adjoint_index(group, a.shape[1])])
-
-
-def _pd_values(group: GroupTable, f: np.ndarray) -> np.ndarray:
-    """star(f) * f on raw values f (|G|, n, n), bit for bit
-    _conv_kernel(group, _adjoint(group, f), f).  An operator within
-    _GATHER_BYTES takes one gather: the convolution matrix of the adjoint
-    is conj(f) gathered through the composite index
-    _adjoint_index[_conv_index], cached on the table beside both under the
-    key ("pd", n).  A larger one is that _conv_kernel call, so no second
-    index of its size stays cached."""
-    order, n = f.shape[0], f.shape[1]
-    if not _fits_one_gather(order * n):
-        return _conv_kernel(group, _adjoint(group, f), f)
-    cache = group._cache
-    index = cache.get(("pd", n))
-    if index is None:
-        index = _adjoint_index(group, n).reshape(-1)[_conv_index(group, n)]
-        index.flags.writeable = False
-        index = cache.setdefault(("pd", n), index)
-    return np.dot(np.conj(f).reshape(-1)[index], f.reshape(order * n, n)).reshape(f.shape)
 
 
 def star(a: MatFun) -> MatFun:
@@ -355,8 +331,9 @@ def random_matfun(group: GroupTable, n: int, seed: int) -> MatFun:
 
 
 def make_pd(f: MatFun) -> MatFun:
-    """star(f) * f, positive definite since its convolution operator is T^H T."""
-    return MatFun(f.group, f.n, _pd_values(f.group, f.values))
+    """star(f) * f, positive definite since its convolution operator is T^H T;
+    star(f) stays raw values, never built or validated as a MatFun."""
+    return MatFun(f.group, f.n, _conv_kernel(f.group, _adjoint(f.group, f.values), f.values))
 
 
 # values_b64 holds the (|G|, n, n) values as little-endian complex128 in C order.

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fourier import FourierSpectrum, fourier_spectrum
-from .groups import GroupTable, _generating_set
+from .groups import GroupTable
 from .matfun import MatFun, _adjoint, _conv_operator, _power_of_two_unit
 
 __all__ = [
@@ -33,15 +33,14 @@ __all__ = [
     "is_positive_definite",
     "gram_pd_check",
     "hermitian_symmetry_residual",
-    "translation_commutant_residual",
     "extract_kernel",
     "spectral_truncate",
     "DEFAULT_PD_TOL",
 ]
 
 DEFAULT_PD_TOL = 1e-9
-# Largest translation-commutant residual of an operator extract_kernel
-# accepts, relative to the operator's Frobenius norm.
+# Largest ||op - C(kernel)||_F of an operator extract_kernel accepts, with
+# C(kernel) the convolution matrix of its block column at e, relative to ||op||_F.
 _EQUIVARIANCE_TOL = 1e-8
 
 
@@ -208,47 +207,32 @@ def hermitian_symmetry_residual(a: MatFun) -> float:
     return float(np.max(np.linalg.norm(gap, axis=(1, 2)))) if a.group.order else 0.0
 
 
-def _translated(data: np.ndarray, group: GroupTable, n: int, x: int) -> np.ndarray:
-    # R(x) T R(x)^-1 re-indexes blocks: result[g, h] = T[g x, h x]; no arithmetic.
-    flat = (group.mult[:, x][:, None] * n + np.arange(n)[None, :]).reshape(-1)
-    return data[np.ix_(flat, flat)]
-
-
-def translation_commutant_residual(op: ConvMatrix) -> float:
-    """Upper bound on max_x ||R(x) T R(x)^-1 - T||_F over all group elements x.
-
-    R is a unitary homomorphism, so along a word x = s_1 ... s_k in
-    generators and their inverses the residual is subadditive, and
-    R(s)^-1 has the residual of R(s).  Hence the worst residual over a
-    generating set times the diameter of its Cayley graph bounds the
-    residual of every element, and is zero iff T commutes with all R(x).
-    """
-    group, n = op.group, op.n
-    gens, diameter = _generating_set(group)
-    residuals = [np.linalg.norm(_translated(op.data, group, n, int(x)) - op.data) for x in gens]
-    return diameter * float(np.max(residuals, initial=0.0))
-
-
 def extract_kernel(op: ConvMatrix) -> MatFun:
     """Recover the matrix function whose convolution matrix is op.
 
-    Requires op to commute with every right translation (checked on a
-    generating set, see translation_commutant_residual); then column j
-    of the kernel at x is op applied to the delta at the identity
-    tensored with basis vector j, which is just the block column of op
-    at the identity element.  The residual is judged relative to
-    ||op||_F, so scaling op keeps the verdict.
+    An operator that commutes with every right translation is left
+    convolution by its kernel, whose value at x is the block (x, e) of op:
+    the block column at the identity.  On a finite group that is exact, so
+    op is accepted when it equals the convolution matrix C of that column
+    within _EQUIVARIANCE_TOL, relative to ||op||_F.  This one gather checks
+    every translation at once: C commutes with each, so the commutant
+    residual of op at any element is at most 2 ||op - C||_F.  Both norms
+    are taken on op divided by a power of two (_power_of_two_unit), which
+    is exact, so the verdict holds at any scale.  An entry that is not
+    finite fails it.
     """
-    worst = translation_commutant_residual(op)
-    scale = max(float(np.linalg.norm(op.data)), 1e-300)
-    if not worst <= _EQUIVARIANCE_TOL * scale:
-        raise EquivarianceError(
-            f"matrix does not commute with right translations: residual {worst:.3e}"
-        )
+    if not np.isfinite(op.data.view(np.float64)).all():
+        raise EquivarianceError("matrix has entries that are not finite")
     g, n = op.group, op.n
-    e = g.identity
-    col = op.data[:, e * n:(e + 1) * n]
-    return MatFun(g, n, col.reshape(g.order, n, n))
+    cols = slice(g.identity * n, (g.identity + 1) * n)
+    data = op.data / _power_of_two_unit(op.data)
+    residual = float(np.linalg.norm(data - _conv_operator(g, data[:, cols].reshape(g.order, n, n))))
+    scale = float(np.linalg.norm(data))
+    if not residual <= _EQUIVARIANCE_TOL * scale:
+        raise EquivarianceError(
+            f"matrix does not commute with right translations: residual {residual / scale:.3e} of ||op||_F"
+        )
+    return MatFun(g, n, op.data[:, cols].reshape(g.order, n, n))
 
 
 def spectral_truncate(a: MatFun, t: float) -> MatFun:

@@ -1,14 +1,15 @@
 """Convolution square roots in the group algebra.
 
 Every positive definite phi has a unique positive definite psi with
-phi = psi * psi (convolution).  Two independent constructions are
-provided: spectral calculus on the Fourier blocks of the convolution
-operator, and the coupled Newton-Schulz iteration, whose iterates
-increase toward the root from below.  The iteration is one loop on
-either of two algebras: below an operator side |G| n of _BLOCK_MIN_SIDE
-its products are convolutions, from it up products of the stacked
-Fourier blocks, and each root found on the blocks is rechecked once on
-the convolution kernel.
+phi = psi * psi (convolution).  Two constructions are provided: spectral
+calculus on the Fourier blocks of the convolution operator, and the
+coupled Newton-Schulz iteration, whose iterates increase toward the root
+from below.  The iteration is one loop on either of two algebras: below
+an operator side |G| n of _BLOCK_MIN_SIDE its products are convolutions,
+from it up products of the stacked Fourier blocks.  What does not go
+through the Fourier basis is the dense loop below side 64 and, at every
+size, the residual ||psi * psi - phi||_2 / ||phi||_2 on the convolution
+kernel, which checks each spectral root and each root found on the blocks.
 """
 
 from __future__ import annotations
@@ -88,24 +89,23 @@ def sqrt_spectral(phi: MatFun, tol: float = _ROOT_TOL) -> SqrtResult:
     residual that is not finite fails.  tol must be positive and finite.
     """
     _check_tol(tol)
-    return _spectral_root(phi, _certified_spectrum(phi), tol)
+    return _spectral_root(phi, _certified_spectrum(phi), tol, l2_norm(phi))
 
 
-def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtResult:
-    """sqrt_spectral from a spectrum of phi, with eigenvectors, already certified."""
+def _spectral_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, phi_norm: float) -> SqrtResult:
+    """sqrt_spectral from a certified spectrum of phi with eigenvectors and phi_norm = l2_norm(phi)."""
     floor = DEFAULT_PD_TOL * spectrum.operator_norm
     psi = spectrum.apply(lambda ev: np.sqrt(np.where(ev <= floor, 0.0, ev)))
-    residual = _kernel_residual(psi, phi)
+    residual = _kernel_residual(psi, phi, phi_norm)
     if not residual <= tol:
         raise ConvergenceError(f"spectral square root residual {residual:.3e} exceeds {tol:.3e}")
     return SqrtResult(psi=psi, method="spectral", residual=residual)
 
 
-def _kernel_residual(psi: MatFun, phi: MatFun) -> float:
-    """||psi * psi - phi||_2 / ||phi||_2 on the convolution kernel, 0 for phi = 0."""
-    denom = l2_norm(phi)
+def _kernel_residual(psi: MatFun, phi: MatFun, phi_norm: float) -> float:
+    """||psi * psi - phi||_2 / phi_norm on the convolution kernel, phi_norm = l2_norm(phi); 0 for phi = 0."""
     gap = _l2(_conv_kernel(psi.group, psi.values, psi.values) - phi.values)
-    return gap / denom if denom > 0 else 0.0
+    return gap / phi_norm if phi_norm > 0 else 0.0
 
 
 def sqrt_iterative(phi: MatFun, tol: float = _ROOT_TOL) -> SqrtResult:
@@ -136,7 +136,7 @@ def sqrt_iterative(phi: MatFun, tol: float = _ROOT_TOL) -> SqrtResult:
     positive and finite.
     """
     _check_tol(tol)
-    return _iterative_root(phi, _certified_spectrum(phi, vectors=False), tol)
+    return _iterative_root(phi, _certified_spectrum(phi, vectors=False), tol, l2_norm(phi))
 
 
 def _predicted_steps(lam: float, tol: float) -> int:
@@ -146,9 +146,9 @@ def _predicted_steps(lam: float, tol: float) -> int:
     return math.ceil(math.log(1.0 / lam, 9.0 / 4.0) + math.log2(max(math.log(1.0 / tol), 1.0)))
 
 
-def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtResult:
-    """sqrt_iterative from a spectrum of phi already certified,
-    which gives s and the smallest eigenvalue, and a tol _check_tol passed."""
+def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float, phi_norm: float) -> SqrtResult:
+    """sqrt_iterative from a certified spectrum of phi, which gives s and the smallest
+    eigenvalue, a tol _check_tol passed, and phi_norm = l2_norm(phi) for the recheck."""
     s = spectrum.operator_norm
     if s == 0.0:
         return SqrtResult(psi=zero_matfun(phi.group, phi.n), method="iterative", residual=0.0,
@@ -169,7 +169,7 @@ def _iterative_root(phi: MatFun, spectrum: FourierSpectrum, tol: float) -> SqrtR
     psi = MatFun(group, n, values)
     if on_blocks:
         # the loop saw only blocks; the root is checked once on the convolution kernel
-        check = _kernel_residual(psi, phi)
+        check = _kernel_residual(psi, phi, phi_norm)
         if not check <= tol * (1.0 + _RECHECK_SLACK):
             raise ConvergenceError(f"iterative square root residual {check:.3e} exceeds {tol:.3e} "
                                    f"on the convolution kernel")

@@ -21,10 +21,10 @@ import numpy as np
 from .groups import GroupTable, _spec_order, parse_group_spec
 from .matfun import (
     MatFun,
+    _adjoint,
     _complex_normals,
     _conv_kernel,
     _l2,
-    _pd_values,
     _power_of_two_unit,
     inner,
     l2_norm,
@@ -103,17 +103,19 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
     psi's certificate gives its star gap.  The star gap is relative to
     ||psi||, and the trace bound ||psi_k||^2 <= Tr phi(e) to Tr phi(e), so
     neither depends on the scale of phi, and the roots must agree within
-    the bound their residuals give.  tol and iter_tol must be positive and
+    the bound their residuals give.  ||phi||_2 is taken once, for both roots'
+    kernel residuals and the bound.  tol and iter_tol must be positive and
     finite; a bad one raises ValueError before any work, not a failed theorem.
     """
     _check_tol(tol)
     _check_tol(iter_tol, "iter_tol")
     group, n = phi.group, phi.n
     report = TheoremReport("A", 1, group.name, n, 0.0, True)
+    phi_norm = l2_norm(phi)
     try:
         spectrum = _certified_spectrum(phi)
-        spectral = _spectral_root(phi, spectrum, tol)
-        iterative = _iterative_root(phi, spectrum, iter_tol)
+        spectral = _spectral_root(phi, spectrum, tol, phi_norm)
+        iterative = _iterative_root(phi, spectrum, iter_tol, phi_norm)
     except (ConvergenceError, ValueError) as exc:  # ValueError: phi not PD, or a root with non-finite entries
         return _failed_a(report, phi, str(exc))
 
@@ -123,7 +125,7 @@ def check_theorem_a(phi: MatFun, tol: float = _ROOT_TOL, iter_tol: float = 1e-9)
     # commutes with phi, as both roots do; below DEFAULT_PD_TOL s an eigenvalue
     # is rounding to both.  s = 0 only for the zero function, whose roots are 0.
     floor = max(float(spectrum.eigenvalues[0]), DEFAULT_PD_TOL * spectrum.operator_norm)
-    bound = (spectral.residual + iterative.residual) * (l2_norm(phi) / math.sqrt(floor)) if floor > 0.0 else 0.0
+    bound = (spectral.residual + iterative.residual) * (phi_norm / math.sqrt(floor)) if floor > 0.0 else 0.0
     psi_cert = is_positive_definite(spectral.psi)
     residuals = {
         "spectral_residual": spectral.residual / tol,
@@ -339,19 +341,11 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _trial_seeds(cell: tuple, trials: int):
-    """derive_seed(*cell, t) for t in range(trials), with the cell's prefix hashed once."""
-    prefix = hashlib.sha256("".join(f"{part!s}:" for part in cell).encode())
-    for t in range(trials):
-        digest = prefix.copy()
-        digest.update(str(t).encode())
-        yield int.from_bytes(digest.digest()[:8], "big")
-
-
 def _random_pd(group: GroupTable, n: int, seed: int) -> MatFun:
-    """make_pd(random_matfun(group, n, seed)), bit for bit, drawn and convolved
-    on raw arrays so that only the result is built and validated as a MatFun."""
-    return MatFun(group, n, _pd_values(group, _complex_normals(seed, (group.order, n, n))[0]))
+    """make_pd(random_matfun(group, n, seed)), bit for bit: the same kernel call
+    on the raw draw, so that only the result is built and validated as a MatFun."""
+    f = _complex_normals(seed, (group.order, n, n))[0]
+    return MatFun(group, n, _conv_kernel(group, _adjoint(group, f), f))
 
 
 def _split_point(eigenvalues: np.ndarray) -> float:
@@ -421,7 +415,8 @@ def run_suite(config: SuiteConfig, collect_trials: bool = False) -> dict:
         for n in config.dims:
             for theorem, trial_fn in _TRIALS.items():
                 aggregate = TheoremReport(theorem, 0, group.name, n, 0.0, True)
-                for t, seed in enumerate(_trial_seeds((config.seed, theorem, group.name, n), config.trials)):
+                for t in range(config.trials):
+                    seed = derive_seed(config.seed, theorem, group.name, n, t)
                     trial_report, _ = trial_fn(group, n, seed, config)
                     _merge(aggregate, trial_report)
                     if collect_trials:

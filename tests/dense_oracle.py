@@ -7,7 +7,7 @@ blocks, so the tests can check the package's routes against them.
 
 import numpy as np
 
-from godement import GroupTable, MatFun, SpectralDecomposition, conv_matrix, decompose, subtract
+from godement import ConvMatrix, GroupTable, MatFun, SpectralDecomposition, conv_matrix, decompose, subtract
 from godement.fourier import count_leq
 from godement.operators import _verdict
 
@@ -19,6 +19,15 @@ def right_translation_matrix(group: GroupTable, n: int, x: int) -> np.ndarray:
     p = np.zeros((group.order, group.order))
     p[np.arange(group.order), group.mult[:, x]] = 1.0  # row g picks up the value at g x
     return np.kron(p, np.eye(n))
+
+
+def brute_commutant_residual(op: ConvMatrix) -> float:
+    """max over every x of ||R(x) T R(x)^H - T||_F with explicit permutation matrices."""
+    worst = 0.0
+    for x in range(op.group.order):
+        r = right_translation_matrix(op.group, op.n, x)
+        worst = max(worst, float(np.linalg.norm(r @ op.data @ r.conj().T - op.data)))
+    return worst
 
 
 def projector_leq(sd: SpectralDecomposition, t: float) -> np.ndarray:

@@ -53,7 +53,7 @@ def test_module_exports_are_disjoint():
 # the ones the tests still use)
 RETIRED = {
     "roots": ("poly_apply", "PolySpec", "truncation_sequence"),
-    "operators": ("pd_order_leq", "right_translation_matrix"),
+    "operators": ("pd_order_leq", "right_translation_matrix", "translation_commutant_residual"),
     "matfun": ("l1_norm", "VecFun", "convolve_vec", "random_vecfun"),
     "groups": ("build_trivial", "build_klein", "is_abelian"),
     "reps": ("trivial_rep", "rep_to_json"),

@@ -20,6 +20,7 @@ from godement import (
     extract_kernel,
     gram_pd_check,
     is_positive_definite,
+    make_pd,
     parse_group_spec,
     random_matfun,
     scale,
@@ -298,8 +299,8 @@ def test_layout_plan_is_the_per_class_layout_bitwise(spec):
 
 def test_plan_and_draw_index_first_build_race():
     # more threads than cores race on the first build of a fresh table's
-    # layout plan and composite draw index; each keeps one object and every
-    # thread gets the same bits
+    # layout plan and the adjoint and convolution indices of make_pd; each
+    # keeps one object and every thread gets the same bits
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -311,7 +312,7 @@ def test_plan_and_draw_index_first_build_race():
 
             def worker():
                 barrier.wait(timeout=10)
-                got.append((basis._plan(3), godement.matfun._pd_values(grp, f.values), fourier_spectrum(f)))
+                got.append((basis._plan(3), make_pd(f).values, fourier_spectrum(f)))
 
             threads = [threading.Thread(target=worker) for _ in range(8)]
             for t in threads:

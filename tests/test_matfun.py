@@ -42,9 +42,9 @@ from godement import (
 )
 from godement.cli import main
 from godement.groups import _standard_spec
-from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _conv_operator,
-                             _fits_one_gather, _frobenius, _pd_values, _plain_norm, _power_of_two_unit)
-from godement.theorems import derive_seed
+from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _conv_operator, _frobenius,
+                             _plain_norm, _power_of_two_unit)
+from godement.theorems import _random_pd, derive_seed
 from conftest import legacy_json, phi_21, random_pd, relabeled_s3
 
 REL = 1e-10
@@ -359,33 +359,24 @@ class TestRandomAndPd:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
-    @pytest.mark.parametrize("spec", STANDARD_SPECS)
+    @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "s5", "z2xs5"))
     def test_make_pd_is_star_f_times_f_bitwise(self, spec):
-        grp = parse_group_spec(spec)
+        # s5 at n = 2, 3 and z2xs5 at n = 1-3 lie above _GATHER_BYTES
+        grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
         for n in (1, 2, 3):
             f = random_matfun(grp, n, seed=derive_seed(spec, n))
-            assert np.array_equal(make_pd(f).values, convolve(star(f), f).values), (spec, n)
+            assert make_pd(f).values.tobytes() == convolve(star(f), f).values.tobytes(), (spec, n)
 
     @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "s5", "z2xs5"))
     def test_draw_is_one_gather_of_the_adjoint_kernel_bitwise(self, spec):
-        # make_pd and the suite's draw gather the adjoint's convolution matrix
-        # from conj(f) through one composite index, cached read-only per table and
-        # n, for an operator within _GATHER_BYTES; s5 at n = 2, 3 and z2xs5 at
-        # n = 1-3 lie above it, where the draw is that _conv_kernel call and
-        # caches no composite index
+        # the suite's draw convolves the adjoint of its raw draw as make_pd does,
+        # within _GATHER_BYTES and above it
         grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
         for n in (1, 2, 3):
-            f = random_matfun(grp, n, seed=derive_seed("draw", spec, n))
-            want = _conv_kernel(grp, _adjoint(grp, f.values), f.values)
-            assert _pd_values(grp, f.values).tobytes() == want.tobytes(), n
-            assert make_pd(f).values.tobytes() == want.tobytes(), n
-            if not _fits_one_gather(grp.order * n):
-                assert ("pd", n) not in grp._cache, n
-                continue
-            index = grp._cache[("pd", n)]
-            assert not index.flags.writeable
-            _pd_values(grp, f.values)
-            assert grp._cache[("pd", n)] is index
+            seed = derive_seed("draw", spec, n)
+            f = random_matfun(grp, n, seed=seed).values
+            want = _conv_kernel(grp, _adjoint(grp, f), f)
+            assert _random_pd(grp, n, seed).values.tobytes() == want.tobytes(), n
 
     def test_make_pd_of_delta(self, z6):
         delta = delta_identity(z6, 2)

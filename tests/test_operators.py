@@ -32,14 +32,13 @@ from godement import (
     sqrt_spectral,
     star,
     subtract,
-    translation_commutant_residual,
 )
 from godement.fourier import fourier_basis
 from godement.groups import _generating_set, _word_plan
 from godement.matfun import _complex_normals
 from godement.theorems import SuiteConfig, _trial_c
 from conftest import ARRAY_LEVEL_SPECS, phi_21, random_pd
-from dense_oracle import pd_order_leq, projector_leq, right_translation_matrix
+from dense_oracle import brute_commutant_residual, pd_order_leq, projector_leq, right_translation_matrix
 
 
 def vector_action(a: MatFun, u: np.ndarray) -> np.ndarray:
@@ -204,8 +203,7 @@ class TestRightTranslation:
 
     def test_equivariance_for_every_element(self, s3):
         a = random_matfun(s3, 2, seed=12)
-        # the bound covers every element (TestCommutantOnGenerators)
-        assert translation_commutant_residual(conv_matrix(a)) <= 1e-12
+        assert brute_commutant_residual(conv_matrix(a)) <= 1e-12
 
     def test_matrix_conjugation_agrees_with_fast_path(self, d3):
         a = random_matfun(d3, 2, seed=13)
@@ -245,17 +243,41 @@ class TestExtractKernel:
             extract_kernel(ConvMatrix(z2, 1, bad))
 
     def test_verdict_is_scale_invariant(self, s3):
-        # a random 12 x 12 matrix does not commute with the right translations
+        # a random 12 x 12 matrix does not commute with the right translations;
+        # at 1e200 the squares of its entries overflow unless they are scaled first
         bad = np.random.default_rng(5).standard_normal((12, 12)).astype(complex)
         good = conv_matrix(random_matfun(s3, 2, seed=5)).data
-        for c in (1.0, 1e-12):
+        for c in (1.0, 1e-12, 1e200):
             with pytest.raises(EquivarianceError):
                 extract_kernel(ConvMatrix(s3, 2, c * bad))
             assert np.array_equal(extract_kernel(ConvMatrix(s3, 2, c * good)).values, (c * good)[:, :2].reshape(6, 2, 2))
 
     def test_commutant_residual_zero_for_conv_matrices(self, q8):
         a = random_matfun(q8, 2, seed=15)
-        assert translation_commutant_residual(conv_matrix(a)) == 0.0
+        assert brute_commutant_residual(conv_matrix(a)) == 0.0
+
+    @pytest.mark.parametrize("spec", ["s3", "q8", "z2xd6"])
+    @pytest.mark.parametrize("c", [1.0, 1e-12])
+    def test_single_moved_entry_rejected(self, spec, c):
+        # one entry moved by 1e-6 ||op||_F, inside the block column at e (which
+        # moves the kernel) or outside it, is 100 times the tolerance
+        grp = parse_group_spec(spec)
+        size, cols = 2 * grp.order, slice(2 * grp.identity, 2 * grp.identity + 2)
+        good = c * conv_matrix(random_matfun(grp, 2, seed=17)).data
+        for entry in ((size - 1, cols.start), (0, cols.stop % size)):
+            bad = good.copy()
+            bad[entry] += 1e-6 * np.linalg.norm(good)
+            with pytest.raises(EquivarianceError):
+                extract_kernel(ConvMatrix(grp, 2, bad))
+        assert np.array_equal(extract_kernel(ConvMatrix(grp, 2, good)).values, good[:, cols].reshape(grp.order, 2, 2))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_entry_that_is_not_finite_rejected(self, s3, value):
+        # the entry lies outside the block column at e, so the kernel is finite
+        data = conv_matrix(random_matfun(s3, 2, seed=18)).data.copy()
+        data[0, 11] = value
+        with pytest.raises(EquivarianceError):
+            extract_kernel(ConvMatrix(s3, 2, data))
 
 
 class TestSpectralTruncate:
@@ -552,27 +574,25 @@ class TestVerdict:
                 assert is_positive_definite(scale(c, phi)).verdict == verdict, c
 
 
-def brute_commutant_residual(op: ConvMatrix) -> float:
-    """max over every x of ||R(x) T R(x)^H - T||_F with explicit permutation matrices."""
-    worst = 0.0
-    for x in range(op.group.order):
-        r = right_translation_matrix(op.group, op.n, x)
-        worst = max(worst, float(np.linalg.norm(r @ op.data @ r.conj().T - op.data)))
-    return worst
-
-
 class TestCommutantOnGenerators:
     SPECS = ["z6", "d4", "q8", "s3", "s4", "z2xd6", "z24"]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_bound_dominates_all_elements(self, spec):
+        # extract_kernel's residual ||op - C||_F, with C the convolution matrix of
+        # op's block column at e, bounds the commutant residual of every element
+        # by twice itself, since C commutes with every right translation
         grp = parse_group_spec(spec)
         rg = np.random.default_rng(34)
         size = grp.order * 2
+        cols = slice(2 * grp.identity, 2 * grp.identity + 2)
         for data in (rg.standard_normal((size, size)) + 1j * rg.standard_normal((size, size)),
                      conv_matrix(random_matfun(grp, 2, seed=35)).data + 1e-6 * rg.standard_normal((size, size))):
             op = ConvMatrix(grp, 2, data)
-            assert brute_commutant_residual(op) <= translation_commutant_residual(op) * (1 + 1e-12)
+            rebuilt = conv_matrix(MatFun(grp, 2, data[:, cols].reshape(grp.order, 2, 2))).data
+            assert brute_commutant_residual(op) <= 2.0 * np.linalg.norm(data - rebuilt) * (1 + 1e-12)
+            with pytest.raises(EquivarianceError):
+                extract_kernel(op)
 
     @pytest.mark.parametrize("spec", ["d4", "q8", "s3", "s4", "z2xd6"])
     def test_average_over_all_but_last_generator_rejected(self, spec):

@@ -275,7 +275,7 @@ class TestSqrtIterative:
         assert sqrt_iterative(phi, tol=1e-9).residual <= 1e-9
         gaps = []
 
-        def off_by_a_percent(psi, target):
+        def off_by_a_percent(psi, target, target_norm):
             gaps.append(1)
             return 1e-2
 

@@ -187,16 +187,16 @@ class TestTheoremA:
     def test_star_gap_is_relative(self, z2, c, monkeypatch):
         real = godement.theorems._spectral_root
 
-        def with_star_gap(phi, spectrum, tol):
+        def with_star_gap(phi, spectrum, tol, phi_norm):
             # i eps at the identity gives a star gap of 2 eps = 5e-10 ||psi||: five
             # times the tolerance, but small enough that psi stays PD; the
             # residual is that of the perturbed root, which keeps it within the
             # agreement bound
-            result = real(phi, spectrum, tol)
+            result = real(phi, spectrum, tol, phi_norm)
             values = result.psi.values.copy()
             values[phi.group.identity] += 0.5j * 5e-10 * l2_norm(result.psi)
             psi = MatFun(phi.group, phi.n, values)
-            return dataclasses.replace(result, psi=psi, residual=godement.roots._kernel_residual(psi, phi))
+            return dataclasses.replace(result, psi=psi, residual=godement.roots._kernel_residual(psi, phi, phi_norm))
 
         phi = scale(c, phi_21(z2))
         assert check_theorem_a(phi).passed
@@ -210,9 +210,9 @@ class TestTheoremA:
     def test_trace_bound_is_relative(self, z2, c, monkeypatch):
         real = godement.theorems._iterative_root
 
-        def overshooting(phi, spectrum, tol):
+        def overshooting(phi, spectrum, tol, phi_norm):
             # one more trace value with v^2 = Tr phi(e) (1 + 1e-9)
-            result = real(phi, spectrum, tol)
+            result = real(phi, spectrum, tol, phi_norm)
             top = np.sqrt(np.trace(phi.values[phi.group.identity]).real * (1.0 + 1e-9))
             return dataclasses.replace(result, monotone_trace=result.monotone_trace + (top,))
 
@@ -232,7 +232,7 @@ class TestTheoremA:
 
     def test_non_finite_root_fails_with_counterexample(self, s3, monkeypatch):
         # a root whose entries overflow is refused by MatFun: a failed theorem, not an input error
-        def overflowing(phi, spectrum, tol):
+        def overflowing(phi, spectrum, tol, phi_norm):
             return MatFun(phi.group, phi.n, np.full(phi.values.shape, np.inf))
 
         monkeypatch.setattr(godement.theorems, "_spectral_root", overflowing)
@@ -311,8 +311,8 @@ class TestArrayLevelQuantities:
             phi = random_pd(grp, n, seed=derive_seed("A", spec, n))
             report = check_theorem_a(phi)
             spectrum = godement.fourier.fourier_spectrum(phi)
-            spectral = godement.roots._spectral_root(phi, spectrum, 1e-8)
-            iterative = godement.roots._iterative_root(phi, spectrum, 1e-9)
+            spectral = godement.roots._spectral_root(phi, spectrum, 1e-8, l2_norm(phi))
+            iterative = godement.roots._iterative_root(phi, spectrum, 1e-9, l2_norm(phi))
             assert report.details["agreement"] == l2_norm(subtract(spectral.psi, iterative.psi)), (spec, n)
             residual = l2_norm(subtract(convolve(spectral.psi, spectral.psi), phi)) / l2_norm(phi)
             assert report.details["spectral_residual"] == residual, (spec, n)
@@ -719,7 +719,7 @@ class TestRunSuite:
         assert result["passed"] and len(result["reports"]) == 4
 
     def test_trial_seeds_are_derive_seed(self, monkeypatch):
-        # run_suite hashes each cell's prefix once and appends the trial index
+        # each trial's inputs are drawn from derive_seed(suite seed, theorem, group, n, trial)
         seen = []
         for theorem, fn in list(godement.theorems._TRIALS.items()):
             monkeypatch.setitem(godement.theorems._TRIALS, theorem,
