@@ -44,11 +44,11 @@ class GroupTable:
     threads.  Summation against the table realizes integration with
     counting measure (every element has mass 1).  Each instance keeps one
     private cache, which lives and dies with the table, of what is derived
-    from it alone: the convolution and adjoint gather indices per matrix
-    dimension (see matfun), its generating set (see _generating_set) and
-    its Fourier basis (see fourier).  The tables parse_group_spec returns
-    live for the whole process, one per canonical spec; the builders and
-    group_from_json make a new table on every call.
+    from it alone: the table of x y^-1, the convolution and adjoint gather
+    indices per matrix dimension (see matfun), its generating set (see
+    _generating_set) and its Fourier basis (see fourier).  The tables
+    parse_group_spec returns live for the whole process, one per canonical
+    spec; the builders and group_from_json make a new table on every call.
     """
 
     order: int

@@ -79,43 +79,107 @@ def _check_compatible(a: MatFun, b: MatFun) -> None:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
 
 
+def _check_operator_size(order: int, n: int) -> None:
+    """The one size rule for a convolution operator: ValueError when its
+    complex128 matrix would pass groups._MAX_ARRAY_BYTES."""
+    _check_array_size(16 * (order * n) ** 2, f"a convolution operator of dimension {n} on {order} elements",
+                      "complex128 matrix")
+
+
+def _quotients(group: GroupTable) -> np.ndarray:
+    """The table E[x, y] = x y^-1 = mult[x, inv[y]], cached on the table under
+    the key "quotients", in the column-major layout numpy gives it.  Its
+    range is checked once, when it is built: a hand-built table with an
+    entry outside 0 .. |G| - 1 raises ValueError, so _element_rows, which
+    takes with mode="clip", never clips one silently."""
+    cache = group._cache
+    table = cache.get("quotients")
+    if table is None:
+        table = group.mult[:, group.inv]
+        if table.size and not (table.min() >= 0 and table.max() < group.order):
+            raise ValueError(f"group table has an entry x y^-1 outside 0..{group.order - 1}")
+        table.flags.writeable = False
+        table = cache.setdefault("quotients", table)
+    return table
+
+
 def _conv_index(group: GroupTable, n: int) -> np.ndarray:
     """Flat gather index of the convolution matrix of an n x n function on group.
 
     values.reshape(-1)[index] is the (|G| n, |G| n) matrix whose block
     (x, y) is values[x y^-1], i.e. index[x n + i, y n + k] =
-    idx[x, y] n^2 + i n + k with idx = mult[:, inv].  Built once per
-    (table, n) and cached on the table instance under the key n; threads
-    that race on a first build compute equal arrays and setdefault keeps
-    one of them.  The first build raises ValueError when the complex128
-    operator the index gathers would pass groups._MAX_ARRAY_BYTES.  That
-    check bounds this 8 (|G| n)^2-byte index, conv_matrix and the whole
-    operator a convolution of n = 1 gathers; a convolution of n >= 2
-    gathers at most _GATHER_BYTES of it at a time (_conv_kernel).
+    E[x, y] n^2 + i n + k with E = _quotients(group).  At n = 1 the index
+    is E itself, column-major like the operator it gathers, which numpy
+    multiplies by OpenBLAS's column-major matrix-vector kernel; a row-major
+    gather would change every n = 1 output in its last bits.  For n >= 2 it
+    is row-major, built once per (table, n) and cached under the key n;
+    threads that race on a first build compute equal arrays and setdefault
+    keeps one of them.  The first build raises ValueError when the operator
+    would pass groups._MAX_ARRAY_BYTES.  At n >= 2 only operators within
+    _GATHER_BYTES and the dense root below side 64 use it, so it holds at
+    most _GATHER_BYTES / 2; larger ones are gathered by _element_rows.
     """
     cache = group._cache
     index = cache.get(n)
     if index is None:
         order = group.order
-        _check_array_size(16 * (order * n) ** 2, f"a convolution operator of dimension {n} on {order} elements",
-                          "complex128 matrix")
-        blocks = group.mult[:, group.inv] * (n * n)
-        within = np.arange(n)[:, None] * n + np.arange(n)[None, :]
-        index = (blocks[:, None, :, None] + within[None, :, None, :]).reshape(order * n, order * n)
-        index.flags.writeable = False
+        _check_operator_size(order, n)
+        index = _quotients(group)
+        if n > 1:
+            within = np.arange(n)[:, None] * n + np.arange(n)[None, :]
+            index = (index[:, None, :, None] * (n * n) + within[None, :, None, :]).reshape(order * n, order * n)
+            index.flags.writeable = False
         index = cache.setdefault(n, index)
     return index
 
 
-def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
-    """Convolution matrix of raw values a (|G|, n, n): one gather, no arithmetic."""
-    return a.reshape(-1)[_conv_index(group, a.shape[1])]
-
-
-# The most bytes of complex128 convolution matrix that one gather of
-# _conv_kernel holds; larger operators of n >= 2 are gathered and multiplied
-# in row blocks.  Every operator of side |G| n <= 181 stays one gather.
+# The most bytes of complex128 convolution matrix that one gather holds when
+# an operator of n >= 2 is gathered by group elements: operators within it,
+# every operator of side |G| n <= 181, are gathered whole through _conv_index.
 _GATHER_BYTES = 512 * 1024
+
+
+def _element_rows(group: GroupTable, a: np.ndarray):
+    """The rows of the convolution matrix of a (|G|, n, n), n >= 2, a block
+    of whole group elements at a time: yields (start, stop, block), where
+    block holds the rows of the elements x = start .. stop - 1 in the order
+    (i, x), row i of x being a(x y^-1)[i, k] over (y, k).
+
+    a is copied once as rows[i, g, k] = a(g)[i, k], and one take along
+    the rows start .. stop - 1 of E = _quotients(group) fills each block,
+    so nothing of size (|G| n)^2 is held: the block is one reused buffer of
+    the most whole elements within _GATHER_BYTES, at least one, and so at
+    least n >= 2 rows, never the single row numpy would multiply as a
+    vector.  np.take copies those rows of E first, since E is read-only and
+    column-major: 8 |G| bytes per element against the block's 16 n^2 |G|.
+    E is range-checked, so mode="clip" clips nothing; numpy buffers the
+    default mode="raise" into out=, which costs more.
+    """
+    order, n = a.shape[0], a.shape[1]
+    side = order * n
+    quotients = _quotients(group)
+    rows = np.ascontiguousarray(a.transpose(1, 0, 2))
+    count = max(1, _GATHER_BYTES // (16 * n * side))
+    buffer = np.empty(n * min(count, order) * side, dtype=np.complex128)
+    for start in range(0, order, count):
+        stop = min(start + count, order)
+        block = buffer[:n * (stop - start) * side].reshape(n, stop - start, order, n)
+        np.take(rows, quotients[start:stop], axis=1, out=block, mode="clip")
+        yield start, stop, block.reshape(-1, side)
+
+
+def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
+    """Convolution matrix of raw values a (|G|, n, n), gathered, with no
+    arithmetic: whole through _conv_index, or else by _element_rows into the
+    one (|G| n)^2 array it returns."""
+    order, n = a.shape[0], a.shape[1]
+    if n == 1 or 16 * (order * n) ** 2 <= _GATHER_BYTES:
+        return a.reshape(-1)[_conv_index(group, n)]
+    _check_operator_size(order, n)
+    out = np.empty((order, n, order * n), dtype=np.complex128)
+    for start, stop, block in _element_rows(group, a):
+        out[start:stop] = block.reshape(n, stop - start, -1).swapaxes(0, 1)
+    return out.reshape(order * n, order * n)
 
 
 def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,31 +193,26 @@ def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     only a 1 x 1 matrix times several columns, which these shapes never
     give, would be taken as a scalar product and round otherwise.
 
-    A matrix within _GATHER_BYTES is gathered whole, and so is every matrix
-    of n = 1.  A larger one is gathered in blocks of consecutive rows, each
-    multiplied into its rows of one output array: the most rows within
-    _GATHER_BYTES, at least two, and a last single row joins the block
-    before it, since numpy takes a one-row product as a vector product and
-    rounds it otherwise.  For n >= 2 blocks so cut give the whole product's
-    bits, as a test pins.  At n = 1 the index is column-major, and
-    OpenBLAS's matrix-vector kernel for it rounds a row by its place in the
-    share of rows each thread takes, so the bits of a block would depend on
-    the BLAS thread count.  Gathering whole skips the loop's np.empty and
-    out=, 0.6-1.1 us of a 2-6 us call on the default suite's operators
-    (2-core x86 host).
+    At n = 1 and within _GATHER_BYTES the matrix is gathered whole and
+    multiplied once, which skips the loop's set-up: 0.6-1.1 us of a 2-6 us
+    call on the default suite's operators (2-core x86 host).  A larger
+    operator of n >= 2 is multiplied a block of whole elements at a time
+    (_element_rows), each block's rows going to their places in one output
+    array: the same row of the matrix times the same columns as in the
+    whole product, which OpenBLAS rounds alike wherever the row sits in a
+    block, as a test pins.  Such an operator leaves only E, 8 |G|^2 bytes,
+    cached on the table.
     """
     order, n = a.shape[0], a.shape[1]
     side = order * n
-    flat, index, cols = a.reshape(-1), _conv_index(group, n), b.reshape(side, -1)
+    cols = b.reshape(side, -1)
     if n == 1 or 16 * side * side <= _GATHER_BYTES:
-        return np.dot(flat[index], cols).reshape(b.shape)
-    rows = max(2, _GATHER_BYTES // (16 * side))
-    out = np.empty(cols.shape, dtype=np.complex128)
-    start = 0
-    while start < side:
-        stop = start + rows if side - start - rows > 1 else side
-        np.dot(flat[index[start:stop]], cols, out=out[start:stop])
-        start = stop
+        return np.dot(a.reshape(-1)[_conv_index(group, n)], cols).reshape(b.shape)
+    _check_operator_size(order, n)
+    width = cols.shape[1]
+    out = np.empty((order, n, width), dtype=np.complex128)
+    for start, stop, block in _element_rows(group, a):
+        out[start:stop] = np.dot(block, cols).reshape(n, stop - start, width).swapaxes(0, 1)
     return out.reshape(b.shape)
 
 

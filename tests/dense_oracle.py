@@ -21,6 +21,18 @@ def right_translation_matrix(group: GroupTable, n: int, x: int) -> np.ndarray:
     return np.kron(p, np.eye(n))
 
 
+def scalar_conv_index(group: GroupTable, n: int) -> np.ndarray:
+    """Flat gather index of the convolution matrix, one group pair at a time:
+    values.reshape(-1)[index] has block (x, y) equal to values[x y^-1], so
+    index[x n + i, y n + k] = mult[x, inv[y]] n^2 + i n + k."""
+    within = np.arange(n)[:, None] * n + np.arange(n)[None, :]
+    index = np.empty((group.order * n, group.order * n), dtype=np.intp)
+    for x in range(group.order):
+        for y in range(group.order):
+            index[x * n:(x + 1) * n, y * n:(y + 1) * n] = int(group.mult[x, group.inv[y]]) * n * n + within
+    return index
+
+
 def brute_commutant_residual(op: ConvMatrix) -> float:
     """max over every x of ||R(x) T R(x)^H - T||_F with explicit permutation matrices."""
     worst = 0.0

@@ -41,6 +41,7 @@ from godement import (
     zero_matfun,
 )
 from godement.cli import main
+from godement.fourier import fourier_basis
 from godement.groups import _standard_spec
 from godement.matfun import (_adjoint, _complex_normals, _conv_index, _conv_kernel, _conv_operator, _frobenius,
                              _plain_norm, _power_of_two_unit)
@@ -128,19 +129,19 @@ class TestKernel:
     @pytest.mark.parametrize("spec", STANDARD_SPECS + ("custom", "z9", "z2xs5"))
     def test_dot_is_the_matmul_bitwise(self, spec, monkeypatch):
         # _conv_kernel multiplies with np.dot, which costs less than @ on 2-D complex,
-        # and gives the same bits when it gathers and multiplies in row blocks
+        # and gives the same bits when it gathers and multiplies by blocks of whole
+        # group elements, whose rows come in the order (i, x)
         grp = relabeled_s3() if spec == "custom" else parse_group_spec(spec)
         for n in (1, 2, 3):
             side = grp.order * n
             a = random_matfun(grp, n, seed=34).values
             for b in (random_matfun(grp, n, seed=35).values, _complex_normals(36, (grp.order, n))[0]):
                 want = (_conv_operator(grp, a) @ b.reshape(side, -1)).reshape(b.shape)
-                # the budget (row blocks on z2xs5 at n = 2, 3); blocks of two rows
-                # (the fewest); of three; of side - 2 and 2.  An odd side (z9 and
-                # trivial at n = 3) and blocks of three on a side of 3k + 1 leave a
-                # single last row, which joins the block before it.  n = 1 is
+                # the budget (element blocks on z2xs5 at n = 2, 3); blocks of one
+                # element; of two, with an uneven last block on an odd order (z9,
+                # trivial); of |G| - 1 and a last one of one element.  n = 1 is
                 # gathered whole at every budget.
-                for budget in (godement.matfun._GATHER_BYTES, 0, 16 * 3 * side, 16 * (side - 2) * side):
+                for budget in (godement.matfun._GATHER_BYTES, 0, 16 * 2 * n * side, 16 * (grp.order - 1) * n * side):
                     with monkeypatch.context() as m:
                         m.setattr(godement.matfun, "_GATHER_BYTES", budget)
                         assert _conv_kernel(grp, a, b).tobytes() == want.tobytes(), (n, b.shape, budget)
@@ -149,7 +150,7 @@ class TestKernel:
     def test_traced_peak_of_a_call_stays_under_a_mebibyte(self, spec):
         # numpy reports its buffers to tracemalloc; with the caches warm, no call
         # at n = 3 holds the (|G| n)^2 convolution matrix (2.0 MiB on s5 and
-        # 7.9 MiB on z2xs5), only row blocks of at most _GATHER_BYTES
+        # 7.9 MiB on z2xs5), only blocks of at most _GATHER_BYTES
         grp = parse_group_spec(spec)
         f = random_matfun(grp, 3, seed=42)
         phi, psi = make_pd(f), make_pd(random_matfun(grp, 3, seed=43))
@@ -165,6 +166,28 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20, (name, peak)
+        # the first call on a table fresh from its builder also builds what it
+        # caches: the |G|^2 table E of x y^-1 (0.11 MiB on s5, 0.44 MiB on z2xs5),
+        # never a gather index of the (|G| n)^2 operator, which would be 0.99 MiB
+        # on s5 and 3.96 MiB on z2xs5.  Beside E the call holds under 1 MiB.  The
+        # Fourier basis is built before tracing, once per table at any n.
+        for name in ("make_pd", "convolve", "sqrt_spectral"):
+            fresh = build_symmetric(5) if spec == "s5" else direct_product(build_cyclic(2), build_symmetric(5))
+            f_fresh, phi_fresh = MatFun(fresh, 3, f.values), MatFun(fresh, 3, phi.values)
+            call = {"make_pd": lambda: make_pd(f_fresh), "convolve": lambda: convolve(f_fresh, phi_fresh),
+                    "sqrt_spectral": lambda: sqrt_spectral(phi_fresh)}[name]
+            if name == "sqrt_spectral":
+                fourier_basis(fresh)
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not any(isinstance(key, int) for key in fresh._cache), (name, list(fresh._cache))
+            quotients = fresh._cache["quotients"]
+            assert quotients.nbytes == 8 * fresh.order**2
+            assert peak < 2**20 + quotients.nbytes, (name, peak)
 
     def test_index_cached_per_table_not_per_order(self):
         tables = [parse_group_spec(spec) for spec in ("z8", "d4", "q8")]
@@ -214,6 +237,41 @@ class TestKernel:
         a, b = random_matfun(grp, 3, seed=43), random_matfun(grp, 3, seed=44)
         expected = naive_convolve(grp, a.values, b.values)
         assert np.linalg.norm(convolve(a, b).values - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("call", ("convolve", "conv_matrix"))
+    def test_blocked_paths_refuse_an_operator_over_the_limit_before_allocating(self, call, monkeypatch):
+        # an element-blocked convolution never holds the whole operator, but keeps
+        # the size rule of the operator it stands for; it raises before E or a block
+        grp = build_symmetric(5)
+        a, b = random_matfun(grp, 3, seed=45), random_matfun(grp, 3, seed=46)
+        monkeypatch.setattr(godement.groups, "_MAX_ARRAY_BYTES", 16 * 360**2 - 1)
+        run = (lambda: convolve(a, b)) if call == "convolve" else (lambda: conv_matrix(a))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="a convolution operator of dimension 3 on 120 elements needs a"):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
+        assert "quotients" not in grp._cache
+
+    @pytest.mark.parametrize("entry", (120, -1))
+    def test_out_of_range_table_entry_raises_not_clipped(self, entry):
+        # a hand-built table is not validated; its table of x y^-1 is, once, so the
+        # element blocks' take with mode="clip" never clips an entry, and neither
+        # the whole gathers (n = 1 and within the budget) nor the blocked ones
+        # (n = 3 on 120 elements) wrap a negative one
+        s5 = build_symmetric(5)
+        mult = s5.mult.copy()
+        mult[5, 7] = entry
+        grp = GroupTable(s5.order, mult, s5.inv, s5.identity, s5.labels)
+        for n in (1, 3):
+            a = random_matfun(grp, n, seed=47)
+            for run in (lambda: convolve(a, a), lambda: conv_matrix(a), lambda: make_pd(a)):
+                with pytest.raises(ValueError, match="outside 0..119"):
+                    run()
+        assert "quotients" not in grp._cache
 
 
 class TestStar:

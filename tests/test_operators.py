@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import godement.fourier
+import godement.matfun
 import godement.operators
 import godement.roots
 import godement.theorems
@@ -38,7 +39,8 @@ from godement.groups import _generating_set, _word_plan
 from godement.matfun import _complex_normals
 from godement.theorems import SuiteConfig, _trial_c
 from conftest import ARRAY_LEVEL_SPECS, phi_21, random_pd
-from dense_oracle import brute_commutant_residual, pd_order_leq, projector_leq, right_translation_matrix
+from dense_oracle import (brute_commutant_residual, pd_order_leq, projector_leq, right_translation_matrix,
+                          scalar_conv_index)
 
 
 def vector_action(a: MatFun, u: np.ndarray) -> np.ndarray:
@@ -93,6 +95,20 @@ class TestConvMatrix:
         via_matrix = conv_matrix(a).data @ u.reshape(-1)
         via_sum = vector_action(a, u).reshape(-1)
         assert np.linalg.norm(via_matrix - via_sum) <= 1e-12 * np.linalg.norm(via_sum)
+
+    @pytest.mark.parametrize("spec", ("s5", "z2xs5"))
+    @pytest.mark.parametrize("n", (2, 3))
+    def test_element_blocked_operator_is_the_index_gather_bitwise(self, spec, n):
+        # past _GATHER_BYTES, conv_matrix is gathered a block of whole elements at
+        # a time along the table of x y^-1; it is the same array the scalar index gathers
+        grp = parse_group_spec(spec)
+        assert 16 * (grp.order * n) ** 2 > godement.matfun._GATHER_BYTES
+        a = random_matfun(grp, n, seed=19)
+        got = conv_matrix(a).data
+        want = a.values.reshape(-1)[scalar_conv_index(grp, n)]
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert n not in grp._cache
 
 
 class TestCertification:
