@@ -87,37 +87,36 @@ def _check_operator_size(order: int, n: int) -> None:
 
 
 def _quotients(group: GroupTable) -> np.ndarray:
-    """The table E[x, y] = x y^-1 = mult[x, inv[y]], cached on the table under
-    the key "quotients", in the column-major layout numpy gives it.  Its
-    range is checked once, when it is built: a hand-built table with an
-    entry outside 0 .. |G| - 1 raises ValueError, so _element_rows, which
-    takes with mode="clip", never clips one silently."""
+    """The row-major table E[x, y] = x y^-1 = mult[x, inv[y]], cached on the
+    table under the key "quotients".  Its range is checked once, when it is
+    built: a hand-built table with an entry outside 0 .. |G| - 1 raises
+    ValueError, so _element_rows, which takes with mode="clip", never clips
+    one silently.  E is left writeable, since np.take copies an index it
+    may not write (8 |G| bytes per element of every block); nothing
+    writes to it."""
     cache = group._cache
     table = cache.get("quotients")
     if table is None:
-        table = group.mult[:, group.inv]
+        table = group.mult.take(group.inv, axis=1)
         if table.size and not (table.min() >= 0 and table.max() < group.order):
             raise ValueError(f"group table has an entry x y^-1 outside 0..{group.order - 1}")
-        table.flags.writeable = False
         table = cache.setdefault("quotients", table)
     return table
 
 
 def _conv_index(group: GroupTable, n: int) -> np.ndarray:
-    """Flat gather index of the convolution matrix of an n x n function on group.
+    """Row-major flat gather index of the convolution matrix of an n x n
+    function on group.
 
     values.reshape(-1)[index] is the (|G| n, |G| n) matrix whose block
     (x, y) is values[x y^-1], i.e. index[x n + i, y n + k] =
-    E[x, y] n^2 + i n + k with E = _quotients(group).  At n = 1 the index
-    is E itself, column-major like the operator it gathers, which numpy
-    multiplies by OpenBLAS's column-major matrix-vector kernel; a row-major
-    gather would change every n = 1 output in its last bits.  For n >= 2 it
-    is row-major, built once per (table, n) and cached under the key n;
+    E[x, y] n^2 + i n + k with E = _quotients(group); at n = 1 it is E
+    itself.  It is built once per (table, n) and cached under the key n;
     threads that race on a first build compute equal arrays and setdefault
     keeps one of them.  The first build raises ValueError when the operator
-    would pass groups._MAX_ARRAY_BYTES.  At n >= 2 only operators within
-    _GATHER_BYTES and the dense root below side 64 use it, so it holds at
-    most _GATHER_BYTES / 2; larger ones are gathered by _element_rows.
+    would pass groups._MAX_ARRAY_BYTES.  Only operators within _GATHER_BYTES
+    and the dense root below side 64 use it; larger ones are gathered by
+    _element_rows.
     """
     cache = group._cache
     index = cache.get(n)
@@ -133,36 +132,36 @@ def _conv_index(group: GroupTable, n: int) -> np.ndarray:
     return index
 
 
-# The most bytes of complex128 convolution matrix that one gather holds when
-# an operator of n >= 2 is gathered by group elements: operators within it,
-# every operator of side |G| n <= 181, are gathered whole through _conv_index.
+# The most bytes of complex128 convolution matrix that one gather holds:
+# operators within it, every operator of side |G| n <= 181, are gathered
+# whole through _conv_index, larger ones by blocks of whole group elements.
 _GATHER_BYTES = 512 * 1024
 
 
 def _element_rows(group: GroupTable, a: np.ndarray):
-    """The rows of the convolution matrix of a (|G|, n, n), n >= 2, a block
-    of whole group elements at a time: yields (start, stop, block), where
-    block holds the rows of the elements x = start .. stop - 1 in the order
-    (i, x), row i of x being a(x y^-1)[i, k] over (y, k).
+    """The rows of the convolution matrix of a (|G|, n, n), a block of whole
+    group elements at a time: yields (start, stop, block), where block holds
+    the rows of the elements x = start .. stop - 1 in the order (i, x), row
+    i of x being a(x y^-1)[i, k] over (y, k).
 
-    a is copied once as rows[i, g, k] = a(g)[i, k], and one take along
-    the rows start .. stop - 1 of E = _quotients(group) fills each block,
-    so nothing of size (|G| n)^2 is held: the block is one reused buffer of
-    the most whole elements within _GATHER_BYTES, at least one, and so at
-    least n >= 2 rows, never the single row numpy would multiply as a
-    vector.  np.take copies those rows of E first, since E is read-only and
-    column-major: 8 |G| bytes per element against the block's 16 n^2 |G|.
-    E is range-checked, so mode="clip" clips nothing; numpy buffers the
-    default mode="raise" into out=, which costs more.
+    a is copied once as rows[i, g, k] = a(g)[i, k], and one take along the
+    rows start .. stop - 1 of E = _quotients(group) fills each block, so
+    nothing of size (|G| n)^2 is held: the block is one reused buffer of the
+    most whole elements within _GATHER_BYTES.  A block has at least two
+    rows, and a lone last row joins the block before it, since numpy would
+    multiply a single row as a vector and round it otherwise.  E is
+    range-checked, so mode="clip" clips nothing; numpy buffers the default
+    mode="raise" into out=, which costs more.
     """
     order, n = a.shape[0], a.shape[1]
     side = order * n
     quotients = _quotients(group)
     rows = np.ascontiguousarray(a.transpose(1, 0, 2))
-    count = max(1, _GATHER_BYTES // (16 * n * side))
-    buffer = np.empty(n * min(count, order) * side, dtype=np.complex128)
-    for start in range(0, order, count):
-        stop = min(start + count, order)
+    count = max(1, 2 // n, _GATHER_BYTES // (16 * n * side))
+    lone = int(n * (order % count) == 1 and order > count)
+    edges = [*range(0, order - lone, count), order]
+    buffer = np.empty(n * (min(count, order) + lone) * side, dtype=np.complex128)
+    for start, stop in zip(edges, edges[1:]):
         block = buffer[:n * (stop - start) * side].reshape(n, stop - start, order, n)
         np.take(rows, quotients[start:stop], axis=1, out=block, mode="clip")
         yield start, stop, block.reshape(-1, side)
@@ -173,7 +172,7 @@ def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
     arithmetic: whole through _conv_index, or else by _element_rows into the
     one (|G| n)^2 array it returns."""
     order, n = a.shape[0], a.shape[1]
-    if n == 1 or 16 * (order * n) ** 2 <= _GATHER_BYTES:
+    if 16 * (order * n) ** 2 <= _GATHER_BYTES:
         return a.reshape(-1)[_conv_index(group, n)]
     _check_operator_size(order, n)
     out = np.empty((order, n, order * n), dtype=np.complex128)
@@ -193,20 +192,19 @@ def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     only a 1 x 1 matrix times several columns, which these shapes never
     give, would be taken as a scalar product and round otherwise.
 
-    At n = 1 and within _GATHER_BYTES the matrix is gathered whole and
-    multiplied once, which skips the loop's set-up: 0.6-1.1 us of a 2-6 us
-    call on the default suite's operators (2-core x86 host).  A larger
-    operator of n >= 2 is multiplied a block of whole elements at a time
-    (_element_rows), each block's rows going to their places in one output
-    array: the same row of the matrix times the same columns as in the
-    whole product, which OpenBLAS rounds alike wherever the row sits in a
-    block, as a test pins.  Such an operator leaves only E, 8 |G|^2 bytes,
-    cached on the table.
+    Within _GATHER_BYTES the matrix is gathered whole and multiplied once,
+    which skips the loop's set-up: 0.6-1.1 us of a 2-6 us call on the
+    default suite's operators (2-core x86 host).  A larger one is multiplied
+    a block of whole elements at a time (_element_rows), each block's rows
+    going to their places in one output array: the same row of the matrix
+    times the same columns as in the whole product, which OpenBLAS rounds
+    alike wherever the row sits in a block, as a test pins.  Such an
+    operator leaves only E, 8 |G|^2 bytes, cached on the table.
     """
     order, n = a.shape[0], a.shape[1]
     side = order * n
     cols = b.reshape(side, -1)
-    if n == 1 or 16 * side * side <= _GATHER_BYTES:
+    if 16 * side * side <= _GATHER_BYTES:
         return np.dot(a.reshape(-1)[_conv_index(group, n)], cols).reshape(b.shape)
     _check_operator_size(order, n)
     width = cols.shape[1]

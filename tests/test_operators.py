@@ -96,8 +96,8 @@ class TestConvMatrix:
         via_sum = vector_action(a, u).reshape(-1)
         assert np.linalg.norm(via_matrix - via_sum) <= 1e-12 * np.linalg.norm(via_sum)
 
-    @pytest.mark.parametrize("spec", ("s5", "z2xs5"))
-    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("spec, n", [pytest.param(spec, n, id=f"{n}-{spec}") for spec, n in (
+        ("s5", 2), ("z2xs5", 2), ("s5", 3), ("z2xs5", 3), ("z2xs5", 1), ("z300", 1))])
     def test_element_blocked_operator_is_the_index_gather_bitwise(self, spec, n):
         # past _GATHER_BYTES, conv_matrix is gathered a block of whole elements at
         # a time along the table of x y^-1; it is the same array the scalar index gathers
