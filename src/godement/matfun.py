@@ -114,9 +114,9 @@ def _conv_index(group: GroupTable, n: int) -> np.ndarray:
     itself.  It is built once per (table, n) and cached under the key n;
     threads that race on a first build compute equal arrays and setdefault
     keeps one of them.  The first build raises ValueError when the operator
-    would pass groups._MAX_ARRAY_BYTES.  Only operators within _GATHER_BYTES
-    and the dense root below side 64 use it; larger ones are gathered by
-    _element_rows.
+    would pass groups._MAX_ARRAY_BYTES.  It has two readers, the products
+    that need its speed: _conv_kernel within _GATHER_BYTES and
+    roots._dense_steps.  Every other operator is gathered by _element_rows.
     """
     cache = group._cache
     index = cache.get(n)
@@ -133,52 +133,52 @@ def _conv_index(group: GroupTable, n: int) -> np.ndarray:
 
 
 # The most bytes of complex128 convolution matrix that one gather holds:
-# operators within it, every operator of side |G| n <= 181, are gathered
-# whole through _conv_index, larger ones by blocks of whole group elements.
+# _conv_kernel multiplies an operator within it, every operator of side
+# |G| n <= 181, whole through _conv_index; _element_rows gathers the rest,
+# and every conv_matrix, by blocks of whole group elements.
 _GATHER_BYTES = 512 * 1024
 
 
-def _element_rows(group: GroupTable, a: np.ndarray):
-    """The rows of the convolution matrix of a (|G|, n, n), a block of whole
-    group elements at a time: yields (start, stop, block), where block holds
-    the rows of the elements x = start .. stop - 1 in the order (i, x), row
-    i of x being a(x y^-1)[i, k] over (y, k).
+def _element_rows(group: GroupTable, a: np.ndarray, width: int, apply) -> np.ndarray:
+    """apply on the rows of the convolution matrix of a (|G|, n, n), a
+    block of whole group elements at a time, as one (|G|, n, width) array
+    whose [x, i] is apply's row for row i of element x.
 
-    a is copied once as rows[i, g, k] = a(g)[i, k], and one take along the
-    rows start .. stop - 1 of E = _quotients(group) fills each block, so
-    nothing of size (|G| n)^2 is held: the block is one reused buffer of the
-    most whole elements within _GATHER_BYTES.  A block has at least two
-    rows, and a lone last row joins the block before it, since numpy would
-    multiply a single row as a vector and round it otherwise.  E is
-    range-checked, so mode="clip" clips nothing; numpy buffers the default
-    mode="raise" into out=, which costs more.
+    Row i of x is a(x y^-1)[i, k] over (y, k).  The operator's size is
+    checked first (_check_operator_size).  a is copied once as rows[i, g,
+    k] = a(g)[i, k], and one take along the rows start .. stop - 1 of E =
+    _quotients(group) fills each block in the order (i, x), and apply's
+    rows go back in the order (x, i).  The block is one reused buffer of
+    the most whole elements within _GATHER_BYTES, so the output, when width
+    is |G| n, is the only array of size (|G| n)^2 held.  A block has at
+    least two rows, and a lone last row joins the block before it, since
+    numpy would multiply a single row as a vector and round it otherwise.
+    E is range-checked, so mode="clip" clips nothing; numpy buffers the
+    default mode="raise" into out=, which costs more.
     """
     order, n = a.shape[0], a.shape[1]
     side = order * n
+    _check_operator_size(order, n)
     quotients = _quotients(group)
     rows = np.ascontiguousarray(a.transpose(1, 0, 2))
     count = max(1, 2 // n, _GATHER_BYTES // (16 * n * side))
     lone = int(n * (order % count) == 1 and order > count)
     edges = [*range(0, order - lone, count), order]
     buffer = np.empty(n * (min(count, order) + lone) * side, dtype=np.complex128)
+    out = np.empty((order, n, width), dtype=np.complex128)
     for start, stop in zip(edges, edges[1:]):
         block = buffer[:n * (stop - start) * side].reshape(n, stop - start, order, n)
         np.take(rows, quotients[start:stop], axis=1, out=block, mode="clip")
-        yield start, stop, block.reshape(-1, side)
+        out[start:stop] = apply(block.reshape(-1, side)).reshape(n, stop - start, width).swapaxes(0, 1)
+    return out
 
 
 def _conv_operator(group: GroupTable, a: np.ndarray) -> np.ndarray:
     """Convolution matrix of raw values a (|G|, n, n), gathered, with no
-    arithmetic: whole through _conv_index, or else by _element_rows into the
-    one (|G| n)^2 array it returns."""
-    order, n = a.shape[0], a.shape[1]
-    if 16 * (order * n) ** 2 <= _GATHER_BYTES:
-        return a.reshape(-1)[_conv_index(group, n)]
-    _check_operator_size(order, n)
-    out = np.empty((order, n, order * n), dtype=np.complex128)
-    for start, stop, block in _element_rows(group, a):
-        out[start:stop] = block.reshape(n, stop - start, -1).swapaxes(0, 1)
-    return out.reshape(order * n, order * n)
+    arithmetic, by _element_rows at every size: it caches nothing on the
+    table beyond E."""
+    side = a.shape[0] * a.shape[1]
+    return _element_rows(group, a, side, lambda rows: rows).reshape(side, side)
 
 
 def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,26 +192,21 @@ def _conv_kernel(group: GroupTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     only a 1 x 1 matrix times several columns, which these shapes never
     give, would be taken as a scalar product and round otherwise.
 
-    Within _GATHER_BYTES the matrix is gathered whole and multiplied once,
-    which skips the loop's set-up: 0.6-1.1 us of a 2-6 us call on the
-    default suite's operators (2-core x86 host).  A larger one is multiplied
-    a block of whole elements at a time (_element_rows), each block's rows
-    going to their places in one output array: the same row of the matrix
-    times the same columns as in the whole product, which OpenBLAS rounds
-    alike wherever the row sits in a block, as a test pins.  Such an
-    operator leaves only E, 8 |G|^2 bytes, cached on the table.
+    Within _GATHER_BYTES the matrix is gathered whole through _conv_index
+    and multiplied once, which skips the blocks' set-up: 2-6 us a call on
+    the default suite's operators, against 7-17 us through one element
+    block (2-core x86 host).  A larger one is multiplied a block of whole
+    elements at a time (_element_rows): the same row of the matrix times
+    the same columns as in the whole product, which OpenBLAS rounds alike
+    wherever the row sits in a block, as a test pins.  Such an operator
+    leaves only E, 8 |G|^2 bytes, cached on the table.
     """
     order, n = a.shape[0], a.shape[1]
     side = order * n
     cols = b.reshape(side, -1)
     if 16 * side * side <= _GATHER_BYTES:
         return np.dot(a.reshape(-1)[_conv_index(group, n)], cols).reshape(b.shape)
-    _check_operator_size(order, n)
-    width = cols.shape[1]
-    out = np.empty((order, n, width), dtype=np.complex128)
-    for start, stop, block in _element_rows(group, a):
-        out[start:stop] = np.dot(block, cols).reshape(n, stop - start, width).swapaxes(0, 1)
-    return out.reshape(b.shape)
+    return _element_rows(group, a, cols.shape[1], lambda rows: np.dot(rows, cols)).reshape(b.shape)
 
 
 def convolve(a: MatFun, b: MatFun) -> MatFun:
@@ -236,7 +231,7 @@ def _adjoint_index(group: GroupTable, n: int) -> np.ndarray:
 
 def _adjoint(group: GroupTable, a: np.ndarray) -> np.ndarray:
     """conj(a(g^-1))^T for every g, on raw values a (|G|, n, n), as a new
-    C-contiguous array: one gather, so that _conv_operator can reshape it
+    C-contiguous array: one gather, so that _conv_kernel can reshape it
     without a copy."""
     return np.conj(a.reshape(-1)[_adjoint_index(group, a.shape[1])])
 

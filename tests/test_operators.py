@@ -15,12 +15,16 @@ from godement import (
     MatFun,
     NotPositiveDefiniteError,
     add,
+    build_cyclic,
     build_dihedral,
     build_orthogonal_pd_pair,
+    build_quaternion,
+    build_symmetric,
     conv_matrix,
     convolve,
     decompose,
     delta_identity,
+    direct_product,
     extract_kernel,
     gram_pd_check,
     hermitian_symmetry_residual,
@@ -38,7 +42,7 @@ from godement.fourier import fourier_basis
 from godement.groups import _generating_set, _word_plan
 from godement.matfun import _complex_normals
 from godement.theorems import SuiteConfig, _trial_c
-from conftest import ARRAY_LEVEL_SPECS, phi_21, random_pd
+from conftest import ARRAY_LEVEL_SPECS, phi_21, random_pd, relabeled_s3
 from dense_oracle import (brute_commutant_residual, pd_order_leq, projector_leq, right_translation_matrix,
                           scalar_conv_index)
 
@@ -97,18 +101,23 @@ class TestConvMatrix:
         assert np.linalg.norm(via_matrix - via_sum) <= 1e-12 * np.linalg.norm(via_sum)
 
     @pytest.mark.parametrize("spec, n", [pytest.param(spec, n, id=f"{n}-{spec}") for spec, n in (
-        ("s5", 2), ("z2xs5", 2), ("s5", 3), ("z2xs5", 3), ("z2xs5", 1), ("z300", 1))])
+        ("s5", 2), ("z2xs5", 2), ("s5", 3), ("z2xs5", 3), ("z2xs5", 1), ("z300", 1),
+        ("s3", 2), ("q8", 2), ("s4", 3), ("s5", 1), ("custom", 2))])
     def test_element_blocked_operator_is_the_index_gather_bitwise(self, spec, n):
-        # past _GATHER_BYTES, conv_matrix is gathered a block of whole elements at
-        # a time along the table of x y^-1; it is the same array the scalar index gathers
-        grp = parse_group_spec(spec)
-        assert 16 * (grp.order * n) ** 2 > godement.matfun._GATHER_BYTES
+        # at every size, conv_matrix is gathered a block of whole elements at a time
+        # along the table of x y^-1; it is the same array the scalar index gathers,
+        # its block column at e is a again, and neither call caches a per-n index
+        build = {"s5": lambda: build_symmetric(5), "z2xs5": lambda: direct_product(build_cyclic(2), build_symmetric(5)),
+                 "z300": lambda: build_cyclic(300), "s3": lambda: build_symmetric(3), "q8": build_quaternion,
+                 "s4": lambda: build_symmetric(4), "custom": relabeled_s3}[spec]
+        grp = build()
         a = random_matfun(grp, n, seed=19)
         got = conv_matrix(a).data
         want = a.values.reshape(-1)[scalar_conv_index(grp, n)]
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
-        assert n not in grp._cache
+        assert extract_kernel(ConvMatrix(grp, n, got)).values.tobytes() == a.values.tobytes()
+        assert not any(isinstance(key, int) for key in grp._cache), list(grp._cache)
 
 
 class TestCertification:
